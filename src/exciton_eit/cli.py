@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloch import SingularSteadyStateError, StiffnessError
 from .config import (ConfigError, ScenarioConfig, parse_config,
-                     resolved_params_dict, serialize_config)
+                     resolved_params_dict, serialize_config, spectrum_stem)
 from .constants import CONST
 from .levels import level_table
 from .medium import FieldDrive, LadderSystem
@@ -65,10 +65,6 @@ def _formats(args) -> tuple[bool, bool]:
     return args.format in ("csv", "both"), args.format in ("json", "both")
 
 
-def _om2_tag(value: float) -> str:
-    return format(value / 1e9, "g").replace("-", "m").replace(".", "p")
-
-
 def run_spectrum(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     csv_on, json_on = _formats(args)
@@ -79,7 +75,7 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
                            center + cfg.omega_half_span, cfg.omega_points)
         table = compute_spectrum(system, drive, grid)
         params = {**resolved_params_dict(cfg), "Omega2_this_run": om2}
-        stem = f"spectrum_om2_{_om2_tag(om2)}Grads"
+        stem = spectrum_stem(om2)
         if csv_on:
             rows = zip(table.omega_grid, table.chi_re, table.chi_im, table.n_g)
             write_csv(args.out / f"{stem}.csv",

@@ -116,8 +116,9 @@ class ScenarioConfig:
     damping_n10: float = 60e-6          # eV
     levels_n_max: int = 10
     levels_l_max: int = 1
-    # propagation; z resolution is sized for optically thick runs, where
-    # the marching delay error scales like (depth / z_steps)^2
+    # propagation; the slab is applied exactly in frequency space, so
+    # z_steps is parsed, validated and echoed but does not change the
+    # envelope, and t_steps is the only resolution
     slab_length: float = 30e-6
     z_steps: int = 480
     t_steps: int = 2400
@@ -168,14 +169,29 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.omega2_max <= self.omega2_min:
             raise ConfigError("omega2 grid must be increasing (omega2_min < omega2_max)")
-        for name in ("omega_points", "omega2_points", "z_steps", "t_steps",
-                     "levels_n_max"):
+        for name in ("omega_points", "omega2_points", "z_steps", "levels_n_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.t_steps < 8:
+            raise ConfigError("t_steps must be >= 8")
         if self.levels_l_max < 0:
             raise ConfigError("levels_l_max must be >= 0")
         if self.density < 0:
             raise ConfigError("density must be non-negative")
+        stems: dict[str, float] = {}
+        for om2 in self.spectrum_omega2:
+            stem = spectrum_stem(om2)
+            if stem in stems:
+                raise ConfigError(
+                    f"spectrum_omega2 values {stems[stem]:.17g} and {om2:.17g} rad/s "
+                    f"would both write '{stem}'")
+            stems[stem] = om2
+
+
+def spectrum_stem(omega2: float) -> str:
+    """Output file stem of the spectrum at control Rabi frequency ``omega2``."""
+    tag = format(omega2 / 1e9, "g").replace("-", "m").replace(".", "p")
+    return f"spectrum_om2_{tag}Grads"
 
 
 # key -> (dimension, attribute); dimension None marks unit-less integer keys

@@ -173,6 +173,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["propagate", "validate"])
+def test_short_time_grid_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("t_steps = 4\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert "t_steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_colliding_spectrum_files_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("spectrum_omega2 = 1e10, 1.0000001e10 rad/s\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
+    assert "spectrum_om2_10Grads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "nope.txt"), "validate"]) == 2
 

@@ -84,6 +84,20 @@ class TestErrors:
         with pytest.raises(ConfigError, match="increasing"):
             parse_config("omega2_min = 50 Grad/s\nomega2_max = 10 Grad/s\n")
 
+    def test_short_time_grid_rejected(self):
+        with pytest.raises(ConfigError, match="t_steps must be >= 8"):
+            parse_config("t_steps = 4\n")
+        assert parse_config("t_steps = 8\n").t_steps == 8
+
+    @pytest.mark.parametrize("values", ["1e10, 1e10", "1e10, 1.0000001e10"])
+    def test_spectrum_file_collision_rejected(self, values):
+        with pytest.raises(ConfigError, match="spectrum_om2_10Grads"):
+            parse_config(f"spectrum_omega2 = {values} rad/s\n")
+
+    def test_distinct_spectrum_stems_accepted(self):
+        cfg = parse_config("spectrum_omega2 = -10, 10, 10.0001 Grad/s\n")
+        assert len(cfg.spectrum_omega2) == 3
+
 
 class TestLists:
     def test_spectrum_control_list(self):

@@ -1,11 +1,19 @@
 """Slab pulse propagation against the analytic envelope oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import exciton_eit
 from exciton_eit import (CONST, FieldDrive, LadderSystem, PropagationParams,
                          analytic_envelope, chi, gaussian_envelope,
-                         group_velocity, propagate_pulse)
+                         group_velocity, propagate_pulse, window_metrics)
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -157,3 +165,76 @@ class TestStrongerAbsorption:
         record = propagate_pulse(env, params, drv, sys_, check_convergence=False)
         assert record.measured_delay == pytest.approx(expected, rel=0.10)
         assert record.measured_attenuation < 1e-10
+
+
+class TestSpectralSolution:
+    def test_z_steps_does_not_change_envelope(self):
+        sys_ = default_system()
+        drv = drive_for(sys_)
+        outputs = []
+        for z_steps in (40, 480):
+            params, env = narrowband_setup(sys_, drv, z_steps=z_steps)
+            outputs.append(propagate_pulse(env, params, drv, sys_).envelope_out)
+        np.testing.assert_array_equal(outputs[0], outputs[1])
+
+    def test_slabs_compose(self):
+        # L1 then L2 is one pass through L1 + L2 (centre transmission ~5e-2);
+        # the pulse sits 9 sigma from both grid ends, so truncating the
+        # intermediate envelope drops nothing above roundoff
+        sys_ = default_system()
+        drv = drive_for(sys_)
+        span = 18 * SIGMA + 2 * SLAB / group_velocity(0.0, sys_, drv)
+        t_grid = PropagationParams.from_system(sys_, drv, SLAB, 120, 2000, span).t_grid
+        env = gaussian_envelope(t_grid, 9 * SIGMA, SIGMA, amplitude=complex(drv.Omega1))
+
+        def through(envelope, length):
+            params = PropagationParams.from_system(sys_, drv, length, 120, 2000, span)
+            return propagate_pulse(envelope, params, drv, sys_,
+                                   check_convergence=False).envelope_out
+
+        split = through(through(env, 10e-6), 20e-6)
+        whole = through(env, SLAB)
+        assert np.linalg.norm(split - whole) / np.linalg.norm(whole) < 1e-10
+
+
+def causal(env_in, env_out):
+    """The output first exceeds 1e-6 of the input peak no earlier than one
+    step before the input does; an output that never does cannot rise early."""
+    thresh = 1e-6 * np.max(np.abs(env_in))
+    lead_in = int(np.flatnonzero(np.abs(env_in) > thresh)[0])
+    above = np.flatnonzero(np.abs(env_out) > thresh)
+    return above.size == 0 or int(above[0]) >= lead_in - 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(omega2=st.floats(2.5e10, 1e11), length=st.floats(5e-6, 30e-6),
+       gamma_scale=st.floats(0.5, 2.0))
+def test_pulse_invariants(omega2, length, gamma_scale):
+    sys_ = default_system(gamma_bc=7.596e9 * gamma_scale)
+    drv = drive_for(sys_, Omega2=omega2)
+    # the CLI's pulse sizing
+    width = window_metrics(sys_, drv).width
+    sigma = 10.0 / width if width > 0 else 10.0 / sys_.gamma_ab
+    expected = length / group_velocity(0.0, sys_, drv)
+    params = PropagationParams.from_system(sys_, drv, length, 480, 2400,
+                                           18 * sigma + 2 * expected)
+    env = gaussian_envelope(params.t_grid, 9 * sigma, sigma,
+                            amplitude=complex(drv.Omega1))
+    record = propagate_pulse(env, params, drv, sys_)
+    # passive medium: Im chi >= 0 everywhere, so no spectral component grows
+    assert np.linalg.norm(record.envelope_out) <= np.linalg.norm(env)
+    assert causal(env, record.envelope_out)
+    # below e^-30 centre transmission the input's roundoff through the
+    # transparent wings swamps the pulse, so no delay is measurable there
+    depth = drv.omega1 * chi(0.0, sys_, drv).imag * length / (2 * CONST.c)
+    if depth <= 30:
+        assert record.measured_delay == pytest.approx(expected, rel=0.10)
+
+
+def test_package_import_skips_scipy_signal():
+    src = Path(exciton_eit.__file__).resolve().parents[1]
+    code = "import sys, exciton_eit; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "False"

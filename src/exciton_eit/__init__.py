@@ -16,7 +16,7 @@ from .susceptibility import (ControlSweep, EvaluationError, SpectrumTable,
                              locate_absorption_peaks, sweep_control,
                              window_metrics)
 from .bloch import (BlochTrajectory, DensityMatrixState,
-                    SingularSteadyStateError, StiffnessError, bloch_rhs,
+                    SingularSteadyStateError, bloch_rhs,
                     integrate_bloch, integrate_linearized,
                     steady_state_linearized)
 from .propagation import (PropagationParams, PulseRecord, analytic_envelope,

@@ -2,8 +2,9 @@
 
 The state is carried in the rotating frame, so the six slowly varying
 components are three real occupations and three complex coherences.  The
-equations of motion conserve the total occupation identically; the
-integrator is adaptive explicit Runge-Kutta with local error control.
+equations of motion conserve the total occupation identically.  For a
+constant drive they are a constant real 9x9 linear system, so the state
+is propagated exactly by the matrix exponential of its generator.
 
 Two decay conventions are provided.  The default ("literal") keeps the
 unusual population-damping pattern in which the upper-level loss rate is
@@ -14,18 +15,14 @@ Both conserve the trace exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .medium import FieldDrive, LadderSystem
 
 _DECAY_MODES = ("literal", "standard")
-
-
-class StiffnessError(RuntimeError):
-    """Raised when the explicit integrator cannot resolve the dynamics."""
 
 
 class SingularSteadyStateError(ArithmeticError):
@@ -57,7 +54,7 @@ class DensityMatrixState:
         return self.sigma_aa + self.sigma_bb + self.sigma_cc
 
     def to_vector(self) -> np.ndarray:
-        """Pack into 9 reals for the ODE solver."""
+        """Pack into 9 reals, the layout the propagator works on."""
         return np.array([
             self.sigma_aa, self.sigma_bb, self.sigma_cc,
             self.sigma_ab.real, self.sigma_ab.imag,
@@ -153,54 +150,74 @@ class BlochTrajectory:
         return DensityMatrixState.from_vector(self.y[:, index])
 
 
-# beyond this many characteristic periods the explicit solver is hopeless
-_MAX_RATE_TIME_PRODUCT = 5e8
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM
+    Rev. 45, 3 (2003)); for a 1-norm below 1, 18 Taylor terms are exact.
+
+    Only products enter, so a zero row of ``a`` (a conserved coordinate)
+    stays exactly the identity's row through the series and the
+    squarings, and no roundoff can compound there.
+    """
+    norm = np.linalg.norm(a, 1)
+    squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    a = a / 2.0**squarings
+    r = term = np.eye(len(a))
+    for k in range(1, 19):
+        term = a @ term / k
+        r = r + term
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _sample(generator: np.ndarray, y0: np.ndarray, T: float, t_eval):
+    """Exact samples of dy/dt = generator @ y, y(0) = y0, at ``t_eval``.
+
+    ``t_eval=None`` samples [0, T].  One exponential is computed per
+    distinct step between consecutive samples; returns (t, y, count).
+    """
+    if T <= 0:
+        raise ValueError("integration time T must be positive")
+    t = np.array([0.0, T]) if t_eval is None else np.asarray(t_eval, dtype=float)
+    if (t.ndim != 1 or not np.all(np.diff(t) >= 0)
+            or (t.size and not (0.0 <= t[0] and t[-1] <= T))):
+        raise ValueError("t_eval must be a sorted 1-d grid within [0, T]")
+    steps, which = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
+    propagators = [_expm(generator * h) for h in steps]
+    y = np.empty((len(y0), len(t)), dtype=np.result_type(generator, y0))
+    state = y0
+    for k, j in enumerate(which):
+        state = propagators[j] @ state
+        y[:, k] = state
+    return t, y, len(steps)
 
 
 def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
                     system: LadderSystem, T: float,
-                    rtol: float = 1e-9, atol: float = 1e-12,
                     t_eval=None, decay_mode: str = "literal",
                     literal_ac_coherence: bool = False) -> BlochTrajectory:
-    """Integrate the full six-component dynamics from 0 to T.
+    """Propagate the full six-component dynamics from 0 to T.
 
-    Uses an adaptive embedded Runge-Kutta pair (DOP853) on the packed real
-    state.  A problem whose fastest rate times T exceeds the explicit
-    stability budget raises :class:`StiffnessError` up front; the same
-    error is raised if the step control fails mid-run.
+    The right-hand side is linear in the packed real state, so the 9x9
+    generator is read off its action on a basis and the state is advanced
+    by its matrix exponential; the trace is a coordinate of its own and
+    stays exact for any rate-time product.  ``t_eval`` (sorted, within
+    [0, T]) sets the samples; ``None`` returns [0, T].
     """
-    if T <= 0:
-        raise ValueError("integration time T must be positive")
     if decay_mode not in _DECAY_MODES:
         raise ValueError(f"decay_mode must be one of {_DECAY_MODES}")
-
-    fastest = max(system.gamma_ab, system.gamma_bc, system.gamma_ac,
-                  system.Gamma_ab, system.Gamma_ca,
-                  abs(drive.Omega1), abs(drive.Omega2),
-                  abs(drive.delta1), abs(drive.delta2))
-    if fastest * T > _MAX_RATE_TIME_PRODUCT:
-        raise StiffnessError(
-            f"rate*T = {fastest * T:.3g} exceeds the explicit-integrator "
-            "budget; reduce the damping-time product or use an implicit solver"
-        )
-
-    sol = solve_ivp(
-        lambda t, y: _rhs_vector(y, drive, system, decay_mode,
-                                 literal_ac_coherence),
-        (0.0, T),
-        initial.to_vector(),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"integration failed ({sol.message}); reduce the damping-step "
-            "product or fall back to an implicit solver"
-        )
-    return BlochTrajectory(t=sol.t, y=sol.y)
+    # work in coordinates z that replace sigma_bb by the trace, y = S z;
+    # the equations conserve the trace, so its row of the generator is 0
+    S = np.eye(9)
+    S[1, 0] = S[1, 2] = -1.0
+    generator = np.column_stack([
+        _rhs_vector(column, drive, system, decay_mode, literal_ac_coherence)
+        for column in S.T])
+    generator[1] = 0.0
+    z0 = initial.to_vector()
+    z0[1] = initial.trace
+    t, z, _ = _sample(generator, z0, T, t_eval)
+    return BlochTrajectory(t=t, y=S @ z)
 
 
 def _linear_matrix(drive: FieldDrive, system: LadderSystem) -> np.ndarray:
@@ -237,34 +254,32 @@ def steady_state_linearized(drive: FieldDrive,
     return complex(sigma_ab), complex(sigma_cb).conjugate()
 
 
+@dataclass
+class LinearizedTrajectory:
+    """Sampled first-order probe response."""
+
+    t: np.ndarray
+    y: np.ndarray  # shape (4, n_samples): Re, Im of sigma_ab, then of sigma_cb
+    nfev: int      # matrix exponentials computed
+    final_sigma_ab: complex
+    final_sigma_bc: complex
+
+
 def integrate_linearized(drive: FieldDrive, system: LadderSystem, T: float,
                          initial: tuple[complex, complex] = (0.0, 0.0),
-                         rtol: float = 1e-10, atol: float = 1e-16,
-                         t_eval=None):
-    """Integrate the first-order probe equations from 0 to T.
+                         t_eval=None) -> LinearizedTrajectory:
+    """Propagate the first-order probe equations from 0 to T.
 
-    ``initial`` is (sigma_ab, sigma_cb) at t = 0.  Returns the solve_ivp
-    solution on the packed real view; the final coherences are in
-    ``final_sigma_ab`` / ``final_sigma_bc`` attributes of the return value.
+    ``initial`` is (sigma_ab, sigma_cb) at t = 0.  The source term is
+    carried as a constant third component, d/dt (v, 1) = [[-iM, i b],
+    [0, 0]] (v, 1) with b = (Omega1, 0), so the exponential of that 3x3
+    matrix is exact whether or not M is singular.
     """
-    if T <= 0:
-        raise ValueError("integration time T must be positive")
-    m = _linear_matrix(drive, system)
-    om1 = complex(drive.Omega1)
-
-    def rhs(t, y):
-        v = np.array([y[0] + 1j * y[1], y[2] + 1j * y[3]])
-        dv = -1j * (m @ v - np.array([om1, 0.0]))
-        return np.array([dv[0].real, dv[0].imag, dv[1].real, dv[1].imag])
-
-    y0 = np.array([
-        complex(initial[0]).real, complex(initial[0]).imag,
-        complex(initial[1]).real, complex(initial[1]).imag,
-    ])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise StiffnessError(f"linearized integration failed ({sol.message})")
-    sol.final_sigma_ab = complex(sol.y[0, -1], sol.y[1, -1])
-    sol.final_sigma_bc = complex(sol.y[2, -1], -sol.y[3, -1])
-    return sol
+    generator = np.zeros((3, 3), dtype=complex)
+    generator[:2, :2] = -1j * _linear_matrix(drive, system)
+    generator[0, 2] = 1j * complex(drive.Omega1)
+    y0 = np.array([initial[0], initial[1], 1.0], dtype=complex)
+    t, v, count = _sample(generator, y0, T, t_eval)
+    return LinearizedTrajectory(
+        t=t, y=np.array([v[0].real, v[0].imag, v[1].real, v[1].imag]), nfev=count,
+        final_sigma_ab=complex(v[0, -1]), final_sigma_bc=complex(v[1, -1]).conjugate())

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import SingularSteadyStateError, StiffnessError
 from .config import (ConfigError, ScenarioConfig, parse_config,
                      resolved_params_dict, serialize_config, spectrum_stem)
 from .constants import CONST
@@ -23,8 +22,7 @@ from .levels import level_table
 from .medium import FieldDrive, LadderSystem
 from .output import fmt, write_csv, write_json
 from .propagation import PropagationParams, gaussian_envelope, propagate_pulse
-from .susceptibility import (EvaluationError, compute_spectrum, sweep_control,
-                             window_metrics)
+from .susceptibility import compute_spectrum, sweep_control, window_metrics
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both",
                         help="output formats to emit")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="accepted and ignored: a sweep is one vectorised evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", help="probe spectra for each configured control field")
     sub.add_parser("sweep", help="window-center group index and absorption vs control field")
@@ -95,7 +93,7 @@ def run_sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     drive = cfg.build_drive(system)
     grid = np.linspace(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points)
-    sweep = sweep_control(system, drive, grid, threads=max(1, args.threads))
+    sweep = sweep_control(system, drive, grid)
     params = resolved_params_dict(cfg)
     csv_on, json_on = _formats(args)
     if csv_on:
@@ -166,12 +164,22 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     drive = cfg.build_drive(system)
     sigma, center, span = _propagation_setup(cfg, system, drive)
-    params_prop = PropagationParams.from_system(
-        system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
+    try:
+        params_prop = PropagationParams.from_system(
+            system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
+    except ValueError as exc:  # the grid check, once t_span is known
+        raise ConfigError(f"{exc}: lower t_steps, or raise z_steps or t_span") from exc
     env_in = gaussian_envelope(params_prop.t_grid, center, sigma,
                                amplitude=complex(drive.Omega1))
     record = propagate_pulse(env_in, params_prop, drive, system)
     slowdown = CONST.c * record.measured_delay / cfg.slab_length if cfg.slab_length else 0.0
+
+    warning = None
+    if not np.any(record.envelope_out):
+        warning = "no transmitted energy: the output envelope is zero"
+    elif not record.converged:
+        warning = (f"grid too coarse: delay moved {fmt(100 * record.convergence_delta)}% "
+                   "under refinement")
 
     params = {**resolved_params_dict(cfg), **params_prop.params_dict(),
               "pulse_sigma_s": sigma, "pulse_center_s": center, "t_span_s": span}
@@ -195,15 +203,14 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
             "converged": bool(record.converged),
             "convergence_delta": record.convergence_delta,
         }
-        if not record.converged:
-            payload["warning"] = ("grid too coarse: delay moved "
-                                  f"{fmt(100 * record.convergence_delta)}% under refinement")
+        if warning:
+            payload["warning"] = warning
         write_json(args.out / "pulse_summary.json", payload, params)
     print(f"propagate: delay = {fmt(record.measured_delay)} s, "
           f"attenuation = {fmt(record.measured_attenuation)}, "
           f"slowdown factor = {fmt(slowdown)}")
-    if not record.converged:
-        print("propagate: WARNING grid convergence check failed", file=sys.stderr)
+    if warning:
+        print(f"propagate: WARNING {warning}", file=sys.stderr)
     return 0
 
 
@@ -229,8 +236,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StiffnessError, SingularSteadyStateError, EvaluationError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:  # EvaluationError, SingularSteadyStateError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -176,8 +176,19 @@ class ScenarioConfig:
             raise ConfigError("t_steps must be >= 8")
         if self.levels_l_max < 0:
             raise ConfigError("levels_l_max must be >= 0")
-        if self.density < 0:
-            raise ConfigError("density must be non-negative")
+        for name in ("density", "gamma_ab", "gamma_bc", "gamma_ac", "dipole_ab_sq",
+                     "slab_length"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if not 0 < self.omega_ac < self.omega_ab:
+            raise ConfigError("omega_ac must lie in (0, omega_ab): the ladder "
+                              "needs E_a > E_c > E_b")
+        for name in ("gamma_aniso", "bohr_radius", "rydberg_energy", "r0",
+                     "pulse_sigma", "t_span"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive")
         stems: dict[str, float] = {}
         for om2 in self.spectrum_omega2:
             stem = spectrum_stem(om2)

@@ -15,28 +15,34 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lpmv
+from numpy.polynomial import legendre
 
 from .constants import CONST
 
 
+# one Gauss-Legendre rule: after the substitution in anisotropy_eta the
+# integrand is smooth on a finite interval for every anisotropy ratio
+_NODES, _WEIGHTS = legendre.leggauss(64)
+
+
 def _ylm_sq(l: int, m: int, u: np.ndarray) -> np.ndarray:
-    """|Y_lm|^2 as a function of u = cos(theta); phi-independent."""
+    """|Y_lm|^2 in u = cos(theta), a polynomial: |P_l^m|^2 = (1 - u^2)^|m| (P_l^(|m|))^2."""
     am = abs(m)
     norm = (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
-    p = lpmv(am, l, u)
-    return norm * p * p
+    deriv = legendre.legder(np.eye(l + 1)[l], am)
+    return norm * (1.0 - u * u) ** am * legendre.legval(u, deriv) ** 2
 
 
-def anisotropy_eta(l: int, m: int, gamma_aniso: float,
-                   tol: float = 1e-12, max_order: int = 3072) -> float:
+def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     """Angular average of |Y_lm|^2 over 1/sqrt(sin^2 + gamma^2 cos^2).
 
     The phi integral is done analytically (|Y_lm|^2 carries no phi
-    dependence); the remaining theta integral is reduced by symmetry to
-    u = cos(theta) in [0, 1] and evaluated with Gauss-Legendre rules of
-    doubling order until two refinements agree to ``tol``.  Equal masses
-    (gamma = 1) give exactly 1 for every (l, m).
+    dependence) and the theta integral is reduced by symmetry to
+    4 pi int_0^1 |Y_lm(u)|^2 / sqrt(1 - k u^2) du, k = 1 - gamma^2.  The
+    substitution u = sin(phi)/sqrt(k) (k > 0) or sinh(phi)/sqrt(-k)
+    (k < 0) absorbs the square root into the measure, leaving a smooth
+    integrand on a finite interval for a fixed 64-node Gauss-Legendre
+    rule.  Equal masses (gamma = 1) give exactly 1 for every (l, m).
     """
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid angular indices (l={l}, m={m})")
@@ -44,25 +50,13 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float,
         raise ValueError("anisotropy ratio must be positive")
 
     k = 1.0 - gamma_aniso**2
-
-    def quad(order: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(order)
-        u = 0.5 * (x + 1.0)  # map [-1, 1] -> [0, 1]
-        integrand = _ylm_sq(l, m, u) / np.sqrt(1.0 - k * u * u)
-        return 4.0 * math.pi * 0.5 * float(np.dot(w, integrand))
-
-    order = 24
-    prev = quad(order)
-    while order <= max_order:
-        order *= 2
-        cur = quad(order)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise ArithmeticError(
-        f"eta quadrature did not converge to {tol} for (l={l}, m={m}, "
-        f"gamma={gamma_aniso}); extreme anisotropy ratios are not supported"
-    )
+    if k == 0:
+        return 1.0
+    root = math.sqrt(abs(k))
+    top = math.asin(root) if k > 0 else math.asinh(root)
+    phi = 0.5 * top * (_NODES + 1.0)
+    u = (np.sin(phi) if k > 0 else np.sinh(phi)) / root
+    return 2.0 * math.pi * top / root * float(np.dot(_WEIGHTS, _ylm_sq(l, m, u)))
 
 
 def energy_nlm(n: int, l: int, m: int, gamma_aniso: float, rydberg_ev: float) -> float:

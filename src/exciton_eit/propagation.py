@@ -122,7 +122,8 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     spectrum, so ``params.z_steps`` does not change the result.  When
     ``check_convergence`` is on, a rerun at half the time resolution is
     compared and a delay shift above 1% flags the record as unconverged;
-    this tests the time grid only.
+    this tests the time grid only.  An output envelope that is exactly zero
+    (every spectral component underflowed) is flagged unconverged too.
     """
     env0 = np.asarray(envelope_in, dtype=complex)
     if env0.shape != (params.t_steps + 1,):
@@ -140,6 +141,8 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
         delta = abs(record.measured_delay - rec_c.measured_delay) / scale
         record.convergence_delta = delta
         record.converged = delta <= 0.01
+    if not np.any(env_out):  # nothing transmitted, so nothing was measured
+        record.converged = False
     return record
 
 

@@ -16,11 +16,10 @@ response); a finite-difference fallback exists for cross-checks only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from numpy.polynomial import polynomial as poly
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
@@ -30,9 +29,27 @@ class EvaluationError(ArithmeticError):
     """Raised when the response is evaluated exactly on a pole."""
 
 
-def _as_grid(omega):
-    w = np.asarray(omega, dtype=float)
-    return w.ndim == 0, np.atleast_1d(w)
+def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive,
+              derivative: bool = False):
+    """chi, or d chi/d omega, at offsets ``omega`` broadcast against |Omega2|^2.
+
+    The inner denominator vanishes only with gamma_bc = 0 at two-photon
+    resonance; there chi and chi' take their analytic limits, 0 and
+    pref/|Omega2|^2, or reduce to the bare line without control.
+    """
+    pref = system.chi_prefactor
+    one = omega - drive.delta1 + 1j * system.gamma_ab
+    inner = omega - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
+    hit = inner == 0
+    safe = np.where(hit, 1.0, inner)
+    denom = one - om2_sq / safe
+    limit = hit & (om2_sq != 0)
+    if np.any((denom == 0) & ~limit):
+        raise EvaluationError("susceptibility evaluated exactly on a pole")
+    if derivative:
+        return np.where(limit, pref / np.where(limit, om2_sq, 1.0),
+                        pref * (1.0 + om2_sq / (safe * safe)) / (denom * denom))
+    return np.where(limit, 0.0, -pref / denom)
 
 
 def chi(omega, system: LadderSystem, drive: FieldDrive):
@@ -43,49 +60,15 @@ def chi(omega, system: LadderSystem, drive: FieldDrive):
     control field).  An exact pole, reachable only with all dampings zero,
     raises :class:`EvaluationError` rather than returning an infinity.
     """
-    scalar, w = _as_grid(omega)
-    pref = system.chi_prefactor
-    om2_sq = abs(drive.Omega2) ** 2
-    one = w - drive.delta1 + 1j * system.gamma_ab
-    inner = w - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
-
-    out = np.zeros(w.shape, dtype=complex)
-    if om2_sq == 0.0:
-        if np.any(one == 0):
-            raise EvaluationError("probe exactly on an undamped resonance")
-        out = -pref / one
-    else:
-        ok = inner != 0  # inner == 0 only when gamma_bc = 0; limit is chi = 0
-        denom = one[ok] - om2_sq / inner[ok]
-        if np.any(denom == 0):
-            raise EvaluationError("susceptibility evaluated exactly on a pole")
-        out[ok] = -pref / denom
-    return complex(out[0]) if scalar else out
+    x = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)
+    return complex(x) if x.ndim == 0 else x
 
 
 def chi_derivative(omega, system: LadderSystem, drive: FieldDrive):
     """Analytic d chi / d omega at probe offset ``omega`` (units s)."""
-    scalar, w = _as_grid(omega)
-    pref = system.chi_prefactor
-    om2_sq = abs(drive.Omega2) ** 2
-    one = w - drive.delta1 + 1j * system.gamma_ab
-    inner = w - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
-
-    out = np.zeros(w.shape, dtype=complex)
-    if om2_sq == 0.0:
-        if np.any(one == 0):
-            raise EvaluationError("probe exactly on an undamped resonance")
-        out = pref / one**2
-    else:
-        ok = inner != 0
-        # limit of D'/D^2 as inner -> 0 with Omega2 != 0
-        out[~ok] = pref / om2_sq
-        denom = one[ok] - om2_sq / inner[ok]
-        if np.any(denom == 0):
-            raise EvaluationError("susceptibility derivative evaluated on a pole")
-        dden = 1.0 + om2_sq / inner[ok] ** 2
-        out[ok] = pref * dden / denom**2
-    return complex(out[0]) if scalar else out
+    dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive,
+                   derivative=True)
+    return complex(dx) if dx.ndim == 0 else dx
 
 
 def group_index(omega, system: LadderSystem, drive: FieldDrive):
@@ -159,46 +142,61 @@ class WindowMetrics:
     slope: float            # d Re(chi)/d omega at the center, s
 
 
-def _scan_span(system: LadderSystem, drive: FieldDrive) -> float:
-    return max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
+def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
+    """(s, N, D) with Im chi(center + s x) = (pref / s) N(x) / D(x).
+
+    With the resonance factors one and inner divided by s and
+    P = one inner - |Omega2|^2 / s^2, N = -Im(inner conj P) and D = |P|^2
+    are real polynomials in x (ascending coefficients) of degree 3 and 4;
+    s = max(gamma_ab, |Omega2|) keeps their coefficients of order one.
+    """
+    s = max(system.gamma_ab, abs(drive.Omega2))
+    one = np.array([(1j * system.gamma_ab - drive.delta2) / s, 1.0])
+    inner = np.array([1j * system.gamma_bc / s, 1.0])
+    p = poly.polysub(poly.polymul(one, inner), [abs(drive.Omega2) ** 2 / s**2])
+    num = -poly.polymul(inner, p.conj()).imag
+    den = poly.polymul(p, p.conj()).real
+    return s, num, den
 
 
-def window_metrics(system: LadderSystem, drive: FieldDrive, scan_points: int = 4001) -> WindowMetrics:
+def _real_roots(coef) -> np.ndarray:
+    """Sorted real roots of a real polynomial (ascending coefficients)."""
+    r = poly.polyroots(coef)
+    return np.sort(r.real[r.imag == 0])
+
+
+def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     """Locate the transparency window around two-photon resonance.
 
     The window edges are where Im chi crosses half of the bare (control
-    off) Lorentzian peak N|d|^2/(hbar eps0 gamma_ab); the crossing is
-    refined by root bracketing after a coarse scan.  With the control off,
-    or while the dip floor still sits above the half level, the window is
-    reported absent (width 0).  If the absorption never comes back up to
-    the half level inside the scan span the width is capped at the span.
+    off) Lorentzian peak N|d|^2/(hbar eps0 gamma_ab).  The crossings are
+    the real roots of a quartic (see ``_im_chi_fraction``), and each edge
+    is the one nearest the center on its side.  With the control off, or
+    while the dip floor still sits above the half level, the window is
+    reported absent (width 0).  An edge farther than max(10 gamma_ab,
+    4 |Omega2|) from the center, or missing, is capped at that span.
+    gamma_ab = 0 raises :class:`EvaluationError`.
     """
+    if system.gamma_ab == 0:
+        raise EvaluationError("window metrics need gamma_ab > 0: at gamma_ab = 0 "
+                              "the bare peak, and so the half level, is infinite")
     center = drive.delta1 - drive.delta2
-    bare_peak = system.chi_prefactor / system.gamma_ab
-    half = 0.5 * bare_peak
-    center_abs = float(np.imag(chi(center, system, drive)))
-    ng_center = float(group_index(center, system, drive))
-    slope = float(np.real(chi_derivative(center, system, drive)))
+    half = 0.5 * system.chi_prefactor / system.gamma_ab
+    om2_sq = abs(drive.Omega2) ** 2
+    center_abs = float(_response(center, om2_sq, system, drive).imag)
+    slope = float(_response(center, om2_sq, system, drive, derivative=True).real)
+    ng_center = 1.0 + 0.5 * drive.omega1 * slope
 
     if abs(drive.Omega2) == 0.0 or center_abs >= half:
         return WindowMetrics(center_abs=center_abs, width=0.0,
                              ng_center=ng_center, slope=slope)
 
-    span = _scan_span(system, drive)
-
-    def half_edge(sign: float) -> float:
-        grid = center + sign * np.linspace(0.0, span, scan_points)
-        vals = np.imag(chi(grid, system, drive)) - half
-        above = np.nonzero(vals > 0)[0]
-        if len(above) == 0:
-            return span
-        j = above[0]
-        f = lambda w: float(np.imag(chi(w, system, drive))) - half
-        lo, hi = sorted((grid[j - 1], grid[j]))
-        return abs(brentq(f, lo, hi, xtol=1e-6 * max(span, 1.0)) - center)
-
-    width = half_edge(+1.0) + half_edge(-1.0)
-    return WindowMetrics(center_abs=center_abs, width=width,
+    s, num, den = _im_chi_fraction(system, drive)
+    span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
+    edges = _real_roots(poly.polysub(num, 0.5 * s / system.gamma_ab * den))
+    right = min(s * np.min(edges[edges > 0], initial=np.inf), span)
+    left = min(-s * np.max(edges[edges < 0], initial=-np.inf), span)
+    return WindowMetrics(center_abs=center_abs, width=float(right + left),
                          ng_center=ng_center, slope=slope)
 
 
@@ -214,37 +212,21 @@ def dressed_peaks(system: LadderSystem, drive: FieldDrive) -> tuple[float, float
     return (drive.delta1 - om2, drive.delta1 + om2)
 
 
-def locate_absorption_peaks(system: LadderSystem, drive: FieldDrive,
-                            scan_points: int = 4001) -> tuple[float, ...]:
-    """Numerically locate the maxima of Im chi on a refined grid search.
+def locate_absorption_peaks(system: LadderSystem,
+                            drive: FieldDrive) -> tuple[float, ...]:
+    """Offsets of the maxima of Im chi, sorted ascending.
 
-    Returns the peak offsets sorted ascending; one entry when the doublet
-    has merged into a single line.
+    The extrema of Im chi = (pref / s) N / D are the real roots of
+    N' D - N D'; the maxima are those where that polynomial falls through
+    zero.  One entry when the doublet has merged into a single line.
     """
+    s, num, den = _im_chi_fraction(system, drive)
+    slope = poly.polysub(poly.polymul(poly.polyder(num), den),
+                         poly.polymul(num, poly.polyder(den)))
+    x = _real_roots(slope)
+    maxima = x[poly.polyval(x, poly.polyder(slope)) < 0]
     center = drive.delta1 - drive.delta2
-    span = _scan_span(system, drive)
-    grid = np.linspace(center - span, center + span, scan_points)
-    vals = np.imag(chi(grid, system, drive))
-    interior = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-
-    peaks = []
-    for j in interior:
-        res = minimize_scalar(
-            lambda w: -float(np.imag(chi(w, system, drive))),
-            bounds=(grid[j - 1], grid[j + 1]),
-            method="bounded",
-            options={"xatol": 1e-8 * span},
-        )
-        peaks.append(float(res.x))
-    if not peaks:  # monotone edges only; fall back to the grid argmax
-        peaks = [float(grid[np.argmax(vals)])]
-    peaks.sort()
-    # merge near-duplicates from adjacent coarse cells
-    merged = [peaks[0]]
-    for p in peaks[1:]:
-        if abs(p - merged[-1]) > 1e-6 * span:
-            merged.append(p)
-    return tuple(merged)
+    return tuple(float(center + s * v) for v in maxima)
 
 
 @dataclass
@@ -262,9 +244,8 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
                   threads: int = 1) -> ControlSweep:
     """Evaluate n_g and Im chi at the window center across an Omega2 grid.
 
-    Grid points are distributed over a thread pool when ``threads`` > 1;
-    results are keyed by grid index so the output ordering is
-    deterministic regardless of scheduling.
+    The whole grid is one broadcast of the rational response; ``threads``
+    is accepted and has no effect.
     """
     om2 = np.asarray(omega2_grid, dtype=float)
     if om2.size == 0:
@@ -273,25 +254,13 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
         raise ValueError("omega2 grid must be strictly increasing")
 
     center = drive.delta1 - drive.delta2
-
-    def at(value: float) -> tuple[float, float]:
-        d = drive.with_control(value)
-        return (float(group_index(center, system, d)),
-                float(np.imag(chi(center, system, d))))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(at, om2))
-    else:
-        results = [at(v) for v in om2]
-
-    ng = np.array([r[0] for r in results])
-    ab = np.array([r[1] for r in results])
+    dchi = _response(center, om2**2, system, drive, derivative=True)
+    ng = 1.0 + 0.5 * drive.omega1 * dchi.real
     i = int(np.argmax(ng))
     return ControlSweep(
         omega2_grid=om2,
         ng_center=ng,
-        chi_im_center=ab,
+        chi_im_center=_response(center, om2**2, system, drive).imag,
         argmax_omega2=float(om2[i]),
         ng_max=float(ng[i]),
     )

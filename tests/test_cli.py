@@ -192,6 +192,56 @@ def test_colliding_spectrum_files_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key, command", [
+    ("slab_length = -1 um", "slab_length", "propagate"),
+    ("t_span = 0 s", "t_span", "propagate"),
+    ("t_steps = 100000000", "t_steps", "propagate"),
+    ("pulse_sigma = -1 ns", "pulse_sigma", "propagate"),
+    ("gamma_ab = -1 Grad/s", "gamma_ab", "spectrum"),
+    ("gamma_bc = -1 Grad/s", "gamma_bc", "spectrum"),
+    ("gamma_ac = -1 Grad/s", "gamma_ac", "spectrum"),
+    ("omega_ac = 4000 Trad/s", "omega_ac", "spectrum"),
+    ("omega_ac = -1 Trad/s", "omega_ac", "spectrum"),
+    ("dipole_ab_sq = -1e-60 C2m2", "dipole_ab_sq", "spectrum"),
+    ("gamma_aniso = 0 dimensionless", "gamma_aniso", "levels"),
+    ("bohr_radius = 0 nm", "bohr_radius", "levels"),
+    ("rydberg_energy = -1 meV", "rydberg_energy", "levels"),
+    ("r0 = 0 nm", "r0", "levels"),
+])
+def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert "Traceback" not in err
+
+
+def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("gamma_ab = 0 rad/s\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "propagate"]) == 3
+    assert "gamma_ab = 0" in capsys.readouterr().err
+
+
+def test_propagate_flags_zero_transmission(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("slab_length = 1 m\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "propagate"]) == 0
+    doc = json.loads((out / "pulse_summary.json").read_text())
+    assert doc["converged"] is False
+    assert "no transmitted energy" in doc["warning"]
+    assert "WARNING" in capsys.readouterr().err
+
+
+def test_levels_at_extreme_anisotropy(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("gamma_aniso = 0.01 dimensionless\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "levels"]) == 0
+
+
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "nope.txt"), "validate"]) == 2
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import lpmv
 
 from exciton_eit import (LevelModelParams, anisotropy_eta,
                          dipole_moment_squared, energy_nlm, level_table,
@@ -40,6 +42,30 @@ def eta10_closed_form(gamma):
                   + math.sqrt(1.0 - k) / (2.0 * (-k)))
 
 
+def eta_doubling_quadrature(l, m, gamma, tol=1e-12, max_order=3072):
+    """Reference: Gauss-Legendre in u = cos(theta) on [0, 1], doubling the
+    order until two refinements agree to ``tol`` (fails near gamma -> 0)."""
+    am = abs(m)
+    norm = (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
+    k = 1.0 - gamma**2
+
+    def quad(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        u = 0.5 * (x + 1.0)
+        p = lpmv(am, l, u)
+        return 2.0 * math.pi * float(np.dot(w, norm * p * p / np.sqrt(1.0 - k * u * u)))
+
+    order = 24
+    prev = quad(order)
+    while order <= max_order:
+        order *= 2
+        cur = quad(order)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    raise ArithmeticError(f"reference quadrature did not converge (gamma={gamma})")
+
+
 class TestAnisotropyEta:
     def test_isotropic_is_one_for_low_l(self):
         for l in range(5):
@@ -56,6 +82,11 @@ class TestAnisotropyEta:
         for g in (0.5, 0.7, 1.4):
             assert anisotropy_eta(1, 0, g) == pytest.approx(eta10_closed_form(g), abs=1e-10)
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.05, 20.0, 100.0])
+    def test_extreme_anisotropy_matches_closed_forms(self, gamma):
+        assert anisotropy_eta(0, 0, gamma) == pytest.approx(eta00_closed_form(gamma), rel=1e-12)
+        assert anisotropy_eta(1, 0, gamma) == pytest.approx(eta10_closed_form(gamma), rel=1e-12)
+
     def test_monotone_decreasing_above_one(self):
         grid = np.linspace(1.0, 4.0, 13)
         vals = [anisotropy_eta(0, 0, g) for g in grid]
@@ -71,6 +102,13 @@ class TestAnisotropyEta:
             anisotropy_eta(-1, 0, 1.0)
         with pytest.raises(ValueError):
             anisotropy_eta(0, 0, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(l=st.integers(0, 9), m_frac=st.floats(0.0, 1.0), gamma=st.floats(0.2, 5.0))
+def test_eta_matches_doubling_quadrature(l, m_frac, gamma):
+    m = round(m_frac * l)
+    assert abs(anisotropy_eta(l, m, gamma) - eta_doubling_quadrature(l, m, gamma)) < 1e-12
 
 
 class TestEnergyNlm:

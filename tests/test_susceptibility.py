@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          chi, chi_derivative, compute_spectrum, dressed_peaks,
@@ -192,6 +193,54 @@ class TestWindowMetrics:
         assert m.width == pytest.approx(2 * span)
 
 
+    def test_zero_optical_damping_raises(self):
+        sys_ = LadderSystem.from_frequencies(
+            omega_ab=3.266576e15, omega_ac=3.1402e13,
+            gamma_ab=0.0, gamma_bc=7.596e9, N=6.2422e25, dipole_ab_sq=0.334e-60)
+        with pytest.raises(EvaluationError, match="gamma_ab = 0"):
+            window_metrics(sys_, drive_for(sys_))
+
+
+def medium(gamma_ab, gamma_bc):
+    return LadderSystem.from_frequencies(
+        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=gamma_ab,
+        gamma_bc=gamma_bc, N=6.2422e25, dipole_ab_sq=0.334e-60)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11), bc_ratio=st.floats(0.01, 0.2),
+       om2_ratio=st.floats(0.5, 5.0), delta1=st.floats(-1e11, 1e11))
+def test_window_edges_sit_on_the_half_level(gamma_ab, bc_ratio, om2_ratio, delta1):
+    # with delta2 = 0, Im chi is even about the center, so the edges are
+    # center -+ width/2
+    sys_ = medium(gamma_ab, bc_ratio * gamma_ab)
+    drv = drive_for(sys_, Omega2=om2_ratio * gamma_ab, delta1=delta1)
+    width = window_metrics(sys_, drv).width
+    half = 0.5 * sys_.chi_prefactor / gamma_ab
+    edges = chi(delta1 + np.array([-0.5, 0.5]) * width, sys_, drv).imag
+    np.testing.assert_allclose(edges, half, rtol=1e-9)
+    inside = chi(delta1 + np.linspace(-0.5, 0.5, 201)[1:-1] * width, sys_, drv).imag
+    assert np.all(inside < half)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11), bc_ratio=st.floats(0.01, 1.0),
+       om2_ratio=st.floats(0.0, 10.0), delta1=st.floats(-1e11, 1e11),
+       delta2=st.floats(-1e11, 1e11))
+def test_every_peak_is_a_local_maximum(gamma_ab, bc_ratio, om2_ratio, delta1, delta2):
+    sys_ = medium(gamma_ab, bc_ratio * gamma_ab)
+    drv = drive_for(sys_, Omega2=om2_ratio * gamma_ab, delta1=delta1, delta2=delta2)
+    peaks = np.array(locate_absorption_peaks(sys_, drv))
+    scale = max(gamma_ab, abs(drv.Omega2))
+    h = 1e-5 * scale
+    around = chi(peaks[:, None] + np.array([-h, 0.0, h]), sys_, drv).imag
+    assert np.all(around[:, 1] >= around[:, 0]) and np.all(around[:, 1] >= around[:, 2])
+    # and none is missed: no grid point rises above the highest peak
+    center = delta1 - delta2
+    grid = np.linspace(center - 20 * scale, center + 20 * scale, 4001)
+    assert np.max(chi(grid, sys_, drv).imag) <= np.max(around[:, 1]) * (1 + 1e-12)
+
+
 class TestDressedPeaks:
     def test_requires_control_resonance(self):
         sys_ = default_system()
@@ -271,6 +320,22 @@ class TestSweep:
         sweep = sweep_control(sys_, drv, np.array([2.5e10]))
         assert sweep.argmax_omega2 == 2.5e10
         assert len(sweep.ng_center) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11), gamma_bc=st.floats(0.0, 1e10),
+       delta1=st.floats(-1e11, 1e11), delta2=st.floats(-1e11, 1e11),
+       low=st.floats(0.0, 1e11), points=st.integers(1, 40))
+def test_sweep_matches_pointwise_response(gamma_ab, gamma_bc, delta1, delta2, low, points):
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, delta1=delta1, delta2=delta2)
+    grid = np.linspace(low, low + 1e11, points)
+    sweep = sweep_control(sys_, drv, grid)
+    center = delta1 - delta2
+    for v, ng, ab in zip(grid, sweep.ng_center, sweep.chi_im_center):
+        d = drv.with_control(v)
+        assert ng == pytest.approx(group_index(center, sys_, d), rel=1e-14, abs=0.0)
+        assert ab == pytest.approx(chi(center, sys_, d).imag, rel=1e-14, abs=0.0)
 
 
 class TestScalingInvariance:

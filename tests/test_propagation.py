@@ -231,11 +231,20 @@ def test_pulse_invariants(omega2, length, gamma_scale):
         assert record.measured_delay == pytest.approx(expected, rel=0.10)
 
 
-def test_package_import_loads_no_scipy():
+def fresh_import_prints(expression):
+    """Print ``expression`` from a fresh interpreter that imported the package."""
     src = Path(exciton_eit.__file__).resolve().parents[1]
-    code = ("import sys, exciton_eit; "
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    code = f"import sys, exciton_eit; print({expression})"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True,
                             env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_package_import_skips_scipy_signal():
+    assert fresh_import_prints("'scipy.signal' in sys.modules") == "False"
+
+
+def test_package_import_loads_no_scipy():
+    assert fresh_import_prints(
+        "any(m.split('.')[0] == 'scipy' for m in sys.modules)") == "False"

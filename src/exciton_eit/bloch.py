@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .medium import FieldDrive, LadderSystem
+from .susceptibility import EvaluationError
 
 _DECAY_MODES = ("literal", "standard")
 
@@ -175,6 +176,8 @@ def _sample(generator: np.ndarray, y0: np.ndarray, T: float, t_eval):
 
     ``t_eval=None`` samples [0, T].  One exponential is computed per
     distinct step between consecutive samples; returns (t, y, count).
+    A growing mode that overflows leaves non-finite samples, without
+    floating-point warnings; callers check the result.
     """
     if T <= 0:
         raise ValueError("integration time T must be positive")
@@ -183,12 +186,13 @@ def _sample(generator: np.ndarray, y0: np.ndarray, T: float, t_eval):
             or (t.size and not (0.0 <= t[0] and t[-1] <= T))):
         raise ValueError("t_eval must be a sorted 1-d grid within [0, T]")
     steps, which = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
-    propagators = [_expm(generator * h) for h in steps]
     y = np.empty((len(y0), len(t)), dtype=np.result_type(generator, y0))
-    state = y0
-    for k, j in enumerate(which):
-        state = propagators[j] @ state
-        y[:, k] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagators = [_expm(generator * h) for h in steps]
+        state = y0
+        for k, j in enumerate(which):
+            state = propagators[j] @ state
+            y[:, k] = state
     return t, y, len(steps)
 
 
@@ -202,7 +206,10 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     generator is read off its action on a basis and the state is advanced
     by its matrix exponential; the trace is a coordinate of its own and
     stays exact for any rate-time product.  ``t_eval`` (sorted, within
-    [0, T]) sets the samples; ``None`` returns [0, T].
+    [0, T]) sets the samples; ``None`` returns [0, T].  A drive whose
+    generator has a growing mode (possible with the literal population
+    damping) can overflow the samples; that raises
+    :class:`EvaluationError` naming the growth rate.
     """
     if decay_mode not in _DECAY_MODES:
         raise ValueError(f"decay_mode must be one of {_DECAY_MODES}")
@@ -217,6 +224,11 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     z0 = initial.to_vector()
     z0[1] = initial.trace
     t, z, _ = _sample(generator, z0, T, t_eval)
+    if not np.isfinite(z).all():
+        rate = np.linalg.eigvals(generator).real.max()
+        raise EvaluationError(
+            f"Bloch samples overflow over T = {T:.6g} s: the generator's largest "
+            f"real eigenvalue is {rate:+.6g} /s, a mode that grows as exp(rate t)")
     return BlochTrajectory(t=t, y=S @ z)
 
 

@@ -16,7 +16,7 @@ working Cu2O parameter set exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .constants import CONST
 from .levels import LevelModelParams
@@ -24,9 +24,14 @@ from .medium import FieldDrive, LadderSystem
 
 
 class ConfigError(ValueError):
-    """Configuration parse or validation failure."""
+    """Configuration parse or validation failure.
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    ``keys`` names the config keys a validation check read, so that the
+    parser can point at the line that set them.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None,
+                 keys: tuple[str, ...] = ()):
         loc = ""
         if line is not None:
             loc = f"line {line}"
@@ -34,8 +39,10 @@ class ConfigError(ValueError):
                 loc += f", column {column}"
             loc = f" ({loc})"
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.column = column
+        self.keys = keys
 
 
 # unit token -> (dimension, factor to canonical)
@@ -167,35 +174,36 @@ class ScenarioConfig:
         )
 
     def validate(self) -> None:
+        """Reject out-of-range values; each error names the config keys checked."""
         if self.omega2_max <= self.omega2_min:
-            raise ConfigError("omega2 grid must be increasing (omega2_min < omega2_max)")
-        for name in ("omega_points", "omega2_points", "z_steps", "levels_n_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            raise ConfigError("omega2 grid must be increasing (omega2_min < omega2_max)",
+                              keys=("omega2_min", "omega2_max"))
+        for key in ("omega_points", "omega2_points", "z_steps", "levels_n_max"):
+            if getattr(self, _KEYS[key][1]) < 1:
+                raise ConfigError(f"{key} must be >= 1", keys=(key,))
         if self.t_steps < 8:
-            raise ConfigError("t_steps must be >= 8")
+            raise ConfigError("t_steps must be >= 8", keys=("t_steps",))
         if self.levels_l_max < 0:
-            raise ConfigError("levels_l_max must be >= 0")
-        for name in ("density", "gamma_ab", "gamma_bc", "gamma_ac", "dipole_ab_sq",
-                     "slab_length"):
-            value = getattr(self, name)
+            raise ConfigError("levels_l_max must be >= 0", keys=("levels_l_max",))
+        for key in ("N", "gamma_ab", "gamma_bc", "gamma_ac", "dipole_ab_sq", "slab_length"):
+            value = getattr(self, _KEYS[key][1])
             if value is not None and value < 0:
-                raise ConfigError(f"{name} must be non-negative")
+                raise ConfigError(f"{key} must be non-negative", keys=(key,))
         if not 0 < self.omega_ac < self.omega_ab:
             raise ConfigError("omega_ac must lie in (0, omega_ab): the ladder "
-                              "needs E_a > E_c > E_b")
-        for name in ("gamma_aniso", "bohr_radius", "rydberg_energy", "r0",
-                     "pulse_sigma", "t_span"):
-            value = getattr(self, name)
+                              "needs E_a > E_c > E_b", keys=("omega_ab", "omega_ac"))
+        for key in ("gamma_aniso", "bohr_radius", "rydberg_energy", "r0",
+                    "pulse_sigma", "t_span"):
+            value = getattr(self, _KEYS[key][1])
             if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{key} must be positive", keys=(key,))
         stems: dict[str, float] = {}
         for om2 in self.spectrum_omega2:
             stem = spectrum_stem(om2)
             if stem in stems:
                 raise ConfigError(
                     f"spectrum_omega2 values {stems[stem]:.17g} and {om2:.17g} rad/s "
-                    f"would both write '{stem}'")
+                    f"would both write '{stem}'", keys=("spectrum_omega2",))
             stems[stem] = om2
 
 
@@ -247,9 +255,13 @@ _LIST_KEYS = {"spectrum_omega2"}
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse configuration text; missing keys take the built-in defaults."""
-    cfg = ScenarioConfig()
-    seen: set[str] = set()
+    """Parse configuration text; missing keys take the built-in defaults.
+
+    A value that ``validate`` rejects is reported at the line and column
+    of its key (the later one, when a check reads two keys).
+    """
+    values: dict[str, object] = {}
+    located: dict[str, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -261,18 +273,26 @@ def parse_config(text: str) -> ScenarioConfig:
         key_col = raw.index(key) + 1 if key and key in raw else 1
         if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'", lineno, key_col)
-        if key in seen:
+        if key in located:
             raise ConfigError(f"duplicate key '{key}'", lineno, key_col)
-        seen.add(key)
+        located[key] = (lineno, key_col)
         dimension, attr = _KEYS[key]
         value_col = raw.index("=") + 2
-        cfg = _apply(cfg, key, attr, dimension, value_part, raw, lineno, value_col)
-    cfg.validate()
+        values[attr] = _parse_value(key, dimension, value_part, raw, lineno, value_col)
+    cfg = ScenarioConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        where = [located[key] for key in exc.keys if key in located]
+        if not where:
+            raise
+        raise ConfigError(exc.message, *max(where), keys=exc.keys) from None
     return cfg
 
 
-def _apply(cfg: ScenarioConfig, key: str, attr: str, dimension: str | None,
-           value_part: str, raw: str, lineno: int, value_col: int) -> ScenarioConfig:
+def _parse_value(key: str, dimension: str | None, value_part: str, raw: str,
+                 lineno: int, value_col: int):
+    """The value of one entry, in canonical units."""
     tokens = value_part.replace(",", " , ").split()
     tokens = [t for t in tokens if t != ","]
     if not tokens:
@@ -286,7 +306,7 @@ def _apply(cfg: ScenarioConfig, key: str, attr: str, dimension: str | None,
         except ValueError:
             raise ConfigError(f"malformed integer '{tokens[0]}' for '{key}'",
                               lineno, _col_of(raw, tokens[0], value_col)) from None
-        return replace(cfg, **{attr: count})
+        return count
 
     if len(tokens) < 2:
         raise ConfigError(
@@ -312,9 +332,7 @@ def _apply(cfg: ScenarioConfig, key: str, attr: str, dimension: str | None,
         raise ConfigError(
             f"unit '{unit}' does not measure a {dimension} (key '{key}')",
             lineno, _col_of(raw, unit, value_col)) from None
-    if key in _LIST_KEYS:
-        return replace(cfg, **{attr: tuple(converted)})
-    return replace(cfg, **{attr: converted[0]})
+    return tuple(converted) if key in _LIST_KEYS else converted[0]
 
 
 def _col_of(raw: str, token: str, fallback: int) -> int:

@@ -258,13 +258,20 @@ def level_table(params: LevelModelParams, n_max: int = 10, l_max: int = 1) -> li
     Bare rows carry binding energies (branch "bare"); the mixed rows carry
     the absolute complex resonance energies of the P-like n=2 branch and
     the S-like n=10 branch.  eta depends on |m| only, so m runs over
-    0..l.
+    0..l; each distinct (l, m) is integrated once per call.
     """
+    etas: dict[tuple[int, int], float] = {}
+
+    def eta_lm(l: int, m: int) -> float:
+        if (l, m) not in etas:
+            etas[l, m] = anisotropy_eta(l, m, params.gamma_aniso)
+        return etas[l, m]
+
     rows = []
     for n in range(1, n_max + 1):
         for l in range(0, min(l_max, n - 1) + 1):
             for m in range(0, l + 1):
-                eta = anisotropy_eta(l, m, params.gamma_aniso)
+                eta = eta_lm(l, m)
                 rows.append(LevelRow(
                     n=n, l=l, m=m, eta=eta,
                     energy=complex(-(eta**2) / n**2 * params.rydberg),
@@ -274,7 +281,7 @@ def level_table(params: LevelModelParams, n_max: int = 10, l_max: int = 1) -> li
         l = 1 if branch == "P" else 0
         rows.append(LevelRow(
             n=n, l=l, m=0,
-            eta=anisotropy_eta(l, 0, params.gamma_aniso),
+            eta=eta_lm(l, 0),
             energy=mixed_level(params, n, branch),
             branch=label,
         ))

@@ -9,7 +9,7 @@ as immutable values, which makes concurrent sweeps safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import CONST, ev_to_angular_frequency
 
@@ -168,7 +168,9 @@ class FieldDrive:
 
     def with_control(self, Omega2: complex) -> "FieldDrive":
         """Copy of this drive with a different control Rabi frequency."""
-        return replace(self, Omega2=Omega2)
+        return FieldDrive(omega1=self.omega1, omega2=self.omega2, k1=self.k1, k2=self.k2,
+                          Omega1=self.Omega1, Omega2=Omega2,
+                          delta1=self.delta1, delta2=self.delta2)
 
     def params_dict(self) -> dict:
         return {

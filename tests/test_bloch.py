@@ -1,13 +1,15 @@
 """Density-matrix dynamics: equations of motion, integration, steady state."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from exciton_eit import (DensityMatrixState, FieldDrive, LadderSystem,
-                         SingularSteadyStateError, bloch_rhs, chi,
+from exciton_eit import (DensityMatrixState, EvaluationError, FieldDrive,
+                         LadderSystem, SingularSteadyStateError, bloch_rhs, chi,
                          integrate_bloch, integrate_linearized,
                          steady_state_linearized)
 from exciton_eit.bloch import _linear_matrix, _rhs_vector
@@ -173,6 +175,22 @@ class TestIntegration:
                                t_eval=np.linspace(0.0, 1.0, 11), decay_mode=mode)
         assert np.all(np.isfinite(traj.y))
         assert np.max(np.abs(traj.trace - 1.0)) < 1e-9
+
+    def test_growing_literal_mode_raises_instead_of_nan(self):
+        # a strong probe gives the literal population pattern a real
+        # eigenvalue near +8.7e9 /s, so exp(rate T) overflows at T = 1.6 ms;
+        # the standard pattern has no growing mode
+        sys_ = default_system(gamma_ab=7.6e10, gamma_bc=0.92 * 7.6e10)
+        drv = drive_for(sys_, Omega1=8e9, Omega2=1.2e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"\+8\.7\d*e\+09 /s"):
+                integrate_bloch(DensityMatrixState.ground(), drv, sys_, 1.6e-3,
+                                decay_mode="literal")
+            traj = integrate_bloch(DensityMatrixState.ground(), drv, sys_, 1.6e-3,
+                                   decay_mode="standard")
+        assert np.all(np.isfinite(traj.y))
+        assert abs(traj.trace[-1] - 1.0) < 1e-9
 
     def test_bad_horizon_rejected(self):
         sys_ = default_system()

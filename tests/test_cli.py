@@ -216,6 +216,8 @@ def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert "Traceback" not in err
+    if key != "t_steps":  # rejected by run_propagate, once the span is known
+        assert "line 1" in err
 
 
 def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):

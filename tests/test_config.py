@@ -84,6 +84,27 @@ class TestErrors:
         with pytest.raises(ConfigError, match="increasing"):
             parse_config("omega2_min = 50 Grad/s\nomega2_max = 10 Grad/s\n")
 
+    def test_validation_error_points_at_the_later_key(self):
+        with pytest.raises(ConfigError, match=r"\(line 3, column 1\)") as info:
+            parse_config("omega2_min = 50 Grad/s\n# comment\nomega2_max = 10 Grad/s\n")
+        assert info.value.line == 3
+        with pytest.raises(ConfigError, match="line 2"):
+            parse_config("omega2_max = 10 Grad/s\nomega2_min = 50 Grad/s\n")
+
+    def test_validation_error_locates_the_key_from_the_file(self):
+        # omega2_max keeps its default, 100 Grad/s; only omega2_min is in the file
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config("omega2_min = 200 Grad/s\n")
+
+    def test_validation_error_without_a_file_has_no_location(self):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(omega2_min=2e11).validate()
+        assert info.value.line is None and "line" not in str(info.value)
+
+    def test_validation_error_names_the_config_key(self):
+        with pytest.raises(ConfigError, match=r"^N must be non-negative \(line 2, column 3\)$"):
+            parse_config("Omega2 = 1 Grad/s\n  N = -1 m^-3\n")
+
     def test_short_time_grid_rejected(self):
         with pytest.raises(ConfigError, match="t_steps must be >= 8"):
             parse_config("t_steps = 4\n")

@@ -210,6 +210,22 @@ class TestDipoleMoment:
 
 
 class TestLevelTable:
+    @pytest.mark.parametrize("n_max, l_max", [(1, 0), (10, 1), (3, 5), (4, 3)])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    def test_rows_equal_the_pointwise_eta(self, n_max, l_max, gamma):
+        p = LevelModelParams(gamma_aniso=gamma)
+        rows = level_table(p, n_max=n_max, l_max=l_max)
+        bare = [r for r in rows if r.branch == "bare"]
+        assert [(r.n, r.l, r.m) for r in bare] == [
+            (n, l, m) for n in range(1, n_max + 1)
+            for l in range(min(l_max, n - 1) + 1) for m in range(l + 1)]
+        for r in rows:
+            assert r.eta == anisotropy_eta(r.l, r.m, gamma)
+        for r in bare:
+            assert r.energy == complex(-(r.eta**2) / r.n**2 * p.rydberg)
+        assert [r.energy for r in rows[len(bare):]] == [
+            mixed_level(p, 2, "P"), mixed_level(p, 10, "S")]
+
     def test_hydrogenic_column(self):
         p = LevelModelParams(gamma_aniso=1.0)
         rows = level_table(p, n_max=6, l_max=1)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as poly
 
 from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          chi, chi_derivative, compute_spectrum, dressed_peaks,
                          group_index, group_index_fd, group_velocity,
                          locate_absorption_peaks, sweep_control,
                          window_metrics)
-from exciton_eit.susceptibility import SpectrumTable
+from exciton_eit.susceptibility import SpectrumTable, _real_roots, _response
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -239,6 +240,85 @@ def test_every_peak_is_a_local_maximum(gamma_ab, bc_ratio, om2_ratio, delta1, de
     center = delta1 - delta2
     grid = np.linspace(center - 20 * scale, center + 20 * scale, 4001)
     assert np.max(chi(grid, sys_, drv).imag) <= np.max(around[:, 1]) * (1 + 1e-12)
+
+
+# Oracle: the window and peak kernels built through numpy.polynomial, as
+# the package did before it wrote the coefficients out in closed form.
+
+def oracle_fraction(system, drive):
+    s = max(system.gamma_ab, abs(drive.Omega2))
+    one = np.array([(1j * system.gamma_ab - drive.delta2) / s, 1.0])
+    inner = np.array([1j * system.gamma_bc / s, 1.0])
+    p = poly.polysub(poly.polymul(one, inner), [abs(drive.Omega2) ** 2 / s**2])
+    return s, -poly.polymul(inner, p.conj()).imag, poly.polymul(p, p.conj()).real
+
+
+def oracle_real_roots(coef):
+    r = poly.polyroots(coef)
+    return np.sort(r.real[r.imag == 0])
+
+
+def oracle_window(system, drive):
+    """(center_abs, width, ng_center) from 0-d _response calls and polyroots."""
+    center = drive.delta1 - drive.delta2
+    om2_sq = abs(drive.Omega2) ** 2
+    center_abs = float(_response(center, om2_sq, system, drive).imag)
+    slope = float(_response(center, om2_sq, system, drive, derivative=True).real)
+    ng_center = 1.0 + 0.5 * drive.omega1 * slope
+    if abs(drive.Omega2) == 0.0 or center_abs >= 0.5 * system.chi_prefactor / system.gamma_ab:
+        return center_abs, 0.0, ng_center
+    s, num, den = oracle_fraction(system, drive)
+    span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
+    edges = oracle_real_roots(poly.polysub(num, 0.5 * s / system.gamma_ab * den))
+    right = min(s * np.min(edges[edges > 0], initial=np.inf), span)
+    left = min(-s * np.max(edges[edges < 0], initial=-np.inf), span)
+    return center_abs, float(right + left), ng_center
+
+
+def oracle_peaks(system, drive):
+    s, num, den = oracle_fraction(system, drive)
+    slope = poly.polysub(poly.polymul(poly.polyder(num), den),
+                         poly.polymul(num, poly.polyder(den)))
+    x = oracle_real_roots(slope)
+    maxima = x[poly.polyval(x, poly.polyder(slope)) < 0]
+    return [drive.delta1 - drive.delta2 + s * v for v in maxima]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11),
+       gamma_bc=st.one_of(st.just(0.0), st.floats(1e7, 1e11)),
+       omega2=st.one_of(st.just(0.0), st.floats(1e8, 1e12)),
+       delta1=st.floats(-1e11, 1e11),
+       delta2=st.one_of(st.just(0.0), st.floats(-1e11, 1e11)))
+def test_closed_form_kernels_match_the_polynomial_oracle(gamma_ab, gamma_bc, omega2,
+                                                         delta1, delta2):
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, Omega2=omega2, delta1=delta1, delta2=delta2)
+    center_abs, width, ng_center = oracle_window(sys_, drv)
+    metrics = window_metrics(sys_, drv)
+    assert metrics.center_abs == pytest.approx(center_abs, rel=1e-14, abs=0.0)
+    assert metrics.ng_center == pytest.approx(ng_center, rel=1e-14, abs=0.0)
+    assert metrics.width == pytest.approx(width, rel=1e-12, abs=0.0)
+    peaks, expected = locate_absorption_peaks(sys_, drv), oracle_peaks(sys_, drv)
+    assert len(peaks) == len(expected)
+    scale = max(gamma_ab, omega2)
+    np.testing.assert_allclose(peaks, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("coef, roots", [
+    ([-2.0, 0.0, 1.0, 0.0, 0.0], [-np.sqrt(2.0), np.sqrt(2.0)]),  # trailing zeros
+    ([-1.0, 0.0, 0.0, 0.0, 1.0], [-1.0, 1.0]),                    # complex pair dropped
+    ([1.0, 0.0, 1.0], []),                                        # no real root
+    ([2.0, -4.0], [0.5]),                                         # degree 1
+    ([2.0, -4.0, 0.0], [0.5]),
+    ([3.0], []),                                                  # degree 0
+    ([3.0, 0.0, 0.0], []),
+    ([0.0, 0.0], []),
+])
+def test_real_roots_against_polyroots(coef, roots):
+    coef = np.array(coef)
+    np.testing.assert_allclose(_real_roots(coef), roots, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(_real_roots(coef), oracle_real_roots(coef))
 
 
 class TestDressedPeaks:

@@ -12,19 +12,17 @@ from .medium import FieldDrive, LadderSystem
 from .susceptibility import (ControlSweep, EvaluationError, SpectrumTable,
                              WindowMetrics, chi, chi_derivative,
                              compute_spectrum, dressed_peaks, group_index,
-                             group_index_fd, group_velocity,
-                             locate_absorption_peaks, sweep_control,
-                             window_metrics)
+                             group_velocity, locate_absorption_peaks,
+                             sweep_control, window_metrics)
 from .bloch import (BlochTrajectory, DensityMatrixState,
                     SingularSteadyStateError, bloch_rhs,
                     integrate_bloch, integrate_linearized,
                     steady_state_linearized)
-from .propagation import (PropagationParams, PulseRecord, analytic_envelope,
-                          gaussian_envelope, propagate_pulse)
+from .propagation import (PropagationParams, PulseRecord, gaussian_envelope,
+                          propagate_pulse)
 from .levels import (LevelModelParams, LevelRow, SecularRoots, anisotropy_eta,
                      dipole_moment_squared, energy_nlm, level_table,
-                     mixed_level, solve_secular, stark_coupling,
-                     stark_coupling_integral)
+                     mixed_level, solve_secular, stark_coupling)
 from .config import (ConfigError, ScenarioConfig, parse_config,
                      resolved_params_dict, serialize_config)
 

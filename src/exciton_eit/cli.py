@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both",
                         help="output formats to emit")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: a sweep is one vectorised evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", help="probe spectra for each configured control field")
     sub.add_parser("sweep", help="window-center group index and absorption vs control field")

@@ -16,11 +16,13 @@ working Cu2O parameter set exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import CONST
 from .levels import LevelModelParams
 from .medium import FieldDrive, LadderSystem
+from .output import fmt
 
 
 class ConfigError(ValueError):
@@ -45,8 +47,8 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
-# unit token -> (dimension, factor to canonical)
-# canonical units: rad/s, eV, m, s, m^-3, V/m, C^2 m^2, dimensionless
+# unit token -> (dimension, factor to canonical); each dimension's
+# canonical unit is the one with factor 1.0
 _UNITS = {
     "rad/s": ("frequency", 1.0),
     "krad/s": ("frequency", 1e3),
@@ -72,6 +74,7 @@ _UNITS = {
     "C2m2": ("dipole_sq", 1.0),
     "dimensionless": ("dimensionless", 1.0),
 }
+_CANONICAL_UNIT = {kind: unit for unit, (kind, factor) in _UNITS.items() if factor == 1.0}
 
 # energies are accepted wherever a frequency is expected, via E/hbar
 _EV_TO_RADS = CONST.e_charge / CONST.hbar
@@ -278,7 +281,7 @@ def parse_config(text: str) -> ScenarioConfig:
         located[key] = (lineno, key_col)
         dimension, attr = _KEYS[key]
         value_col = raw.index("=") + 2
-        values[attr] = _parse_value(key, dimension, value_part, raw, lineno, value_col)
+        values[attr] = _parse_value(key, dimension, value_part, lineno, value_col)
     cfg = ScenarioConfig(**values)
     try:
         cfg.validate()
@@ -290,7 +293,7 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
-def _parse_value(key: str, dimension: str | None, value_part: str, raw: str,
+def _parse_value(key: str, dimension: str | None, value_part: str,
                  lineno: int, value_col: int):
     """The value of one entry, in canonical units."""
     tokens = value_part.replace(",", " , ").split()
@@ -305,7 +308,7 @@ def _parse_value(key: str, dimension: str | None, value_part: str, raw: str,
             count = int(tokens[0])
         except ValueError:
             raise ConfigError(f"malformed integer '{tokens[0]}' for '{key}'",
-                              lineno, _col_of(raw, tokens[0], value_col)) from None
+                              lineno, _col_of(value_part, tokens, 0, value_col)) from None
         return count
 
     if len(tokens) < 2:
@@ -318,35 +321,40 @@ def _parse_value(key: str, dimension: str | None, value_part: str, raw: str,
         raise ConfigError(f"'{key}' takes a single value", lineno, value_col)
     if unit not in _UNITS:
         raise ConfigError(f"unknown unit '{unit}' for '{key}'",
-                          lineno, _col_of(raw, unit, value_col))
+                          lineno, _col_of(value_part, tokens, len(numbers), value_col))
     values = []
-    for tok in numbers:
+    for i, tok in enumerate(numbers):
         try:
             values.append(float(tok))
         except ValueError:
             raise ConfigError(f"malformed number '{tok}' for '{key}'",
-                              lineno, _col_of(raw, tok, value_col)) from None
+                              lineno, _col_of(value_part, tokens, i, value_col)) from None
     try:
         converted = [_convert(v, unit, dimension) for v in values]
     except KeyError:
         raise ConfigError(
             f"unit '{unit}' does not measure a {dimension} (key '{key}')",
-            lineno, _col_of(raw, unit, value_col)) from None
+            lineno, _col_of(value_part, tokens, len(numbers), value_col)) from None
+    for i, value in enumerate(converted):
+        if not math.isfinite(value):  # "nan", "inf", or overflow in float() or the unit
+            raise ConfigError(f"malformed number '{numbers[i]}' for '{key}': "
+                              "values must be finite",
+                              lineno, _col_of(value_part, tokens, i, value_col))
     return tuple(converted) if key in _LIST_KEYS else converted[0]
 
 
-def _col_of(raw: str, token: str, fallback: int) -> int:
-    pos = raw.find(token)
-    return pos + 1 if pos >= 0 else fallback
+def _col_of(value_part: str, tokens: list[str], index: int, value_col: int) -> int:
+    """Column of ``tokens[index]``, found after each token before it, so it
+    cannot land in the key or inside an earlier token."""
+    end = 0
+    for tok in tokens[:index + 1]:
+        end = value_part.index(tok, end) + len(tok)
+    return value_col + end - len(tokens[index])
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a config to text that parses back to an equal configuration."""
     lines = ["# resolved scenario configuration"]
-
-    def num(x: float) -> str:
-        return format(float(x), ".17g")
-
     for key, (dimension, attr) in _KEYS.items():
         value = getattr(cfg, attr)
         if value is None:
@@ -354,24 +362,11 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         if dimension is None:
             lines.append(f"{key} = {int(value)}")
         elif key in _LIST_KEYS:
-            body = ", ".join(num(v) for v in value)
-            lines.append(f"{key} = {body} {_canonical_unit(dimension)}")
+            body = ", ".join(fmt(v) for v in value)
+            lines.append(f"{key} = {body} {_CANONICAL_UNIT[dimension]}")
         else:
-            lines.append(f"{key} = {num(value)} {_canonical_unit(dimension)}")
+            lines.append(f"{key} = {fmt(value)} {_CANONICAL_UNIT[dimension]}")
     return "\n".join(lines) + "\n"
-
-
-def _canonical_unit(dimension: str) -> str:
-    return {
-        "frequency": "rad/s",
-        "energy": "eV",
-        "length": "m",
-        "time": "s",
-        "density": "m^-3",
-        "field": "V/m",
-        "dipole_sq": "C2m2",
-        "dimensionless": "dimensionless",
-    }[dimension]
 
 
 def resolved_params_dict(cfg: ScenarioConfig) -> dict:

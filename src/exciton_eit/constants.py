@@ -15,7 +15,6 @@ class PhysicalConstants:
     """CODATA-style constants, immutable after construction."""
 
     hbar: float = 1.054571817e-34      # J s
-    hbar_evs: float = 6.582119569e-16  # eV s
     eps0: float = 8.8541878128e-12     # F / m
     c: float = 299792458.0             # m / s
     e_charge: float = 1.602176634e-19  # C

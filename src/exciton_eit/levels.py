@@ -3,14 +3,16 @@
 Covers the ingredients the ladder configuration is built from: the
 anisotropy correction eta_lm from an angular average over the
 mass-anisotropic kinetic denominator, hydrogen-like level energies
--eta^2/n^2 R*, the field-coupling matrix element between nS and nP
-states (closed form and its Laguerre integral), the 2x2 secular equation
+-eta^2/n^2 R*, the closed-form field-coupling matrix element between nS
+and nP states (its Laguerre-integral form is the oracle in
+tests/oracles.py), the 2x2 secular equation
 for the field-mixed levels, and the squared dipole matrix element set by
 the longitudinal-transverse splitting and the coherence radius.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +35,7 @@ def _ylm_sq(l: int, m: int, u: np.ndarray) -> np.ndarray:
     return norm * (1.0 - u * u) ** am * legendre.legval(u, deriv) ** 2
 
 
+@functools.lru_cache(maxsize=1024)
 def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     """Angular average of |Y_lm|^2 over 1/sqrt(sin^2 + gamma^2 cos^2).
 
@@ -43,6 +46,8 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     (k < 0) absorbs the square root into the measure, leaving a smooth
     integrand on a finite interval for a fixed 64-node Gauss-Legendre
     rule.  Equal masses (gamma = 1) give exactly 1 for every (l, m).
+    Results are cached per (l, m, gamma), so the level table and the
+    mixed-level thresholds integrate each distinct value once.
     """
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid angular indices (l={l}, m={m})")
@@ -71,17 +76,6 @@ def energy_nlm(n: int, l: int, m: int, gamma_aniso: float, rydberg_ev: float) ->
     return -(eta**2) / n**2 * rydberg_ev
 
 
-def _genlaguerre(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre L_k^alpha by the stable three-term recurrence."""
-    if k == 0:
-        return np.ones_like(x)
-    prev = np.ones_like(x)
-    cur = 1.0 + alpha - x
-    for j in range(1, k):
-        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
-    return cur
-
-
 def stark_coupling(n: int) -> float:
     """nS <-> nP field-coupling coefficient, closed form, in units e F a*.
 
@@ -94,32 +88,12 @@ def stark_coupling(n: int) -> float:
             * math.comb(n, n - 2) * math.comb(n + 1, n - 1))
 
 
-def stark_coupling_integral(n: int, order: int = 48) -> float:
-    """Same coefficient from its Laguerre-product integral form.
-
-    Gauss-Laguerre quadrature of order >= 40 integrates the polynomial
-    integrand exactly for every n <= 12; kept as an independent route to
-    cross-check the closed form.
-    """
-    if n < 2:
-        raise ValueError("coupling coefficient requires n >= 2")
-    x, w = np.polynomial.laguerre.laggauss(order)
-    integrand = x**4 * _genlaguerre(n - 1, 1.0, x) * _genlaguerre(n - 2, 3.0, x)
-    integral = float(np.dot(w, integrand))
-    pref = (1.0 / math.sqrt(3.0)) * math.sqrt(
-        math.factorial(n - 1) * math.factorial(n - 2)
-        / (16.0 * math.factorial(n) * math.factorial(n + 1))
-    )
-    return pref * integral
-
-
 @dataclass(frozen=True)
 class SecularRoots:
     """Both roots of the 2x2 mixing quadratic, ordered by real part."""
 
     E_plus: complex
     E_minus: complex
-    branch_labels: tuple[str, str] = ("upper", "lower")
 
     def residual(self, E_T1: complex, E_T2: complex, V: float) -> float:
         """Largest back-substitution residual of the defining quadratic."""
@@ -191,20 +165,6 @@ class LevelModelParams:
         return (self.E_gap + energy_nlm(n, l, m, self.gamma_aniso, self.rydberg)
                 - 1j * self.damping(n, l, m))
 
-    def params_dict(self) -> dict:
-        return {
-            "E_gap_eV": self.E_gap,
-            "rydberg_eV": self.rydberg,
-            "bohr_radius_m": self.bohr_radius,
-            "gamma_aniso": self.gamma_aniso,
-            "eps_b": self.eps_b,
-            "delta_lt_eV": self.delta_lt,
-            "r0_m": self.r0,
-            "F_V_m": self.F,
-            "damping_eV": {f"{k[0]},{k[1]},{k[2]}": v
-                           for k, v in sorted(self.damping_ev.items())},
-        }
-
 
 def mixed_level(params: LevelModelParams, n: int, branch: str) -> complex:
     """Field-mixed level energy for principal index n, in eV.
@@ -258,30 +218,20 @@ def level_table(params: LevelModelParams, n_max: int = 10, l_max: int = 1) -> li
     Bare rows carry binding energies (branch "bare"); the mixed rows carry
     the absolute complex resonance energies of the P-like n=2 branch and
     the S-like n=10 branch.  eta depends on |m| only, so m runs over
-    0..l; each distinct (l, m) is integrated once per call.
+    0..l.
     """
-    etas: dict[tuple[int, int], float] = {}
-
-    def eta_lm(l: int, m: int) -> float:
-        if (l, m) not in etas:
-            etas[l, m] = anisotropy_eta(l, m, params.gamma_aniso)
-        return etas[l, m]
-
-    rows = []
-    for n in range(1, n_max + 1):
-        for l in range(0, min(l_max, n - 1) + 1):
-            for m in range(0, l + 1):
-                eta = eta_lm(l, m)
-                rows.append(LevelRow(
-                    n=n, l=l, m=m, eta=eta,
-                    energy=complex(-(eta**2) / n**2 * params.rydberg),
-                    branch="bare",
-                ))
+    gamma = params.gamma_aniso
+    rows = [LevelRow(n=n, l=l, m=m, eta=anisotropy_eta(l, m, gamma),
+                     energy=complex(energy_nlm(n, l, m, gamma, params.rydberg)),
+                     branch="bare")
+            for n in range(1, n_max + 1)
+            for l in range(0, min(l_max, n - 1) + 1)
+            for m in range(0, l + 1)]
     for n, branch, label in ((2, "P", "2P"), (10, "S", "10S")):
         l = 1 if branch == "P" else 0
         rows.append(LevelRow(
             n=n, l=l, m=0,
-            eta=eta_lm(l, 0),
+            eta=anisotropy_eta(l, 0, gamma),
             energy=mixed_level(params, n, branch),
             branch=label,
         ))

@@ -16,9 +16,9 @@ from .constants import CONST, ev_to_angular_frequency
 
 @dataclass(frozen=True)
 class LadderSystem:
-    """Medium parameters: level energies, dipoles, dampings, density.
+    """Medium parameters: level energies, probe dipole, dampings, density.
 
-    Energies are in eV, dipole moments in C m, all rates in rad/s, the
+    Energies are in eV, the dipole moment in C m, all rates in rad/s, the
     exciton density N in m^-3.  Coherence dampings default to half the
     population dampings when built through :meth:`from_frequencies`.
     """
@@ -27,7 +27,6 @@ class LadderSystem:
     E_b: float
     E_c: float
     d_ab: float
-    d_ac: float
     Gamma_ab: float
     Gamma_ca: float
     gamma_ab: float
@@ -60,7 +59,6 @@ class LadderSystem:
         gamma_ac: float | None = None,
         Gamma_ab: float | None = None,
         Gamma_ca: float | None = None,
-        dipole_ac: float | None = None,
         E_b: float = 0.0,
     ) -> "LadderSystem":
         """Build a system from transition frequencies (rad/s).
@@ -73,13 +71,11 @@ class LadderSystem:
         ev = CONST.hbar / CONST.e_charge  # eV per (rad/s)
         E_a = E_b + omega_ab * ev
         E_c = E_a - omega_ac * ev
-        d_ab = math.sqrt(dipole_ab_sq)
         return cls(
             E_a=E_a,
             E_b=E_b,
             E_c=E_c,
-            d_ab=d_ab,
-            d_ac=d_ab if dipole_ac is None else dipole_ac,
+            d_ab=math.sqrt(dipole_ab_sq),
             Gamma_ab=2.0 * gamma_ab if Gamma_ab is None else Gamma_ab,
             Gamma_ca=2.0 * gamma_bc if Gamma_ca is None else Gamma_ca,
             gamma_ab=gamma_ab,
@@ -102,22 +98,6 @@ class LadderSystem:
     def chi_prefactor(self) -> float:
         """N |d_ab|^2 / (hbar eps0) in rad/s, the susceptibility scale."""
         return self.N * self.d_ab**2 / (CONST.hbar * CONST.eps0)
-
-    def params_dict(self) -> dict:
-        """Resolved parameters for provenance headers."""
-        return {
-            "E_a_eV": self.E_a,
-            "E_b_eV": self.E_b,
-            "E_c_eV": self.E_c,
-            "d_ab_Cm": self.d_ab,
-            "d_ac_Cm": self.d_ac,
-            "Gamma_ab_rad_s": self.Gamma_ab,
-            "Gamma_ca_rad_s": self.Gamma_ca,
-            "gamma_ab_rad_s": self.gamma_ab,
-            "gamma_bc_rad_s": self.gamma_bc,
-            "gamma_ac_rad_s": self.gamma_ac,
-            "N_m3": self.N,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,14 +152,3 @@ class FieldDrive:
                           Omega1=self.Omega1, Omega2=Omega2,
                           delta1=self.delta1, delta2=self.delta2)
 
-    def params_dict(self) -> dict:
-        return {
-            "omega1_rad_s": self.omega1,
-            "omega2_rad_s": self.omega2,
-            "k1_per_m": self.k1,
-            "k2_per_m": self.k2,
-            "Omega1_rad_s": complex(self.Omega1),
-            "Omega2_rad_s": complex(self.Omega2),
-            "delta1_rad_s": self.delta1,
-            "delta2_rad_s": self.delta2,
-        }

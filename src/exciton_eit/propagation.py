@@ -9,7 +9,8 @@ distance z.  The slab is applied as that transfer function on the
 zero-padded FFT of the input, which is the exact solution of the
 first-order slab problem sampled on the time grid; a narrowband pulse
 reduces to exp(i w1 chi'(0) z / 2c - w1 chi''(0) z / 2c) *
-input(t - z/v_g), the steady-dispersion limit `analytic_envelope` gives.
+input(t - z/v_g), the steady-dispersion limit that the analytic-envelope
+oracle in tests/oracles.py gives.
 
 There is no z discretisation: ``PropagationParams.z_steps`` is kept,
 validated and reported, but does not change the envelope.  The time grid
@@ -27,7 +28,7 @@ import numpy as np
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
-from .susceptibility import chi, group_velocity
+from .susceptibility import chi
 
 # zero padding of the time grid, so the slab's response tail cannot wrap
 # round onto the start of the window
@@ -110,8 +111,7 @@ class PulseRecord:
 
 
 def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
-                    system: LadderSystem,
-                    check_convergence: bool = True) -> PulseRecord:
+                    system: LadderSystem) -> PulseRecord:
     """Pass the probe envelope through the slab and measure the pulse.
 
     ``envelope_in`` is the complex probe Rabi envelope sampled on
@@ -119,11 +119,11 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     spectrally narrow compared to the transparency window for the
     first-order theory the source term is built on.  The slab acts as the
     exact transfer function exp(i w1 chi(w) L / 2c) on the zero-padded
-    spectrum, so ``params.z_steps`` does not change the result.  When
-    ``check_convergence`` is on, a rerun at half the time resolution is
-    compared and a delay shift above 1% flags the record as unconverged;
-    this tests the time grid only.  An output envelope that is exactly zero
-    (every spectral component underflowed) is flagged unconverged too.
+    spectrum, so ``params.z_steps`` does not change the result.  A rerun
+    at half the time resolution is compared and a delay shift above 1%
+    flags the record as unconverged; this tests the time grid only.  An
+    output envelope that is exactly zero (every spectral component
+    underflowed) is flagged unconverged too.
     """
     env0 = np.asarray(envelope_in, dtype=complex)
     if env0.shape != (params.t_steps + 1,):
@@ -132,7 +132,7 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     env_out = _transmit(env0, params, drive, system)
     record = _measure(params.t_grid, env0, env_out, params)
 
-    if check_convergence and params.t_steps >= 16:
+    if params.t_steps >= 16:
         coarse = replace(params, t_steps=params.t_steps // 2, dt=params.dt * 2.0)
         env0_c = env0[::2]
         out_c = _transmit(env0_c, coarse, drive, system)
@@ -183,24 +183,3 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray,
         params=params,
     )
 
-
-def analytic_envelope(envelope_in, t_grid, z: float, drive: FieldDrive,
-                      system: LadderSystem) -> np.ndarray:
-    """First-order envelope solution after a distance z, on the lab clock.
-
-    Applies the amplitude/phase factor exp(i w1 chi'(0) z / 2c
-    - w1 chi''(0) z / 2c) evaluated at the window center and shifts the
-    input by the group delay z / v_g via interpolation on the time grid
-    (zero outside the grid).
-    """
-    t = np.asarray(t_grid, dtype=float)
-    env = np.asarray(envelope_in, dtype=complex)
-    center = drive.delta1 - drive.delta2
-    chi0 = chi(center, system, drive)
-    vg = group_velocity(center, system, drive)
-    factor = np.exp(1j * drive.omega1 * chi0.real * z / (2.0 * CONST.c)
-                    - drive.omega1 * chi0.imag * z / (2.0 * CONST.c))
-    shifted_t = t - z / vg
-    shifted = (np.interp(shifted_t, t, env.real, left=0.0, right=0.0)
-               + 1j * np.interp(shifted_t, t, env.imag, left=0.0, right=0.0))
-    return factor * shifted

@@ -11,12 +11,13 @@ convention Im chi > 0 means absorption.  The transparency window sits at
 two-photon resonance, w = delta1 - delta2.
 
 Derivatives are taken analytically (quotient rule on the rational
-response); a finite-difference fallback exists for cross-checks only.
+response); the finite-difference group index the tests check them
+against is in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +77,6 @@ def group_index(omega, system: LadderSystem, drive: FieldDrive):
     return 1.0 + 0.5 * drive.omega1 * np.real(chi_derivative(omega, system, drive))
 
 
-def group_index_fd(omega, system: LadderSystem, drive: FieldDrive, rel_step: float = 1e-6):
-    """Finite-difference group index, for cross-checking the analytic path."""
-    scale = max(system.gamma_ab, system.gamma_bc, abs(drive.Omega2), 1.0)
-    h = rel_step * scale
-    dre = (np.real(chi(np.asarray(omega) + h, system, drive))
-           - np.real(chi(np.asarray(omega) - h, system, drive))) / (2.0 * h)
-    return 1.0 + 0.5 * drive.omega1 * dre
-
-
 def group_velocity(omega, system: LadderSystem, drive: FieldDrive):
     """Group velocity c / (1 + Re(chi)/2 + (omega1/2) d Re(chi)/d omega).
 
@@ -99,13 +91,12 @@ def group_velocity(omega, system: LadderSystem, drive: FieldDrive):
 
 @dataclass
 class SpectrumTable:
-    """Sampled (omega, chi', chi'', n_g) records plus the producing config."""
+    """Sampled (omega, chi', chi'', n_g) records."""
 
     omega_grid: np.ndarray
     chi_re: np.ndarray
     chi_im: np.ndarray
     n_g: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.omega_grid)
@@ -128,7 +119,6 @@ def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> Spe
         chi_re=x.real,
         chi_im=x.imag,
         n_g=np.asarray(group_index(w, system, drive)),
-        metadata={**system.params_dict(), **drive.params_dict()},
     )
 
 
@@ -158,10 +148,10 @@ def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
     p0 = a * b - abs(drive.Omega2) ** 2 / s**2
     p1 = a + b
     c0, c1 = p0.conjugate(), p1.conjugate()
-    num = np.array([-(b * c0).imag, -(b * c1 + c0).imag, -(b + c1).imag])
+    numer = np.array([-(b * c0).imag, -(b * c1 + c0).imag, -(b + c1).imag])
     den = np.array([(p0 * c0).real, (p0 * c1 + p1 * c0).real,
                     (p0 + p1 * c1 + c0).real, (p1 + c1).real, 1.0])
-    return s, num, den
+    return s, numer, den
 
 
 def _real_roots(coef: np.ndarray) -> np.ndarray:
@@ -228,9 +218,9 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
         return WindowMetrics(center_abs=center_abs, width=0.0,
                              ng_center=ng_center, slope=slope)
 
-    s, num, den = _im_chi_fraction(system, drive)
+    s, numer, den = _im_chi_fraction(system, drive)
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
-    edges = _real_roots(np.concatenate((num, [0.0, 0.0]))
+    edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
                         - 0.5 * s / system.gamma_ab * den)
     right = min(s * np.min(edges[edges > 0], initial=np.inf), span)
     left = min(-s * np.max(edges[edges < 0], initial=-np.inf), span)
@@ -258,9 +248,9 @@ def locate_absorption_peaks(system: LadderSystem,
     N' D - N D'; the maxima are those where that polynomial falls through
     zero.  One entry when the doublet has merged into a single line.
     """
-    s, num, den = _im_chi_fraction(system, drive)
-    slope = (np.convolve(_derivative(num), den)
-             - np.convolve(num, _derivative(den)))
+    s, numer, den = _im_chi_fraction(system, drive)
+    slope = (np.convolve(_derivative(numer), den)
+             - np.convolve(numer, _derivative(den)))
     x = _real_roots(slope)
     maxima = x[np.polyval(_derivative(slope)[::-1], x) < 0]   # Horner
     center = drive.delta1 - drive.delta2

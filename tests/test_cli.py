@@ -207,6 +207,11 @@ def test_colliding_spectrum_files_exit_code(tmp_path, capsys):
     ("bohr_radius = 0 nm", "bohr_radius", "levels"),
     ("rydberg_energy = -1 meV", "rydberg_energy", "levels"),
     ("r0 = 0 nm", "r0", "levels"),
+    ("gamma_ab = nan rad/s", "gamma_ab", "propagate"),
+    ("Omega2 = inf rad/s", "Omega2", "propagate"),
+    ("Omega2 = 1e300 Trad/s", "Omega2", "propagate"),
+    ("gamma_aniso = nan dimensionless", "gamma_aniso", "levels"),
+    ("t_span = nan s", "t_span", "propagate"),
 ])
 def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
     cfg = tmp_path / "cfg.txt"
@@ -242,6 +247,12 @@ def test_levels_at_extreme_anisotropy(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("gamma_aniso = 0.01 dimensionless\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "levels"]) == 0
+
+
+def test_removed_threads_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "sweep"])
+    assert exc.value.code == 2
 
 
 def test_missing_config_file_exit_code(tmp_path):

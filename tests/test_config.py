@@ -68,6 +68,11 @@ class TestErrors:
         with pytest.raises(ConfigError, match="malformed number"):
             parse_config("Omega2 = twelve Grad/s\n")
 
+    @pytest.mark.parametrize("text, column", [("t_steps = t", 11), ("N = 1 N", 7)])
+    def test_error_column_points_past_the_key(self, text, column):
+        with pytest.raises(ConfigError, match=f"line 1, column {column}\\)"):
+            parse_config(text + "\n")
+
     def test_malformed_integer(self):
         with pytest.raises(ConfigError, match="malformed integer"):
             parse_config("omega_points = 2.5\n")

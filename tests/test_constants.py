@@ -48,11 +48,11 @@ def test_rabi_frequency_definition():
 
 def test_ladder_ordering_enforced():
     with pytest.raises(ValueError):
-        LadderSystem(E_a=1.0, E_b=0.0, E_c=1.5, d_ab=1e-30, d_ac=1e-30,
+        LadderSystem(E_a=1.0, E_b=0.0, E_c=1.5, d_ab=1e-30,
                      Gamma_ab=0.0, Gamma_ca=0.0, gamma_ab=0.0, gamma_bc=0.0,
                      gamma_ac=0.0, N=1.0)
     with pytest.raises(ValueError):
-        LadderSystem(E_a=2.0, E_b=0.0, E_c=1.0, d_ab=1e-30, d_ac=1e-30,
+        LadderSystem(E_a=2.0, E_b=0.0, E_c=1.0, d_ab=1e-30,
                      Gamma_ab=-1.0, Gamma_ca=0.0, gamma_ab=0.0, gamma_bc=0.0,
                      gamma_ac=0.0, N=1.0)
 

@@ -9,8 +9,8 @@ from scipy.special import lpmv
 
 from exciton_eit import (LevelModelParams, anisotropy_eta,
                          dipole_moment_squared, energy_nlm, level_table,
-                         mixed_level, solve_secular, stark_coupling,
-                         stark_coupling_integral)
+                         mixed_level, solve_secular, stark_coupling)
+from oracles import stark_coupling_integral
 
 
 def eta00_closed_form(gamma):
@@ -225,6 +225,13 @@ class TestLevelTable:
             assert r.energy == complex(-(r.eta**2) / r.n**2 * p.rydberg)
         assert [r.energy for r in rows[len(bare):]] == [
             mixed_level(p, 2, "P"), mixed_level(p, 10, "S")]
+
+    def test_each_distinct_eta_is_integrated_once(self):
+        # three distinct (l, |m|) for l_max = 1; the mixed rows' thresholds
+        # reuse the (0, 0) and (1, 0) values
+        anisotropy_eta.cache_clear()
+        level_table(LevelModelParams(), n_max=10, l_max=1)
+        assert anisotropy_eta.cache_info().misses == 3
 
     def test_hydrogenic_column(self):
         p = LevelModelParams(gamma_aniso=1.0)

@@ -7,10 +7,11 @@ from numpy.polynomial import polynomial as poly
 
 from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          chi, chi_derivative, compute_spectrum, dressed_peaks,
-                         group_index, group_index_fd, group_velocity,
+                         group_index, group_velocity,
                          locate_absorption_peaks, sweep_control,
                          window_metrics)
 from exciton_eit.susceptibility import SpectrumTable, _real_roots, _response
+from oracles import group_index_fd
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -462,6 +463,34 @@ class TestKramersKronig:
         assert np.max(np.abs(kk - re)) / scale < 0.02
 
 
+# Ranges keep both poles at least ~0.05 gamma_ab below the real axis, so
+# neither route loses more than a few ULP to cancellation near a pole.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11),
+       bc_ratio=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       om2_ratio=st.floats(0.5, 5.0), delta1=st.floats(-1e11, 1e11),
+       d2_ratio=st.floats(-2.0, 2.0),
+       offsets=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+def test_chi_is_causal_with_poles_in_the_lower_half_plane(gamma_ab, bc_ratio, om2_ratio,
+                                                          delta1, d2_ratio, offsets):
+    # chi is rational in w; it is causal (Kramers-Kronig holds exactly) when
+    # both roots of (w - delta1 + i gamma_ab)(w - delta1 + delta2 + i gamma_bc)
+    # = |Omega2|^2 lie in the lower half plane and chi has no other poles
+    gamma_bc, delta2 = bc_ratio * gamma_ab, d2_ratio * gamma_ab
+    om2 = om2_ratio * gamma_ab
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, Omega2=om2, delta1=delta1, delta2=delta2)
+    r1, r2 = delta1 + np.roots([1.0, delta2 + 1j * (gamma_ab + gamma_bc),
+                                1j * gamma_ab * (delta2 + 1j * gamma_bc) - om2**2])
+    assert r1.imag < 0 and r2.imag < 0
+    w = delta1 - delta2 + gamma_ab * np.array(offsets)
+    factored = (-sys_.chi_prefactor * (w - delta1 + delta2 + 1j * gamma_bc)
+                / ((w - r1) * (w - r2)))
+    # the absolute floor only admits underflow: where the inner factor is
+    # below ~1e-290 rad/s its reciprocal overflows and chi is 0, not subnormal
+    np.testing.assert_allclose(chi(w, sys_, drv), factored, rtol=1e-12, atol=1e-290)
+
+
 class TestSpectrumTable:
     def test_arrays_validated(self):
         with pytest.raises(ValueError):
@@ -478,4 +507,3 @@ class TestSpectrumTable:
         table = compute_spectrum(sys_, drv, grid)
         assert len(table.chi_re) == len(grid)
         assert np.all(table.chi_im >= -1e-12 * np.max(np.abs(table.chi_im)))
-        assert table.metadata["N_m3"] == sys_.N

@@ -17,9 +17,9 @@ working Cu2O parameter set exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-from .constants import CONST
+from .constants import ev_to_angular_frequency
 from .levels import LevelModelParams
 from .medium import FieldDrive, LadderSystem
 from .output import fmt
@@ -76,67 +76,72 @@ _UNITS = {
 }
 _CANONICAL_UNIT = {kind: unit for unit, (kind, factor) in _UNITS.items() if factor == 1.0}
 
-# energies are accepted wherever a frequency is expected, via E/hbar
-_EV_TO_RADS = CONST.e_charge / CONST.hbar
-
 
 def _convert(value: float, unit: str, dimension: str) -> float:
     kind, factor = _UNITS[unit]
     if kind == dimension:
         return value * factor
-    if dimension == "frequency" and kind == "energy":
-        return value * factor * _EV_TO_RADS
+    if dimension == "frequency" and kind == "energy":  # E/hbar
+        return ev_to_angular_frequency(value * factor)
     raise KeyError(unit)
+
+
+def _key(default, dimension: str | None = None, name: str | None = None):
+    """A config key: its default in canonical units, the dimension its
+    unit must measure (None for unit-less integer counts) and, when it
+    differs from the attribute, its name in config files."""
+    return field(default=default, metadata={"dimension": dimension, "name": name})
 
 
 @dataclass
 class ScenarioConfig:
-    """Fully resolved scenario parameters in canonical units."""
+    """Fully resolved scenario parameters in canonical units.
+
+    The field order is the key order of ``serialize_config`` and of the
+    provenance written beside every output.
+    """
 
     # medium
-    omega_ab: float = 3.266576e15
-    omega_ac: float = 3.1402e13
-    gamma_ab: float = 4.5573e10
-    gamma_bc: float = 7.596e9
-    gamma_ac: float | None = None       # default gamma_ab + gamma_bc
-    density: float = 6.2422e25          # m^-3
-    dipole_ab_sq: float = 0.334e-60     # C^2 m^2; raw value, units by convention
+    omega_ab: float = _key(3.266576e15, "frequency")
+    omega_ac: float = _key(3.1402e13, "frequency")
+    gamma_ab: float = _key(4.5573e10, "frequency")
+    gamma_bc: float = _key(7.596e9, "frequency")
+    gamma_ac: float | None = _key(None, "frequency")   # None = gamma_ab + gamma_bc
+    density: float = _key(6.2422e25, "density", name="N")
+    dipole_ab_sq: float = _key(0.334e-60, "dipole_sq")
     # drive
-    Omega1: float = 1e6
-    Omega2: float = 2.5e10
-    delta1: float = 0.0
-    delta2: float = 0.0
+    Omega1: float = _key(1e6, "frequency")
+    Omega2: float = _key(2.5e10, "frequency")
+    delta1: float = _key(0.0, "frequency")
+    delta2: float = _key(0.0, "frequency")
     # spectrum / sweep grids
-    omega_half_span: float = 2e11
-    omega_points: int = 2001
-    omega2_min: float = 1e9
-    omega2_max: float = 1e11
-    omega2_points: int = 199
-    spectrum_omega2: tuple = (0.0, 1e10, 2.5e10, 5e10)
-    # level model
-    E_gap: float = 2.17208              # eV
-    rydberg_energy: float = 0.086131    # eV
-    bohr_radius: float = 1.1e-9         # m
-    gamma_aniso: float = 1.0
-    eps_b: float = 7.5
-    delta_lt: float = 1.25e-3           # eV
-    r0: float = 9.04e-9                 # m
-    field_strength: float = 1500.0      # V/m
-    damping_n2: float = 10e-6           # eV
-    damping_n10: float = 60e-6          # eV
-    levels_n_max: int = 10
-    levels_l_max: int = 1
+    omega_half_span: float = _key(2e11, "frequency")
+    omega_points: int = _key(2001)
+    omega2_min: float = _key(1e9, "frequency")
+    omega2_max: float = _key(1e11, "frequency")
+    omega2_points: int = _key(199)
+    spectrum_omega2: tuple = _key((0.0, 1e10, 2.5e10, 5e10), "frequency")
+    # level model (Cu2O)
+    E_gap: float = _key(2.17208, "energy")
+    rydberg_energy: float = _key(0.086131, "energy")
+    bohr_radius: float = _key(1.1e-9, "length")
+    gamma_aniso: float = _key(1.0, "dimensionless")
+    eps_b: float = _key(7.5, "dimensionless")
+    delta_lt: float = _key(1.25e-3, "energy")
+    r0: float = _key(9.04e-9, "length")
+    field_strength: float = _key(1500.0, "field")
+    damping_n2: float = _key(10e-6, "energy")
+    damping_n10: float = _key(60e-6, "energy")
+    levels_n_max: int = _key(10)
+    levels_l_max: int = _key(1)
     # propagation; the slab is applied exactly in frequency space, so
     # z_steps is parsed, validated and echoed but does not change the
     # envelope, and t_steps is the only resolution
-    slab_length: float = 30e-6
-    z_steps: int = 480
-    t_steps: int = 2400
-    pulse_sigma: float | None = None    # s; None = 10 / window width
-    t_span: float | None = None         # s; None = sized from the pulse
-
-    def resolved_gamma_ac(self) -> float:
-        return self.gamma_ac if self.gamma_ac is not None else self.gamma_ab + self.gamma_bc
+    slab_length: float = _key(30e-6, "length")
+    z_steps: int = _key(480)
+    t_steps: int = _key(2400)
+    pulse_sigma: float | None = _key(None, "time")   # None = 10 / window width
+    t_span: float | None = _key(None, "time")        # None = sized from the pulse
 
     def build_system(self) -> LadderSystem:
         return LadderSystem.from_frequencies(
@@ -146,7 +151,7 @@ class ScenarioConfig:
             gamma_bc=self.gamma_bc,
             N=self.density,
             dipole_ab_sq=self.dipole_ab_sq,
-            gamma_ac=self.resolved_gamma_ac(),
+            gamma_ac=self.gamma_ac,
         )
 
     def build_drive(self, system: LadderSystem | None = None,
@@ -216,45 +221,12 @@ def spectrum_stem(omega2: float) -> str:
     return f"spectrum_om2_{tag}Grads"
 
 
-# key -> (dimension, attribute); dimension None marks unit-less integer keys
+# config key -> (dimension, attribute), in field order
 _KEYS: dict[str, tuple[str | None, str]] = {
-    "omega_ab": ("frequency", "omega_ab"),
-    "omega_ac": ("frequency", "omega_ac"),
-    "gamma_ab": ("frequency", "gamma_ab"),
-    "gamma_bc": ("frequency", "gamma_bc"),
-    "gamma_ac": ("frequency", "gamma_ac"),
-    "N": ("density", "density"),
-    "dipole_ab_sq": ("dipole_sq", "dipole_ab_sq"),
-    "Omega1": ("frequency", "Omega1"),
-    "Omega2": ("frequency", "Omega2"),
-    "delta1": ("frequency", "delta1"),
-    "delta2": ("frequency", "delta2"),
-    "omega_half_span": ("frequency", "omega_half_span"),
-    "omega_points": (None, "omega_points"),
-    "omega2_min": ("frequency", "omega2_min"),
-    "omega2_max": ("frequency", "omega2_max"),
-    "omega2_points": (None, "omega2_points"),
-    "spectrum_omega2": ("frequency", "spectrum_omega2"),
-    "E_gap": ("energy", "E_gap"),
-    "rydberg_energy": ("energy", "rydberg_energy"),
-    "bohr_radius": ("length", "bohr_radius"),
-    "gamma_aniso": ("dimensionless", "gamma_aniso"),
-    "eps_b": ("dimensionless", "eps_b"),
-    "delta_lt": ("energy", "delta_lt"),
-    "r0": ("length", "r0"),
-    "field_strength": ("field", "field_strength"),
-    "damping_n2": ("energy", "damping_n2"),
-    "damping_n10": ("energy", "damping_n10"),
-    "levels_n_max": (None, "levels_n_max"),
-    "levels_l_max": (None, "levels_l_max"),
-    "slab_length": ("length", "slab_length"),
-    "z_steps": (None, "z_steps"),
-    "t_steps": (None, "t_steps"),
-    "pulse_sigma": ("time", "pulse_sigma"),
-    "t_span": ("time", "t_span"),
-}
-
-_LIST_KEYS = {"spectrum_omega2"}
+    f.metadata["name"] or f.name: (f.metadata["dimension"], f.name)
+    for f in fields(ScenarioConfig)}
+_LIST_KEYS = {f.metadata["name"] or f.name
+              for f in fields(ScenarioConfig) if isinstance(f.default, tuple)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -375,7 +347,7 @@ def resolved_params_dict(cfg: ScenarioConfig) -> dict:
     for key, (dimension, attr) in _KEYS.items():
         value = getattr(cfg, attr)
         if key == "gamma_ac" and value is None:
-            value = cfg.resolved_gamma_ac()
+            value = cfg.build_system().gamma_ac
         if value is None:
             continue
         if key in _LIST_KEYS:

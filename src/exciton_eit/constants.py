@@ -38,7 +38,7 @@ def angular_frequency_to_energy(omega: float) -> float:
 
 def ev_to_angular_frequency(energy_ev: float) -> float:
     """Convert an energy in eV to an angular frequency in rad/s."""
-    return energy_ev * 1e3 * _RADS_PER_MEV
+    return energy_ev * (1e3 * _RADS_PER_MEV)
 
 
 def rabi_frequency(dipole_moment: float, field_amplitude: float) -> float:

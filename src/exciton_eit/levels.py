@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -128,24 +128,21 @@ class LevelModelParams:
 
     The material constants here (gap, effective Rydberg, Bohr radius,
     background dielectric constant, longitudinal-transverse splitting,
-    coherence radius) are config inputs with Cu2O-scale placeholder
-    defaults; only the applied field and the anisotropy ratio change the
-    mixing structure.  ``damping_ev`` holds per-state linewidths keyed by
-    (n, l, m); missing states are treated as undamped.
+    coherence radius) are config inputs whose Cu2O defaults live in
+    ``ScenarioConfig``; only the applied field and the anisotropy ratio
+    change the mixing structure.  ``damping_ev`` holds per-state
+    linewidths keyed by (n, l, m); missing states are treated as undamped.
     """
 
-    E_gap: float = 2.17208            # eV
-    rydberg: float = 0.086131         # eV
-    bohr_radius: float = 1.1e-9       # m
-    gamma_aniso: float = 1.0
-    eps_b: float = 7.5
-    delta_lt: float = 1.25e-3         # eV
-    r0: float = 9.04e-9               # m
-    F: float = 1500.0                 # V/m
-    damping_ev: dict = field(default_factory=lambda: {
-        (2, 0, 0): 10e-6, (2, 1, 0): 10e-6,
-        (10, 0, 0): 60e-6, (10, 1, 0): 60e-6,
-    })
+    E_gap: float          # eV
+    rydberg: float        # eV
+    bohr_radius: float    # m
+    gamma_aniso: float
+    eps_b: float
+    delta_lt: float       # eV
+    r0: float             # m
+    F: float              # V/m
+    damping_ev: dict
 
     def __post_init__(self):
         if self.gamma_aniso <= 0:

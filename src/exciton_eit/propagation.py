@@ -57,7 +57,7 @@ class PropagationParams:
     @classmethod
     def from_system(cls, system: LadderSystem, drive: FieldDrive, L: float,
                     z_steps: int, t_steps: int, t_span: float) -> "PropagationParams":
-        kappa1_sq = system.N * system.d_ab**2 * drive.omega1 / (2.0 * CONST.hbar * CONST.eps0)
+        kappa1_sq = system.N * system.dipole_ab_sq * drive.omega1 / (2.0 * CONST.hbar * CONST.eps0)
         return cls(
             kappa1_sq=kappa1_sq,
             L=L,

@@ -24,7 +24,7 @@ def default_system(**kw):
 
 
 def undamped_system():
-    return LadderSystem(E_a=2.0, E_b=0.0, E_c=1.0, d_ab=1e-30,
+    return LadderSystem(omega_ab=3e15, omega_ac=1.5e15, dipole_ab_sq=1e-60,
                         Gamma_ab=0.0, Gamma_ca=0.0, gamma_ab=0.0,
                         gamma_bc=0.0, gamma_ac=0.0, N=1.0)
 
@@ -269,7 +269,7 @@ class TestLinearizedSteadyState:
         assert a2 == pytest.approx(3.0 * a1, rel=1e-14)
 
     def test_singular_combination_raises(self):
-        sys_ = LadderSystem(E_a=2.0, E_b=0.0, E_c=1.0, d_ab=1e-30,
+        sys_ = LadderSystem(omega_ab=3e15, omega_ac=1.5e15, dipole_ab_sq=1e-60,
                             Gamma_ab=0.0, Gamma_ca=0.0, gamma_ab=0.0,
                             gamma_bc=0.0, gamma_ac=0.0, N=1.0)
         om2 = 1e10

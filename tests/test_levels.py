@@ -1,16 +1,22 @@
 """Level-model algebra: angular averages, couplings, secular roots."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import lpmv
 
-from exciton_eit import (LevelModelParams, anisotropy_eta,
+from exciton_eit import (ScenarioConfig, anisotropy_eta,
                          dipole_moment_squared, energy_nlm, level_table,
                          mixed_level, solve_secular, stark_coupling)
 from oracles import stark_coupling_integral
+
+
+def level_params(**kw):
+    """The configured Cu2O level parameters, with ``kw`` replaced."""
+    return replace(ScenarioConfig().build_level_params(), **kw)
 
 
 def eta00_closed_form(gamma):
@@ -187,15 +193,15 @@ class TestSecular:
 
 class TestDipoleMoment:
     def test_r0_scaling(self):
-        p = LevelModelParams()
-        p2 = LevelModelParams(r0=2 * p.r0)
+        p = level_params()
+        p2 = level_params(r0=2 * p.r0)
         eta = 1.0
         assert dipole_moment_squared(p2, eta) == pytest.approx(
             dipole_moment_squared(p, eta) / 4.0, rel=1e-12)
 
     def test_isotropic_reduction(self):
         from exciton_eit.constants import CONST
-        p = LevelModelParams()
+        p = level_params()
         expected = (4 * CONST.eps0 * p.eps_b * p.bohr_radius**3
                     * p.delta_lt * CONST.e_charge
                     / (math.pi * (p.r0 / p.bohr_radius) ** 2))
@@ -203,7 +209,7 @@ class TestDipoleMoment:
 
     def test_default_set_lands_on_working_dipole(self):
         # order-of-magnitude reproduction of the working |d_ab|^2
-        p = LevelModelParams()
+        p = level_params()
         eta11 = anisotropy_eta(1, 1, p.gamma_aniso)
         val = dipole_moment_squared(p, eta11)
         assert 0.334e-60 / 3 < val < 0.334e-60 * 3
@@ -213,7 +219,7 @@ class TestLevelTable:
     @pytest.mark.parametrize("n_max, l_max", [(1, 0), (10, 1), (3, 5), (4, 3)])
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
     def test_rows_equal_the_pointwise_eta(self, n_max, l_max, gamma):
-        p = LevelModelParams(gamma_aniso=gamma)
+        p = level_params(gamma_aniso=gamma)
         rows = level_table(p, n_max=n_max, l_max=l_max)
         bare = [r for r in rows if r.branch == "bare"]
         assert [(r.n, r.l, r.m) for r in bare] == [
@@ -230,23 +236,23 @@ class TestLevelTable:
         # three distinct (l, |m|) for l_max = 1; the mixed rows' thresholds
         # reuse the (0, 0) and (1, 0) values
         anisotropy_eta.cache_clear()
-        level_table(LevelModelParams(), n_max=10, l_max=1)
+        level_table(level_params(), n_max=10, l_max=1)
         assert anisotropy_eta.cache_info().misses == 3
 
     def test_hydrogenic_column(self):
-        p = LevelModelParams(gamma_aniso=1.0)
+        p = level_params(gamma_aniso=1.0)
         rows = level_table(p, n_max=6, l_max=1)
         for r in rows:
             if r.branch == "bare":
                 assert r.energy.real == pytest.approx(-p.rydberg / r.n**2, rel=1e-9)
 
     def test_mixed_rows_present(self):
-        rows = level_table(LevelModelParams(), n_max=10, l_max=1)
+        rows = level_table(level_params(), n_max=10, l_max=1)
         branches = {r.branch for r in rows}
         assert {"bare", "2P", "10S"} <= branches
 
     def test_zero_field_returns_thresholds(self):
-        p = LevelModelParams(F=0.0)
+        p = level_params(F=0.0)
         roots = sorted([mixed_level(p, 2, "P"), mixed_level(p, 2, "S")],
                        key=lambda z: z.real)
         thresholds = sorted([p.threshold(2, 0, 0), p.threshold(2, 1, 0)],
@@ -255,7 +261,7 @@ class TestLevelTable:
             assert root == pytest.approx(threshold, rel=1e-14)
 
     def test_branch_selection(self):
-        p = LevelModelParams(gamma_aniso=0.8)
+        p = level_params(gamma_aniso=0.8)
         up = mixed_level(p, 10, "P")
         lo = mixed_level(p, 10, "S")
         assert up.real > lo.real

@@ -55,7 +55,7 @@ class TestParams:
         sys_ = default_system()
         drv = drive_for(sys_)
         p = PropagationParams.from_system(sys_, drv, SLAB, 100, 1000, 1e-9)
-        expected = sys_.N * sys_.d_ab**2 * drv.omega1 / (2 * CONST.hbar * CONST.eps0)
+        expected = sys_.N * sys_.dipole_ab_sq * drv.omega1 / (2 * CONST.hbar * CONST.eps0)
         assert p.kappa1_sq == pytest.approx(expected, rel=1e-14)
         assert p.dz == pytest.approx(SLAB / 100)
         assert p.dt == pytest.approx(1e-12)

@@ -21,8 +21,10 @@ from .constants import CONST
 from .levels import level_table
 from .medium import FieldDrive, LadderSystem
 from .output import fmt, write_csv, write_json
-from .propagation import PropagationParams, gaussian_envelope, propagate_pulse
-from .susceptibility import compute_spectrum, sweep_control, window_metrics
+from .propagation import (ATTENUATION_FLOOR, PropagationParams, gaussian_envelope,
+                          propagate_pulse)
+from .susceptibility import (EvaluationError, compute_spectrum, sweep_control,
+                             window_metrics)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,14 +169,22 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
             system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
     except ValueError as exc:  # the grid check, once t_span is known
         raise ConfigError(f"{exc}: lower t_steps, or raise z_steps or t_span") from exc
-    env_in = gaussian_envelope(params_prop.t_grid, center, sigma,
-                               amplitude=complex(drive.Omega1))
-    record = propagate_pulse(env_in, params_prop, drive, system)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
+        env_in = gaussian_envelope(params_prop.t_grid, center, sigma,
+                                   amplitude=complex(drive.Omega1))
+        record = propagate_pulse(env_in, params_prop, drive, system)
+    if not np.isfinite([record.measured_delay, record.measured_attenuation,
+                        record.measured_phase]).all():
+        raise EvaluationError(
+            f"the pulse is not finite at slab_length = {fmt(cfg.slab_length)} m: the "
+            "slab or its time grid leaves floating-point range; lower slab_length")
     slowdown = CONST.c * record.measured_delay / cfg.slab_length if cfg.slab_length else 0.0
 
     warning = None
-    if not np.any(record.envelope_out):
-        warning = "no transmitted energy: the output envelope is zero"
+    if record.measured_attenuation < ATTENUATION_FLOOR:
+        warning = (f"attenuation {fmt(record.measured_attenuation)} is below the "
+                   f"{fmt(ATTENUATION_FLOOR)} roundoff floor of the sampled input "
+                   "(about e^-32), so the pulse was not measured: lower slab_length")
     elif not record.converged:
         warning = (f"grid too coarse: delay moved {fmt(100 * record.convergence_delta)}% "
                    "under refinement")

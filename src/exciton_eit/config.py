@@ -344,14 +344,10 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 def resolved_params_dict(cfg: ScenarioConfig) -> dict:
     """Flat provenance mapping of every resolved parameter."""
     out = {}
-    for key, (dimension, attr) in _KEYS.items():
+    for key, (_, attr) in _KEYS.items():
         value = getattr(cfg, attr)
         if key == "gamma_ac" and value is None:
             value = cfg.build_system().gamma_ac
-        if value is None:
-            continue
-        if key in _LIST_KEYS:
-            out[key] = list(value)
-        else:
-            out[key] = value
+        if value is not None:
+            out[key] = list(value) if key in _LIST_KEYS else value
     return out

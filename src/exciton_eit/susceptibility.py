@@ -34,23 +34,23 @@ def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive,
               derivative: bool = False):
     """chi, or d chi/d omega, at offsets ``omega`` broadcast against |Omega2|^2.
 
-    The inner denominator vanishes only with gamma_bc = 0 at two-photon
-    resonance; there chi and chi' take their analytic limits, 0 and
-    pref/|Omega2|^2, or reduce to the bare line without control.
+    Written in product form: with P = one * inner - |Omega2|^2,
+    chi = -pref inner / P and chi' = pref (inner^2 + |Omega2|^2) / P^2.
+    Nothing divides by the inner denominator, so with gamma_bc = 0 chi
+    and chi' reach their two-photon limits, 0 and pref/|Omega2|^2, with no
+    overflow however close to resonance.  Without control inner is taken
+    as 1, which leaves the bare line.
     """
     pref = system.chi_prefactor
     one = omega - drive.delta1 + 1j * system.gamma_ab
-    inner = omega - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
-    hit = inner == 0
-    safe = np.where(hit, 1.0, inner)
-    denom = one - om2_sq / safe
-    limit = hit & (om2_sq != 0)
-    if np.any((denom == 0) & ~limit):
+    inner = np.where(om2_sq == 0, 1.0,
+                     omega - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
+    p = one * inner - om2_sq
+    if np.any(p == 0):
         raise EvaluationError("susceptibility evaluated exactly on a pole")
     if derivative:
-        return np.where(limit, pref / np.where(limit, om2_sq, 1.0),
-                        pref * (1.0 + om2_sq / (safe * safe)) / (denom * denom))
-    return np.where(limit, 0.0, -pref / denom)
+        return pref * (inner * inner + om2_sq) / (p * p)
+    return -pref * inner / p
 
 
 def chi(omega, system: LadderSystem, drive: FieldDrive):
@@ -187,9 +187,10 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     The window edges are where Im chi crosses half of the bare (control
     off) Lorentzian peak N|d|^2/(hbar eps0 gamma_ab).  The crossings are
     the real roots of a quartic (see ``_im_chi_fraction``), and each edge
-    is the one nearest the center on its side.  With the control off, or
-    while the dip floor still sits above the half level, the window is
-    reported absent (width 0).  An edge farther than max(10 gamma_ab,
+    is the one nearest the center on its side; a root at the center itself
+    (the dip floor on the half level) closes the window.  With the control
+    off, or while the dip floor still sits above the half level, the
+    window is reported absent (width 0).  An edge farther than max(10 gamma_ab,
     4 |Omega2|) from the center, or missing, is capped at that span.
     gamma_ab = 0 raises :class:`EvaluationError`.
     """
@@ -204,14 +205,11 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     # rounds as the array loop does (Python's does not); with gamma_ab > 0
     # the center is no pole
     one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
-    inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
-    if inner == 0 and om2_sq != 0:
-        center_abs, slope = 0.0, pref / om2_sq
-    else:
-        safe = inner if inner != 0 else 1.0
-        denom = one - om2_sq / safe
-        center_abs = float((-pref / denom).imag)
-        slope = float((pref * (1.0 + om2_sq / (safe * safe)) / (denom * denom)).real)
+    inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
+                          if om2_sq != 0 else 1.0)
+    p = one * inner - om2_sq
+    center_abs = float((-pref * inner / p).imag)
+    slope = float((pref * (inner * inner + om2_sq) / (p * p)).real)
     ng_center = 1.0 + 0.5 * drive.omega1 * slope
 
     if abs(drive.Omega2) == 0.0 or center_abs >= half:
@@ -222,8 +220,8 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
     edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
                         - 0.5 * s / system.gamma_ab * den)
-    right = min(s * np.min(edges[edges > 0], initial=np.inf), span)
-    left = min(-s * np.max(edges[edges < 0], initial=-np.inf), span)
+    right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
+    left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
     return WindowMetrics(center_abs=center_abs, width=float(right + left),
                          ng_center=ng_center, slope=slope)
 

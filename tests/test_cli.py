@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from exciton_eit import ScenarioConfig
 from exciton_eit.cli import main
 
 
@@ -118,7 +120,6 @@ def test_levels_roots_satisfy_secular_equation(tmp_path):
     out = tmp_path / "run"
     assert main(["--out", str(out), "levels"]) == 0
     table = read_csv(out / "levels.csv")
-    from exciton_eit import ScenarioConfig
     params = ScenarioConfig().build_level_params()
     for branch, n in (("2P", 2), ("10S", 10)):
         i = table["branch"].index(branch)
@@ -232,15 +233,61 @@ def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):
     assert "gamma_ab = 0" in capsys.readouterr().err
 
 
-def test_propagate_flags_zero_transmission(tmp_path, capsys):
+def test_huge_slab_is_a_numerical_failure(tmp_path, capsys):
+    # the sized time grid reaches ~1e296 s, where the envelope and the
+    # transfer exponent leave floating-point range
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("slab_length = 1 m\n")
+    cfg.write_text("slab_length = 1e300 m\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), "--out", str(out), "propagate"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "slab_length" in err
+    assert not (out / "pulse_summary.json").exists()
+
+
+def propagate_below_the_floor(tmp_path, capsys, length):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"slab_length = {length}\n")
     out = tmp_path / "run"
     assert main(["--config", str(cfg), "--out", str(out), "propagate"]) == 0
     doc = json.loads((out / "pulse_summary.json").read_text())
     assert doc["converged"] is False
-    assert "no transmitted energy" in doc["warning"]
+    assert float(doc["attenuation"]) < 1e-14
+    assert "roundoff floor" in doc["warning"] and "slab_length" in doc["warning"]
     assert "WARNING" in capsys.readouterr().err
+
+
+def test_propagate_flags_zero_transmission(tmp_path, capsys):
+    propagate_below_the_floor(tmp_path, capsys, "1 m")
+
+
+def test_propagate_flags_a_thick_slab_below_the_roundoff_floor(tmp_path, capsys):
+    # at 180 um the centre transmission is about e^-171: the output is the
+    # input's roundoff, whose delay (6.25 ns, against about 13.1 ns for the
+    # true pulse) the half-resolution rerun repeats, so only the floor
+    # check can flag it
+    propagate_below_the_floor(tmp_path, capsys, "180 um")
+
+
+def test_sweep_at_subnormal_two_photon_detuning(tmp_path, capsys):
+    # gamma_bc = 0 and a subnormal inner denominator at the window centre:
+    # n_g takes its limit 1 + omega1 pref / (2 |Omega2|^2), with no warning
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("gamma_bc = 0 rad/s\ndelta1 = 1 rad/s\ndelta2 = 1e-300 rad/s\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+    doc = json.loads((out / "sweep.json").read_text())
+    ng = np.array([float(x) for x in doc["ng_center"]])
+    om2 = np.array([float(x) for x in doc["omega2_rad_s"]])
+    sys_ = ScenarioConfig().build_system()
+    expected = 1.0 + 0.5 * (sys_.omega_ab - 1.0) * sys_.chi_prefactor / om2**2
+    np.testing.assert_allclose(ng, expected, rtol=1e-12)
+    assert "nan" not in capsys.readouterr().out
 
 
 def test_levels_at_extreme_anisotropy(tmp_path):

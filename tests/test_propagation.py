@@ -207,7 +207,7 @@ def causal(env_in, env_out):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(omega2=st.floats(2.5e10, 1e11), length=st.floats(5e-6, 30e-6),
+@given(omega2=st.floats(2.5e10, 1e11), length=st.floats(5e-6, 200e-6),
        gamma_scale=st.floats(0.5, 2.0))
 def test_pulse_invariants(omega2, length, gamma_scale):
     sys_ = default_system(gamma_bc=7.596e9 * gamma_scale)
@@ -224,10 +224,9 @@ def test_pulse_invariants(omega2, length, gamma_scale):
     # passive medium: Im chi >= 0 everywhere, so no spectral component grows
     assert np.linalg.norm(record.envelope_out) <= np.linalg.norm(env)
     assert causal(env, record.envelope_out)
-    # below e^-30 centre transmission the input's roundoff through the
-    # transparent wings swamps the pulse, so no delay is measurable there
-    depth = drv.omega1 * chi(0.0, sys_, drv).imag * length / (2 * CONST.c)
-    if depth <= 30:
+    # below the attenuation floor the input's roundoff through the
+    # transparent wings swamps the pulse, and the record says so
+    if record.converged:
         assert record.measured_delay == pytest.approx(expected, rel=0.10)
 
 

@@ -7,7 +7,13 @@ coherence is a linear time-invariant response, so each spectral component
 e^{-i w tau} of the envelope picks up exp(i w1 chi(w) z / 2c) over a
 distance z.  The slab is applied as that transfer function on the
 zero-padded FFT of the input, which is the exact solution of the
-first-order slab problem sampled on the time grid; a narrowband pulse
+first-order slab problem sampled on the time grid.  The padded length is
+N = 8m with m the smallest 2^a 3^b 5^c >= t_steps // 2 + 1: at least four
+times the grid, so the response tail cannot wrap round onto the start of
+the window, and a length numpy's FFT factors.  The half-resolution rerun
+pads to N/2, whose frequencies are the fine grid's lowest and highest N/4
+bit for bit, so it slices the fine transfer function instead of
+evaluating chi again.  A narrowband pulse
 reduces to exp(i w1 chi'(0) z / 2c - w1 chi''(0) z / 2c) *
 input(t - z/v_g), the steady-dispersion limit that the analytic-envelope
 oracle in tests/oracles.py gives.
@@ -30,10 +36,6 @@ import numpy as np
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
 from .susceptibility import chi
-
-# zero padding of the time grid, so the slab's response tail cannot wrap
-# round onto the start of the window
-_PAD = 4
 
 # below this peak attenuation the output is the input's roundoff, not the pulse
 ATTENUATION_FLOOR = 1e-14
@@ -122,9 +124,11 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     ``params.t_grid`` at the entrance face.  The envelope should be
     spectrally narrow compared to the transparency window for the
     first-order theory the source term is built on.  The slab acts as the
-    exact transfer function exp(i w1 chi(w) L / 2c) on the zero-padded
-    spectrum, so ``params.z_steps`` does not change the result.  A rerun
-    at half the time resolution is compared and a delay shift above 1%
+    exact transfer function exp(i w1 chi(w) L / 2c) on the spectrum
+    zero-padded to ``_padded_length(params.t_steps)``, so
+    ``params.z_steps`` does not change the result.  A rerun at half the
+    time resolution, on half that padded length and the matching half of
+    the same transfer function, is compared and a delay shift above 1%
     flags the record as unconverged; this tests the time grid only.  A
     measured attenuation below ``ATTENUATION_FLOOR`` flags it unconverged
     too, since the rerun sees the same roundoff floor.
@@ -133,13 +137,14 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     if env0.shape != (params.t_steps + 1,):
         raise ValueError("envelope length must match the time grid")
 
-    env_out = _transmit(env0, params, drive, system)
+    transfer = _transfer(_padded_length(params.t_steps), params, drive, system)
+    env_out = _transmit(env0, transfer)
     record = _measure(params.t_grid, env0, env_out, params)
 
     if params.t_steps >= 16:
         coarse = replace(params, t_steps=params.t_steps // 2, dt=params.dt * 2.0)
         env0_c = env0[::2]
-        out_c = _transmit(env0_c, coarse, drive, system)
+        out_c = _transmit(env0_c, _coarse_transfer(transfer))
         rec_c = _measure(coarse.t_grid, env0_c, out_c, coarse)
         scale = max(abs(record.measured_delay), params.dt)
         delta = abs(record.measured_delay - rec_c.measured_delay) / scale
@@ -150,18 +155,52 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     return record
 
 
-def _transmit(env0: np.ndarray, params: PropagationParams, drive: FieldDrive,
-              system: LadderSystem) -> np.ndarray:
+def _padded_length(t_steps: int) -> int:
+    """FFT length 8m, m the smallest 2^a 3^b 5^c >= t_steps // 2 + 1.
+
+    It is at least 4 (t_steps + 1), and its half at least four times the
+    t_steps // 2 + 1 samples of the half-resolution rerun.
+    """
+    m = t_steps // 2 + 1
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return 8 * m
+        m += 1
+
+
+def _transfer(n_pad: int, params: PropagationParams, drive: FieldDrive,
+              system: LadderSystem) -> np.ndarray | None:
+    """exp(i w1 chi(w) L / 2c) on the FFT frequencies of length ``n_pad``;
+    None for an empty medium, which passes the envelope unchanged."""
     if params.kappa1_sq == 0.0:
-        return env0.copy()
-    n = len(env0)
-    n_pad = _PAD * n
+        return None
     # numpy's inverse FFT builds e^{+i W t}; the envelope component is e^{-i w t}
     omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
     # kappa1^2 chi / chi_prefactor = w1 chi / 2 for params built by from_system
     response = chi(omega, system, drive) / system.chi_prefactor
-    transfer = np.exp(1j * params.kappa1_sq * params.L / CONST.c * response)
-    return np.fft.ifft(np.fft.fft(env0, n_pad) * transfer)[:n]
+    return np.exp(1j * params.kappa1_sq * params.L / CONST.c * response)
+
+
+def _coarse_transfer(transfer: np.ndarray | None) -> np.ndarray | None:
+    """The transfer at length N/2 and step 2 dt, sliced from length N and step dt.
+
+    fftfreq(N/2, 2 dt) is fftfreq(N, dt) at indices [:N/4] and [-N/4:] bit
+    for bit, since both scale by 1 / (N dt) rounded once.
+    """
+    if transfer is None:
+        return None
+    quarter = len(transfer) // 4
+    return np.concatenate((transfer[:quarter], transfer[-quarter:]))
+
+
+def _transmit(env0: np.ndarray, transfer: np.ndarray | None) -> np.ndarray:
+    if transfer is None:
+        return env0.copy()
+    return np.fft.ifft(np.fft.fft(env0, len(transfer)) * transfer)[:len(env0)]
 
 
 def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray,
@@ -186,4 +225,3 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray,
         measured_phase=float(np.angle(env_out[i_out]) - np.angle(env_in[i_in])),
         params=params,
     )
-

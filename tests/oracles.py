@@ -70,3 +70,23 @@ def analytic_envelope(envelope_in, t_grid, z: float, drive: FieldDrive,
     shifted = (np.interp(shifted_t, t, env.real, left=0.0, right=0.0)
                + 1j * np.interp(shifted_t, t, env.imag, left=0.0, right=0.0))
     return factor * shifted
+
+
+def slab_transmission(envelope_in, params, drive: FieldDrive, system: LadderSystem,
+                      n_pad: int | None = None) -> np.ndarray:
+    """The slab's output envelope by one FFT of length ``n_pad``.
+
+    Multiplies the zero-padded spectrum by exp(i w1 chi(w) L / 2c) and
+    crops the inverse transform to the grid.  The default length, four
+    times the grid, is the fixed padding the package used before it
+    padded to 5-smooth lengths.
+    """
+    env = np.asarray(envelope_in, dtype=complex)
+    if n_pad is None:
+        n_pad = 4 * len(env)
+    if params.kappa1_sq == 0.0:
+        return env.copy()
+    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
+    transfer = np.exp(1j * drive.omega1 * chi(omega, system, drive) * params.L
+                      / (2.0 * CONST.c))
+    return np.fft.ifft(np.fft.fft(env, n_pad) * transfer)[:len(env)]

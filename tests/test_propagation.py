@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ import exciton_eit
 from exciton_eit import (CONST, FieldDrive, LadderSystem, PropagationParams,
                          chi, gaussian_envelope, group_velocity,
                          propagate_pulse, window_metrics)
-from oracles import analytic_envelope
+from exciton_eit import propagation
+from exciton_eit.propagation import _coarse_transfer, _measure, _padded_length, _transfer
+from oracles import analytic_envelope, slab_transmission
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -37,6 +40,17 @@ def narrowband_setup(system, drive, z_steps=120, t_steps=1600):
     params = PropagationParams.from_system(system, drive, SLAB,
                                            z_steps, t_steps, SPAN)
     env = gaussian_envelope(params.t_grid, 6 * SIGMA, SIGMA,
+                            amplitude=complex(drive.Omega1))
+    return params, env
+
+
+def deep_window_setup(system, drive):
+    """A 0.6 ns pulse 9 sigma into a grid sized for its group delay."""
+    sigma = 6e-10
+    expected = SLAB / group_velocity(0.0, system, drive)
+    params = PropagationParams.from_system(system, drive, SLAB, 400, 2400,
+                                           18 * sigma + 2 * expected)
+    env = gaussian_envelope(params.t_grid, 9 * sigma, sigma,
                             amplitude=complex(drive.Omega1))
     return params, env
 
@@ -157,12 +171,8 @@ class TestStrongerAbsorption:
         # the transmitted amplitude.
         sys_ = default_system()
         drv = drive_for(sys_, Omega2=2.5e10)
-        sigma = 6e-10
         expected = SLAB / group_velocity(0.0, sys_, drv)
-        span = 18 * sigma + 2 * expected
-        params = PropagationParams.from_system(sys_, drv, SLAB, 400, 2400, span)
-        env = gaussian_envelope(params.t_grid, 9 * sigma, sigma,
-                                amplitude=complex(drv.Omega1))
+        params, env = deep_window_setup(sys_, drv)
         record = propagate_pulse(env, params, drv, sys_)
         assert record.measured_delay == pytest.approx(expected, rel=0.10)
         assert record.measured_attenuation < 1e-10
@@ -195,6 +205,103 @@ class TestSpectralSolution:
         split = through(through(env, 10e-6), 20e-6)
         whole = through(env, SLAB)
         assert np.linalg.norm(split - whole) / np.linalg.norm(whole) < 1e-10
+
+
+def smooth_part(n):
+    """What is left of n once every factor 2, 3 and 5 is divided out."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n
+
+
+class TestPaddedLength:
+    # at 1600 and 2400, t_steps // 2 + 1 is 801 = 3^2 * 89 and 1201 (prime)
+    @pytest.mark.parametrize("t_steps", [16, 17, 1600, 2400, 2401, 4097])
+    def test_smooth_and_wide_enough(self, t_steps):
+        n_pad = _padded_length(t_steps)
+        m = n_pad // 8
+        assert n_pad == 8 * m and smooth_part(m) == 1
+        assert all(smooth_part(k) > 1 for k in range(t_steps // 2 + 1, m))
+        assert n_pad >= 4 * (t_steps + 1)
+        coarse = len(_coarse_transfer(np.zeros(n_pad, dtype=complex)))
+        assert coarse == n_pad // 2 >= 4 * (t_steps // 2 + 1)
+
+    def test_default_grid(self):
+        assert _padded_length(2400) == 9720
+
+
+@pytest.mark.parametrize("t_steps", [1600, 2401])
+def test_coarse_transfer_is_the_fine_transfer_sliced(t_steps):
+    sys_ = default_system()
+    drv = drive_for(sys_)
+    params, _ = narrowband_setup(sys_, drv, t_steps=t_steps)
+    n_pad = _padded_length(t_steps)
+    sliced = _coarse_transfer(_transfer(n_pad, params, drv, sys_))
+    # the package's formula, evaluated on the coarse run's own frequencies
+    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad // 2, 2.0 * params.dt)
+    response = chi(omega, sys_, drv) / sys_.chi_prefactor
+    direct = np.exp(1j * params.kappa1_sq * params.L / CONST.c * response)
+    np.testing.assert_array_equal(sliced, direct)
+
+
+@pytest.mark.parametrize("t_steps", [1600, 2401])
+def test_rerun_matches_an_independent_half_resolution_run(monkeypatch, t_steps):
+    outputs = []
+
+    def recording(env, transfer):
+        outputs.append(transmit(env, transfer))
+        return outputs[-1]
+
+    transmit = propagation._transmit
+    monkeypatch.setattr(propagation, "_transmit", recording)
+    sys_ = default_system()
+    drv = drive_for(sys_)
+    params, env = narrowband_setup(sys_, drv, t_steps=t_steps)
+    propagate_pulse(env, params, drv, sys_)
+    assert len(outputs) == 2
+    coarse = replace(params, t_steps=t_steps // 2, dt=2.0 * params.dt)
+    expected = slab_transmission(env[::2], coarse, drv, sys_,
+                                 n_pad=_padded_length(t_steps) // 2)
+    np.testing.assert_allclose(outputs[1], expected, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(expected)))
+
+
+def fixed_padding_record(env, params, drive, system):
+    """``propagate_pulse`` as it was with every FFT padded to 4x its grid."""
+    record = _measure(params.t_grid, env, slab_transmission(env, params, drive, system),
+                      params)
+    coarse = replace(params, t_steps=params.t_steps // 2, dt=2.0 * params.dt)
+    rec_c = _measure(coarse.t_grid, env[::2],
+                     slab_transmission(env[::2], coarse, drive, system), coarse)
+    record.convergence_delta = (abs(record.measured_delay - rec_c.measured_delay)
+                                / max(abs(record.measured_delay), params.dt))
+    return record
+
+
+# Bounds are a few times the worst seen over these cases: envelope 4.9e-15
+# of the input peak, delay 7.1e-10 and convergence_delta 6.1e-10 (both on
+# the e^-29 deep window, where the output sits near the FFT's roundoff
+# floor), phase 8.2e-6 rad (deep window; its true value is 0).
+@pytest.mark.parametrize("case", ["narrowband", "deep window", "detuned"])
+def test_smooth_padding_agrees_with_the_fixed_4x_padding(case):
+    sys_ = default_system()
+    if case == "deep window":
+        drv = drive_for(sys_, Omega2=2.5e10)
+        params, env = deep_window_setup(sys_, drv)
+    else:
+        drv = FieldDrive.from_detunings(sys_, Omega1=1e6, Omega2=1e11,
+                                        delta1=2e10 if case == "detuned" else 0.0)
+        params, env = narrowband_setup(sys_, drv)
+    record = propagate_pulse(env, params, drv, sys_)
+    old = fixed_padding_record(env, params, drv, sys_)
+    peak_in = np.max(np.abs(env))
+    assert np.max(np.abs(record.envelope_out - old.envelope_out)) <= 2e-14 * peak_in
+    assert abs(record.measured_attenuation - old.measured_attenuation) <= 2e-14
+    assert record.measured_delay == pytest.approx(old.measured_delay, rel=5e-9, abs=0.0)
+    assert abs(record.measured_phase - old.measured_phase) <= 5e-5
+    assert abs(record.convergence_delta - old.convergence_delta) <= 5e-9
+    assert record.converged == old.converged
 
 
 def causal(env_in, env_out):

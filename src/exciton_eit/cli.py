@@ -205,7 +205,7 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
             "attenuation": record.measured_attenuation,
             "phase_rad": record.measured_phase,
             "slowdown_factor": slowdown,
-            "vg_over_c": 1.0 / slowdown if slowdown > 0 else 1.0,
+            "vg_over_c": 1.0 / (1.0 + slowdown) if slowdown != -1.0 else np.inf,
             "grid": {"z_steps": params_prop.z_steps, "t_steps": params_prop.t_steps,
                      "dt_s": params_prop.dt, "dz_m": params_prop.dz},
             "converged": bool(record.converged),

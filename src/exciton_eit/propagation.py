@@ -7,16 +7,19 @@ coherence is a linear time-invariant response, so each spectral component
 e^{-i w tau} of the envelope picks up exp(i w1 chi(w) z / 2c) over a
 distance z.  The slab is applied as that transfer function on the
 zero-padded FFT of the input, which is the exact solution of the
-first-order slab problem sampled on the time grid.  The padded length is
-N = 8m with m the smallest 2^a 3^b 5^c >= t_steps // 2 + 1: at least four
-times the grid, so the response tail cannot wrap round onto the start of
-the window, and a length numpy's FFT factors.  The half-resolution rerun
-pads to N/2, whose frequencies are the fine grid's lowest and highest N/4
-bit for bit, so it slices the fine transfer function instead of
-evaluating chi again.  A narrowband pulse
+first-order slab problem sampled on the time grid; a narrowband pulse
 reduces to exp(i w1 chi'(0) z / 2c - w1 chi''(0) z / 2c) *
 input(t - z/v_g), the steady-dispersion limit that the analytic-envelope
 oracle in tests/oracles.py gives.
+
+The padded length is N = 8m with m the smallest 2^a 3^b 5^c >=
+t_steps // 2 + 1.  It is at least four times the grid, so the slab's
+response tail cannot wrap round onto the start of the window, and the FFT
+factors it into radix-2/3/5 passes instead of falling back to Bluestein's
+algorithm on a large prime factor.  The half-resolution rerun pads to
+N/2, whose frequencies are the fine run's lowest and highest N/4 bit for
+bit, so it slices the fine transfer function instead of evaluating chi
+again.
 
 There is no z discretisation: ``PropagationParams.z_steps`` is kept,
 validated and reported, but does not change the envelope.  The time grid
@@ -102,7 +105,8 @@ class PulseRecord:
     ``measured_delay`` is the intensity-centroid delay relative to vacuum
     transit (the run works in the retarded frame), so a vacuum run reports
     exactly zero.  ``measured_attenuation`` compares envelope peaks and
-    ``measured_phase`` the envelope phases at those peaks.
+    ``measured_phase`` is the phase the output peak gains over the input
+    peak, wrapped to (-pi, pi].
     """
 
     t_grid: np.ndarray
@@ -124,10 +128,9 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     ``params.t_grid`` at the entrance face.  The envelope should be
     spectrally narrow compared to the transparency window for the
     first-order theory the source term is built on.  The slab acts as the
-    exact transfer function exp(i w1 chi(w) L / 2c) on the spectrum
-    zero-padded to ``_padded_length(params.t_steps)``, so
-    ``params.z_steps`` does not change the result.  A rerun at half the
-    time resolution, on half that padded length and the matching half of
+    exact transfer function exp(i w1 chi(w) L / 2c) on the zero-padded
+    spectrum, so ``params.z_steps`` does not change the result.  A rerun
+    at half the time resolution, on half the padded length and a slice of
     the same transfer function, is compared and a delay shift above 1%
     flags the record as unconverged; this tests the time grid only.  A
     measured attenuation below ``ATTENUATION_FLOOR`` flags it unconverged
@@ -222,6 +225,6 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray,
         envelope_out=env_out,
         measured_delay=centroid(env_out) - centroid(env_in),
         measured_attenuation=float(peak_out / peak_in) if peak_in else 0.0,
-        measured_phase=float(np.angle(env_out[i_out]) - np.angle(env_in[i_in])),
+        measured_phase=float(np.angle(env_out[i_out] * np.conj(env_in[i_in]))),
         params=params,
     )

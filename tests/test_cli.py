@@ -167,6 +167,30 @@ def test_propagate_slowdown_at_group_index_optimum(tmp_path):
     assert json.loads((out / "pulse_summary.json").read_text())["converged"] is True
 
 
+def test_vg_over_c_inverts_the_transit_time(tmp_path):
+    # the slab delays the pulse by L/v_g - L/c, and slowdown_factor = c delay / L
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "propagate"]) == 0
+    doc = json.loads((out / "pulse_summary.json").read_text())
+    product = float(doc["vg_over_c"]) * (1.0 + float(doc["slowdown_factor"]))
+    assert product == pytest.approx(1.0, rel=1e-15)
+
+
+def test_vg_over_c_of_a_negative_group_index(tmp_path):
+    # with no control field the centre sits on the absorption line, where
+    # n_g = -17558: the pulse leaves before a vacuum transit would
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("Omega2 = 0 rad/s\nslab_length = 5e-9 m\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "propagate"]) == 0
+    doc = json.loads((out / "pulse_summary.json").read_text())
+    slowdown, vg_over_c = float(doc["slowdown_factor"]), float(doc["vg_over_c"])
+    assert slowdown < -1.0
+    assert vg_over_c < 0.0
+    assert vg_over_c * (1.0 + slowdown) == pytest.approx(1.0, rel=1e-15)
+    assert 1.0 / vg_over_c == pytest.approx(-17558, rel=0.05)
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("N = 1 banana\n")

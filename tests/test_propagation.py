@@ -188,6 +188,17 @@ class TestSpectralSolution:
             outputs.append(propagate_pulse(env, params, drv, sys_).envelope_out)
         np.testing.assert_array_equal(outputs[0], outputs[1])
 
+    @pytest.mark.parametrize("carrier_phase", [3.0, -3.0, np.pi / 2])
+    def test_phase_does_not_depend_on_the_input_phase(self, carrier_phase):
+        # detuned from the window centre the slab shifts the phase by -0.69 rad
+        sys_ = default_system()
+        drv = FieldDrive.from_detunings(sys_, Omega1=1e6, Omega2=1e11, delta1=2e10)
+        params, env = narrowband_setup(sys_, drv)
+        phase = propagate_pulse(env, params, drv, sys_).measured_phase
+        rotated = propagate_pulse(env * np.exp(1j * carrier_phase), params, drv, sys_)
+        assert rotated.measured_phase == pytest.approx(phase, rel=0.0, abs=1e-12)
+        assert phase == pytest.approx(-0.6902, abs=1e-4)
+
     def test_slabs_compose(self):
         # L1 then L2 is one pass through L1 + L2 (centre transmission ~5e-2);
         # the pulse sits 9 sigma from both grid ends, so truncating the

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as poly
 
 from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
@@ -304,6 +304,9 @@ def oracle_peaks(system, drive):
        omega2=st.one_of(st.just(0.0), st.floats(1e8, 1e12)),
        delta1=st.floats(-1e11, 1e11),
        delta2=st.one_of(st.just(0.0), st.floats(-1e11, 1e11)))
+# the gamma_ab gamma_bc = |Omega2|^2 knife edge, where the dip floor sits on
+# the half level and the window width is 0
+@example(gamma_ab=1e9, gamma_bc=1e7, omega2=1e8, delta1=0.0, delta2=2.55e-284)
 def test_closed_form_kernels_match_the_polynomial_oracle(gamma_ab, gamma_bc, omega2,
                                                          delta1, delta2):
     sys_ = medium(gamma_ab, gamma_bc)
@@ -420,6 +423,8 @@ class TestSweep:
 @given(gamma_ab=st.floats(1e9, 1e11), gamma_bc=st.floats(0.0, 1e10),
        delta1=st.floats(-1e11, 1e11), delta2=st.floats(-1e11, 1e11),
        low=st.floats(0.0, 1e11), points=st.integers(1, 40))
+# a subnormal-scale two-photon detuning with no Raman damping
+@example(gamma_ab=1e10, gamma_bc=0.0, delta1=0.0, delta2=1e-300, low=0.0, points=5)
 def test_sweep_matches_pointwise_response(gamma_ab, gamma_bc, delta1, delta2, low, points):
     sys_ = medium(gamma_ab, gamma_bc)
     drv = drive_for(sys_, delta1=delta1, delta2=delta2)
@@ -493,6 +498,9 @@ class TestKramersKronig:
        om2_ratio=st.floats(0.5, 5.0), delta1=st.floats(-1e11, 1e11),
        d2_ratio=st.floats(-2.0, 2.0),
        offsets=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+# a two-photon detuning near 1e-294 rad/s with no Raman damping
+@example(gamma_ab=1e9, bc_ratio=0.0, om2_ratio=1.0, delta1=0.0, d2_ratio=1e-303,
+         offsets=[0.0, 1e-3, -1.0, 5.0])
 def test_chi_is_causal_with_poles_in_the_lower_half_plane(gamma_ab, bc_ratio, om2_ratio,
                                                           delta1, d2_ratio, offsets):
     # chi is rational in w; it is causal (Kramers-Kronig holds exactly) when

@@ -259,12 +259,12 @@ def test_coarse_transfer_is_the_fine_transfer_sliced(t_steps):
 @pytest.mark.parametrize("t_steps", [1600, 2401])
 def test_rerun_matches_an_independent_half_resolution_run(monkeypatch, t_steps):
     outputs = []
+    transmit = propagation._transmit
 
     def recording(env, transfer):
         outputs.append(transmit(env, transfer))
         return outputs[-1]
 
-    transmit = propagation._transmit
     monkeypatch.setattr(propagation, "_transmit", recording)
     sys_ = default_system()
     drv = drive_for(sys_)

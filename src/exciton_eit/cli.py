@@ -21,8 +21,8 @@ from .constants import CONST
 from .levels import level_table
 from .medium import FieldDrive, LadderSystem
 from .output import fmt, write_csv, write_json
-from .propagation import (ATTENUATION_FLOOR, PropagationParams, gaussian_envelope,
-                          propagate_pulse)
+from .propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, PropagationParams,
+                          gaussian_envelope, propagate_pulse)
 from .susceptibility import (EvaluationError, compute_spectrum, sweep_control,
                              window_metrics)
 
@@ -164,11 +164,8 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     drive = cfg.build_drive(system)
     sigma, center, span = _propagation_setup(cfg, system, drive)
-    try:
-        params_prop = PropagationParams.from_system(
-            system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
-    except ValueError as exc:  # the grid check, once t_span is known
-        raise ConfigError(f"{exc}: lower t_steps, or raise z_steps or t_span") from exc
+    params_prop = PropagationParams.from_system(
+        system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         env_in = gaussian_envelope(params_prop.t_grid, center, sigma,
                                    amplitude=complex(drive.Omega1))
@@ -177,7 +174,8 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
                         record.measured_phase]).all():
         raise EvaluationError(
             f"the pulse is not finite at slab_length = {fmt(cfg.slab_length)} m: the "
-            "slab or its time grid leaves floating-point range; lower slab_length")
+            "slab or its time grid leaves floating-point range; lower slab_length, "
+            "or bring t_span, t_steps and pulse_sigma back into range")
     slowdown = CONST.c * record.measured_delay / cfg.slab_length if cfg.slab_length else 0.0
 
     warning = None
@@ -186,8 +184,12 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
                    f"{fmt(ATTENUATION_FLOOR)} roundoff floor of the sampled input "
                    "(about e^-32), so the pulse was not measured: lower slab_length")
     elif not record.converged:
-        warning = (f"grid too coarse: delay moved {fmt(100 * record.convergence_delta)}% "
-                   "under refinement")
+        leaks = [(record.band_share, "of the input spectrum lies above half the "
+                  "Nyquist frequency: raise t_steps or pulse_sigma"),
+                 (record.spill_share, "of the output runs past the window's end: "
+                  "raise t_span")]
+        warning = "grid too coarse: " + "; ".join(
+            f"{fmt(100 * share)}% {what}" for share, what in leaks if share > LEAK_LIMIT)
 
     params = {**resolved_params_dict(cfg), **params_prop.params_dict(),
               "pulse_sigma_s": sigma, "pulse_center_s": center, "t_span_s": span}
@@ -207,7 +209,7 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
             "slowdown_factor": slowdown,
             "vg_over_c": 1.0 / (1.0 + slowdown) if slowdown != -1.0 else np.inf,
             "grid": {"z_steps": params_prop.z_steps, "t_steps": params_prop.t_steps,
-                     "dt_s": params_prop.dt, "dz_m": params_prop.dz},
+                     "dt_s": params_prop.dt},
             "converged": bool(record.converged),
             "convergence_delta": record.convergence_delta,
         }

@@ -135,8 +135,9 @@ class ScenarioConfig:
     levels_n_max: int = _key(10)
     levels_l_max: int = _key(1)
     # propagation; the slab is applied exactly in frequency space, so
-    # z_steps is parsed, validated and echoed but does not change the
-    # envelope, and t_steps is the only resolution
+    # t_steps is the only resolution.  z_steps is parsed, validated and
+    # echoed but does not change the envelope; it stays because the
+    # benchmark's config text sets it and its calls pass it on
     slab_length: float = _key(30e-6, "length")
     z_steps: int = _key(480)
     t_steps: int = _key(2400)
@@ -191,6 +192,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be >= 1", keys=(key,))
         if self.t_steps < 8:
             raise ConfigError("t_steps must be >= 8", keys=("t_steps",))
+        if self.t_steps > 2**20:  # the pulse kernel keeps ~330 B per step
+            raise ConfigError("t_steps must be <= 1048576", keys=("t_steps",))
         if self.levels_l_max < 0:
             raise ConfigError("levels_l_max must be >= 0", keys=("levels_l_max",))
         for key in ("N", "gamma_ab", "gamma_bc", "gamma_ac", "dipole_ab_sq", "slab_length"):

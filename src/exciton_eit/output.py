@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def fmt(x) -> str:

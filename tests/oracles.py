@@ -5,6 +5,7 @@ package gets in closed form, by a different method.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,3 +91,24 @@ def slab_transmission(envelope_in, params, drive: FieldDrive, system: LadderSyst
     transfer = np.exp(1j * drive.omega1 * chi(omega, system, drive) * params.L
                       / (2.0 * CONST.c))
     return np.fft.ifft(np.fft.fft(env, n_pad) * transfer)[:len(env)]
+
+
+def rerun_delay_shift(envelope_in, params, drive: FieldDrive, system: LadderSystem) -> float:
+    """The grid check the package ran before it read its checks off one pass.
+
+    The slab runs on the grid and again on every second sample, both
+    through ``slab_transmission``; the result is the shift of the
+    intensity-centroid delay between the two, relative to the delay (or
+    to one step, if that is larger).  A shift above 1% flagged the grid.
+    Needs ``params.t_steps >= 16``, so that the coarse grid has 8 steps.
+    """
+    def delay(env, p):
+        out = slab_transmission(env, p, drive, system)
+        t = p.t_grid
+        return (np.trapezoid(np.abs(out) ** 2 * t, t) / np.trapezoid(np.abs(out) ** 2, t)
+                - np.trapezoid(np.abs(env) ** 2 * t, t) / np.trapezoid(np.abs(env) ** 2, t))
+
+    env = np.asarray(envelope_in, dtype=complex)
+    fine = delay(env, params)
+    coarse = delay(env[::2], replace(params, t_steps=params.t_steps // 2, dt=2.0 * params.dt))
+    return abs(fine - coarse) / max(abs(fine), params.dt)

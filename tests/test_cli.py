@@ -1,11 +1,17 @@
 """End-to-end CLI runs: files, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exciton_eit import ScenarioConfig
 from exciton_eit.cli import main
@@ -221,6 +227,8 @@ def test_colliding_spectrum_files_exit_code(tmp_path, capsys):
     ("slab_length = -1 um", "slab_length", "propagate"),
     ("t_span = 0 s", "t_span", "propagate"),
     ("t_steps = 100000000", "t_steps", "propagate"),
+    ("t_steps = 20000000", "t_steps", "propagate"),
+    ("t_steps = 20000000", "t_steps", "validate"),
     ("pulse_sigma = -1 ns", "pulse_sigma", "propagate"),
     ("gamma_ab = -1 Grad/s", "gamma_ab", "spectrum"),
     ("gamma_bc = -1 Grad/s", "gamma_bc", "spectrum"),
@@ -246,8 +254,7 @@ def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert "Traceback" not in err
-    if key != "t_steps":  # rejected by run_propagate, once the span is known
-        assert "line 1" in err
+    assert "line 1" in err
 
 
 def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):
@@ -272,6 +279,82 @@ def test_huge_slab_is_a_numerical_failure(tmp_path, capsys):
     assert not (out / "pulse_summary.json").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("t_steps = 8", "t_steps"),
+    ("t_steps = 20", "t_steps"),
+    ("t_span = 1.2 ns", "t_span"),
+])
+def test_propagate_names_the_key_that_fixes_a_coarse_grid(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "propagate"]) == 0
+    doc = json.loads((out / "pulse_summary.json").read_text())
+    assert doc["converged"] is False
+    assert float(doc["convergence_delta"]) > 0.01
+    assert doc["warning"].startswith("grid too coarse") and f"raise {key}" in doc["warning"]
+    assert "WARNING grid too coarse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["pulse_sigma = 1e-300 s", "t_span = 1e-300 s"])
+def test_vanishing_time_scales_warn_or_fail_cleanly(tmp_path, capsys, text):
+    # 1e-300 s squared underflows; the run either measures and warns, or
+    # stops as a numerical failure, and either way names a key to change
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "propagate"])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert "WARNING grid too coarse" in err
+    else:
+        assert code == 3
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert text.split()[0] in err
+
+
+def run_config(command, text):
+    """Exit code and stderr of one CLI run, with every warning an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.txt"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg), "--out", str(Path(tmp) / "run"), command])
+    return code, err.getvalue()
+
+
+log_seconds = st.floats(-300.0, 3.0).map(lambda e: 10.0**e)
+slab_lengths = st.just(0.0) | st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+
+
+def exits_cleanly(command, t_span, pulse_sigma, slab_length, t_steps):
+    code, err = run_config(command, f"t_span = {t_span!r} s\npulse_sigma = {pulse_sigma!r} s\n"
+                                    f"slab_length = {slab_length!r} m\nt_steps = {t_steps}\n")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.count("\n") == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t_span=log_seconds, pulse_sigma=log_seconds, slab_length=slab_lengths,
+       t_steps=st.integers(8, 4096))
+@example(t_span=1e-300, pulse_sigma=1e-9, slab_length=3e-5, t_steps=2400)  # exit 3
+def test_propagate_exits_cleanly_on_any_grid(t_span, pulse_sigma, slab_length, t_steps):
+    exits_cleanly("propagate", t_span, pulse_sigma, slab_length, t_steps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t_span=log_seconds, pulse_sigma=log_seconds, slab_length=slab_lengths,
+       t_steps=st.integers(8, 2**62))
+def test_validate_exits_cleanly_on_any_grid(t_span, pulse_sigma, slab_length, t_steps):
+    exits_cleanly("validate", t_span, pulse_sigma, slab_length, t_steps)
+
+
 def propagate_below_the_floor(tmp_path, capsys, length):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"slab_length = {length}\n")
@@ -290,9 +373,9 @@ def test_propagate_flags_zero_transmission(tmp_path, capsys):
 
 def test_propagate_flags_a_thick_slab_below_the_roundoff_floor(tmp_path, capsys):
     # at 180 um the centre transmission is about e^-171: the output is the
-    # input's roundoff, whose delay (6.25 ns, against about 13.1 ns for the
-    # true pulse) the half-resolution rerun repeats, so only the floor
-    # check can flag it
+    # input's roundoff, whose delay (2.17 ns, against about 13.1 ns for the
+    # true pulse) means nothing; the floor check flags it and its warning
+    # names slab_length
     propagate_below_the_floor(tmp_path, capsys, "180 um")
 
 

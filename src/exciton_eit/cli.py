@@ -184,8 +184,8 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
                    f"{fmt(ATTENUATION_FLOOR)} roundoff floor of the sampled input "
                    "(about e^-32), so the pulse was not measured: lower slab_length")
     elif not record.converged:
-        leaks = [(record.band_share, "of the input spectrum lies above half the "
-                  "Nyquist frequency: raise t_steps or pulse_sigma"),
+        leaks = [(record.band_share, "of the input or output spectrum lies above "
+                  "half the Nyquist frequency: raise t_steps or pulse_sigma"),
                  (record.spill_share, "of the output runs past the window's end: "
                   "raise t_span")]
         warning = "grid too coarse: " + "; ".join(

@@ -21,14 +21,15 @@ large prime factor.
 There is no z discretisation: ``PropagationParams.z_steps`` is kept and
 reported, but does not change the envelope.  The time grid is the only
 resolution, and the one padded pass checks it on two energy shares: the
-input spectrum's energy above half the Nyquist frequency (a step too
-coarse for the pulse) and the output energy past the window's end, in
-the zero padding (a window too short for the delayed pulse).  A share
-above ``LEAK_LIMIT`` marks the record unconverged.  Very thick slabs are
-not resolvable: the ~1e-16 roundoff of the sampled input (about e^-34 of
-its peak) passes the transparent wings of chi and swamps the transmitted
-pulse, so a measured attenuation below ``ATTENUATION_FLOOR`` (about
-e^-32) marks the record unconverged too.
+spectral energy above half the Nyquist frequency, of the input or of the
+output (a step too coarse for the pulse, or for the far wings the slab
+passes while it absorbs the line centre), and the output energy past the
+window's end, in the zero padding (a window too short for the delayed
+pulse).  A share above ``LEAK_LIMIT`` marks the record unconverged.
+Very thick slabs are not resolvable: the ~1e-16 roundoff of the sampled
+input (about e^-34 of its peak) passes the transparent wings of chi and
+swamps the transmitted pulse, so a measured attenuation below
+``ATTENUATION_FLOOR`` (about e^-32) marks the record unconverged too.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class PulseRecord:
     transit (the run works in the retarded frame), so a vacuum run reports
     exactly zero.  ``measured_attenuation`` compares envelope peaks and
     ``measured_phase`` is the phase the output peak gains over the input
-    peak, wrapped to (-pi, pi].  ``band_share`` is the share of the
-    input's spectral energy above half the Nyquist frequency, and
-    ``spill_share`` the share of the padded output's energy past the
-    window's end; both are 0 for an empty medium.
+    peak, wrapped to (-pi, pi].  ``band_share`` is the larger of the
+    input's and the output's share of spectral energy above half the
+    Nyquist frequency, and ``spill_share`` the share of the padded
+    output's energy past the window's end; both are 0 for an empty medium.
     """
 
     t_grid: np.ndarray
@@ -155,10 +156,11 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
         record = _measure(params.t_grid, env0, env0.copy(), params)
     else:
         spectrum = np.fft.fft(env0, n_pad)
-        padded = np.fft.ifft(spectrum * transfer)
+        spectrum_out = spectrum * transfer
+        padded = np.fft.ifft(spectrum_out)
         record = _measure(params.t_grid, env0, padded[:len(env0)], params)
-        quarter = n_pad // 4
-        record.band_share = _share(spectrum[quarter:n_pad - quarter], spectrum)
+        band = slice(n_pad // 4, n_pad - n_pad // 4)
+        record.band_share = max(_share(s[band], s) for s in (spectrum, spectrum_out))
         record.spill_share = _share(padded[len(env0):], padded)
     if (record.convergence_delta > LEAK_LIMIT
             or record.measured_attenuation < ATTENUATION_FLOOR):

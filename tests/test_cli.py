@@ -80,6 +80,47 @@ def test_reruns_are_byte_identical(tmp_path):
         assert digest(a / name) == digest(b / name), name
 
 
+# sha256 of every file and of stdout for the default configuration, taken
+# before the CSV/JSON writers were rewritten around column mappings.
+# `propagate` is left out: its default observables sit at the FFT roundoff
+# floor, where the last printed digits are not stable under any reordering.
+DEFAULT_DIGESTS = {
+    "spectrum": {
+        "spectrum_om2_0Grads.csv": "8f83a23315854d167f2d17f6854c713271c5abc85dc5ca2de61132080ca0e9cc",
+        "spectrum_om2_0Grads.json": "9681cb64c949d4a86455d6b65d8d39b53a3aed4c78bde3ef1ddb65834bf78b0b",
+        "spectrum_om2_10Grads.csv": "7c3d64c4412274e9c058b5efeab02d39dbe700c9a14d1aaed7df82ac289908ef",
+        "spectrum_om2_10Grads.json": "752a4b2066aca10a03bb25e3bd85eb80b2e2620f4cefbdb4eac682ef87d36eaf",
+        "spectrum_om2_25Grads.csv": "0532fc8c45558e6d07668cd70a9b36f59712b26cb8d54756ed13ec286f514a0c",
+        "spectrum_om2_25Grads.json": "68026d4d47832af23dd2ea5ce2bee1315dee8c0e4913eba900d45b599c4a1575",
+        "spectrum_om2_50Grads.csv": "65eff1be8cd5b417e90bb92df535afe3c6e14de8cc0f868b882b776ec55a4fa5",
+        "spectrum_om2_50Grads.json": "7fb51d0ef9b12cc26931c298bc8f46069ed4245ab872a62d10d7c7eca659d305",
+        "stdout": "b459efb0c5fe2c0d7919a24b5091de11d1c02457f1bdcee8cb1f8fa168e409b4",
+    },
+    "sweep": {
+        "sweep.csv": "43e702870fa80f5b32c27b94b66705ea3af0376d0acb99409b3bb372f035fa67",
+        "sweep.json": "547dac36fac989650ff5a975787eff990d55e52e094a79dfe5b2487a9f6303eb",
+        "stdout": "ad6a4aec9726f5a058bdcc8898e33d114ec2721df785d779e180c39b40a0a346",
+    },
+    "levels": {
+        "levels.csv": "9da207d57acde5d292a3baacfe2528ea7944aed6f76832d0a8a8be8a6349c3f4",
+        "levels.json": "3214559182360526237cd8ed5936c5b350bbbb39da9471b673e807d1e383c6c6",
+        "stdout": "97f808ef41358eec79a99d450168af62d66832dcde4a994a47a73719e30e30db",
+    },
+    "validate": {
+        "stdout": "d5b99922bcaeac8fb157120bc0f00514a0b9f3e42668b7a25a33d6f86aaea476",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_DIGESTS))
+def test_default_outputs_match_stored_digests(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), command]) == 0
+    got = {p.name: digest(p) for p in out.iterdir()} if out.exists() else {}
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == DEFAULT_DIGESTS[command]
+
+
 def test_sweep_argmax_summary(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["--out", str(out), "sweep"]) == 0

@@ -30,16 +30,16 @@ class EvaluationError(ArithmeticError):
     exactly on a pole, or a time evolution that overflows."""
 
 
-def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive,
-              derivative: bool = False):
-    """chi, or d chi/d omega, at offsets ``omega`` broadcast against |Omega2|^2.
+def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
+    """(chi, d chi/d omega) at offsets ``omega`` broadcast against |Omega2|^2.
 
     Written in product form: with P = one * inner - |Omega2|^2,
-    chi = -pref inner / P and chi' = pref (inner^2 + |Omega2|^2) / P^2.
-    Nothing divides by the inner denominator, so with gamma_bc = 0 chi
-    and chi' reach their two-photon limits, 0 and pref/|Omega2|^2, with no
-    overflow however close to resonance.  Without control inner is taken
-    as 1, which leaves the bare line.
+    chi = -pref inner / P and chi' = pref (inner^2 + |Omega2|^2) / P^2, so
+    both come from one P and one pole check.  Nothing divides by the inner
+    denominator, so with gamma_bc = 0 chi and chi' reach their two-photon
+    limits, 0 and pref/|Omega2|^2, with no overflow however close to
+    resonance.  Without control inner is taken as 1, which leaves the bare
+    line.
     """
     pref = system.chi_prefactor
     one = omega - drive.delta1 + 1j * system.gamma_ab
@@ -48,9 +48,18 @@ def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive,
     p = one * inner - om2_sq
     if np.any(p == 0):
         raise EvaluationError("susceptibility evaluated exactly on a pole")
-    if derivative:
-        return pref * (inner * inner + om2_sq) / (p * p)
-    return -pref * inner / p
+    return -pref * inner / p, pref * (inner * inner + om2_sq) / (p * p)
+
+
+def _evaluate(omega, system: LadderSystem, drive: FieldDrive):
+    """(chi, chi') at a scalar (as complex numbers) or an array of offsets."""
+    x, dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)
+    return (complex(x), complex(dx)) if x.ndim == 0 else (x, dx)
+
+
+def _group_index(dchi, drive: FieldDrive):
+    """n_g = 1 + (omega1/2) Re chi' from the derivative chi'."""
+    return 1.0 + 0.5 * drive.omega1 * np.real(dchi)
 
 
 def chi(omega, system: LadderSystem, drive: FieldDrive):
@@ -61,20 +70,17 @@ def chi(omega, system: LadderSystem, drive: FieldDrive):
     control field).  An exact pole, reachable only with all dampings zero,
     raises :class:`EvaluationError` rather than returning an infinity.
     """
-    x = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)
-    return complex(x) if x.ndim == 0 else x
+    return _evaluate(omega, system, drive)[0]
 
 
 def chi_derivative(omega, system: LadderSystem, drive: FieldDrive):
     """Analytic d chi / d omega at probe offset ``omega`` (units s)."""
-    dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive,
-                   derivative=True)
-    return complex(dx) if dx.ndim == 0 else dx
+    return _evaluate(omega, system, drive)[1]
 
 
 def group_index(omega, system: LadderSystem, drive: FieldDrive):
     """Group index n_g = 1 + (omega1/2) d Re(chi)/d omega."""
-    return 1.0 + 0.5 * drive.omega1 * np.real(chi_derivative(omega, system, drive))
+    return _group_index(chi_derivative(omega, system, drive), drive)
 
 
 def group_velocity(omega, system: LadderSystem, drive: FieldDrive):
@@ -82,8 +88,8 @@ def group_velocity(omega, system: LadderSystem, drive: FieldDrive):
 
     Negative values (anomalous dispersion) are returned as-is.
     """
-    denom = (1.0 + 0.5 * np.real(chi(omega, system, drive))
-             + 0.5 * drive.omega1 * np.real(chi_derivative(omega, system, drive)))
+    x, dx = _evaluate(omega, system, drive)
+    denom = 1.0 + 0.5 * np.real(x) + 0.5 * drive.omega1 * np.real(dx)
     if np.any(np.asarray(denom) == 0):
         raise EvaluationError("group velocity denominator vanished")
     return CONST.c / denom
@@ -113,13 +119,9 @@ class SpectrumTable:
 def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> SpectrumTable:
     """Evaluate chi and n_g over a strictly increasing offset grid."""
     w = np.asarray(omega_grid, dtype=float)
-    x = chi(w, system, drive)
-    return SpectrumTable(
-        omega_grid=w,
-        chi_re=x.real,
-        chi_im=x.imag,
-        n_g=np.asarray(group_index(w, system, drive)),
-    )
+    x, dx = _evaluate(w, system, drive)
+    return SpectrumTable(omega_grid=w, chi_re=x.real, chi_im=x.imag,
+                         n_g=np.asarray(_group_index(dx, drive)))
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     p = one * inner - om2_sq
     center_abs = float((-pref * inner / p).imag)
     slope = float((pref * (inner * inner + om2_sq) / (p * p)).real)
-    ng_center = 1.0 + 0.5 * drive.omega1 * slope
+    ng_center = _group_index(slope, drive)
 
     if abs(drive.Omega2) == 0.0 or center_abs >= half:
         return WindowMetrics(center_abs=center_abs, width=0.0,
@@ -280,13 +282,13 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
         raise ValueError("omega2 grid must be strictly increasing")
 
     center = drive.delta1 - drive.delta2
-    dchi = _response(center, om2**2, system, drive, derivative=True)
-    ng = 1.0 + 0.5 * drive.omega1 * dchi.real
+    x, dx = _response(center, om2**2, system, drive)
+    ng = _group_index(dx, drive)
     i = int(np.argmax(ng))
     return ControlSweep(
         omega2_grid=om2,
         ng_center=ng,
-        chi_im_center=_response(center, om2**2, system, drive).imag,
+        chi_im_center=x.imag,
         argmax_omega2=float(om2[i]),
         ng_max=float(ng[i]),
     )

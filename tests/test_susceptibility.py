@@ -273,11 +273,12 @@ def oracle_real_roots(coef):
 
 
 def oracle_window(system, drive):
-    """(center_abs, width, ng_center) from 0-d _response calls and polyroots."""
+    """(center_abs, width, ng_center) from a 0-d _response call and polyroots."""
     center = drive.delta1 - drive.delta2
     om2_sq = abs(drive.Omega2) ** 2
-    center_abs = float(_response(center, om2_sq, system, drive).imag)
-    slope = float(_response(center, om2_sq, system, drive, derivative=True).real)
+    x, dx = _response(center, om2_sq, system, drive)
+    center_abs = float(x.imag)
+    slope = float(dx.real)
     ng_center = 1.0 + 0.5 * drive.omega1 * slope
     if abs(drive.Omega2) == 0.0 or center_abs >= 0.5 * system.chi_prefactor / system.gamma_ab:
         return center_abs, 0.0, ng_center

@@ -72,19 +72,14 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
         grid = np.linspace(center - cfg.omega_half_span,
                            center + cfg.omega_half_span, cfg.omega_points)
         table = compute_spectrum(system, drive, grid)
+        columns = {"omega_rad_s": table.omega_grid, "chi_re": table.chi_re,
+                   "chi_im": table.chi_im, "n_g": table.n_g}
         params = {**resolved_params_dict(cfg), "Omega2_this_run": om2}
         stem = spectrum_stem(om2)
         if csv_on:
-            rows = zip(table.omega_grid, table.chi_re, table.chi_im, table.n_g)
-            write_csv(args.out / f"{stem}.csv",
-                      ["omega_rad_s", "chi_re", "chi_im", "n_g"], rows, params)
+            write_csv(args.out / f"{stem}.csv", columns, params)
         if json_on:
-            write_json(args.out / f"{stem}.json", {
-                "omega_rad_s": list(table.omega_grid),
-                "chi_re": list(table.chi_re),
-                "chi_im": list(table.chi_im),
-                "n_g": list(table.n_g),
-            }, params)
+            write_json(args.out / f"{stem}.json", columns, params)
         print(f"spectrum: Omega2 = {fmt(om2)} rad/s -> {stem}")
     return 0
 
@@ -94,19 +89,15 @@ def run_sweep(cfg: ScenarioConfig, args) -> int:
     drive = cfg.build_drive(system)
     grid = np.linspace(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points)
     sweep = sweep_control(system, drive, grid)
+    columns = {"omega2_rad_s": sweep.omega2_grid, "ng_center": sweep.ng_center,
+               "chi_im_center": sweep.chi_im_center}
     params = resolved_params_dict(cfg)
     csv_on, json_on = _formats(args)
     if csv_on:
-        rows = zip(sweep.omega2_grid, sweep.ng_center, sweep.chi_im_center)
-        write_csv(args.out / "sweep.csv",
-                  ["omega2_rad_s", "ng_center", "chi_im_center"], rows, params)
+        write_csv(args.out / "sweep.csv", columns, params)
     if json_on:
         write_json(args.out / "sweep.json", {
-            "omega2_rad_s": list(sweep.omega2_grid),
-            "ng_center": list(sweep.ng_center),
-            "chi_im_center": list(sweep.chi_im_center),
-            "argmax_omega2_rad_s": sweep.argmax_omega2,
-            "ng_max": sweep.ng_max,
+            **columns, "argmax_omega2_rad_s": sweep.argmax_omega2, "ng_max": sweep.ng_max,
         }, params)
     print(f"sweep: argmax Omega2 = {fmt(sweep.argmax_omega2)} rad/s, "
           f"max n_g(center) = {fmt(sweep.ng_max)}")
@@ -116,21 +107,19 @@ def run_sweep(cfg: ScenarioConfig, args) -> int:
 def run_levels(cfg: ScenarioConfig, args) -> int:
     params_model = cfg.build_level_params()
     rows = level_table(params_model, n_max=cfg.levels_n_max, l_max=cfg.levels_l_max)
+    columns = {"n": [r.n for r in rows], "l": [r.l for r in rows],
+               "m": [r.m for r in rows], "eta": [r.eta for r in rows],
+               "E_real_meV": [r.energy.real * 1e3 for r in rows],
+               "E_imag_meV": [r.energy.imag * 1e3 for r in rows],
+               "branch": [r.branch for r in rows]}
     params = resolved_params_dict(cfg)
     csv_on, json_on = _formats(args)
-    table = [(r.n, r.l, r.m, r.eta,
-              r.energy.real * 1e3, r.energy.imag * 1e3, r.branch) for r in rows]
     if csv_on:
-        write_csv(args.out / "levels.csv",
-                  ["n", "l", "m", "eta", "E_real_meV", "E_imag_meV", "branch"],
-                  [(str(n), str(l), str(m), eta, er, ei, br)
-                   for n, l, m, eta, er, ei, br in table], params)
+        write_csv(args.out / "levels.csv", columns, params)
     if json_on:
-        write_json(args.out / "levels.json", {
-            "rows": [{"n": n, "l": l, "m": m, "eta": eta,
-                      "E_real_meV": er, "E_imag_meV": ei, "branch": br}
-                     for n, l, m, eta, er, ei, br in table],
-        }, params)
+        write_json(args.out / "levels.json",
+                   {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]},
+                   params)
     mixed = [r for r in rows if r.branch in ("2P", "10S")]
     for r in mixed:
         print(f"levels: {r.branch} branch at {fmt(r.energy.real * 1e3)} meV "
@@ -195,12 +184,10 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
               "pulse_sigma_s": sigma, "pulse_center_s": center, "t_span_s": span}
     csv_on, json_on = _formats(args)
     if csv_on:
-        rows = zip(record.t_grid,
-                   np.abs(record.envelope_in), np.angle(record.envelope_in),
-                   np.abs(record.envelope_out), np.angle(record.envelope_out))
-        write_csv(args.out / "pulse.csv",
-                  ["t_s", "env_in_abs", "env_in_arg", "env_out_abs", "env_out_arg"],
-                  rows, params)
+        env_in, env_out = record.envelope_in, record.envelope_out
+        write_csv(args.out / "pulse.csv", {
+            "t_s": record.t_grid, "env_in_abs": np.abs(env_in), "env_in_arg": np.angle(env_in),
+            "env_out_abs": np.abs(env_out), "env_out_arg": np.angle(env_out)}, params)
     if json_on:
         payload = {
             "delay_s": record.measured_delay,

@@ -1,9 +1,11 @@
 """Deterministic CSV and JSON emission.
 
-All numbers are written with 17 significant digits and '.' as the decimal
-separator; JSON carries numeric data as decimal strings so the rendered
-bytes are identical across platforms and runs.  Every file embeds the
-resolved parameter set that produced it.
+A table is one ordered mapping of column name to column (a numpy array or
+a list); the same mapping feeds both writers, which convert each array
+once with ``.tolist()``.  All numbers are written with 17 significant
+digits and '.' as the decimal separator; JSON carries numeric data as
+decimal strings so the rendered bytes are identical across platforms and
+runs.  Every file embeds the resolved parameter set that produced it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ def _provenance_value(v):
         return fmt(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
+    if isinstance(v, np.ndarray):
+        return _provenance_value(v.tolist())
     if isinstance(v, (list, tuple)):
         return [_provenance_value(x) for x in v]
     if isinstance(v, dict):
@@ -45,13 +49,16 @@ def _provenance_comment_lines(params: dict) -> list[str]:
     return lines
 
 
-def write_csv(path: Path, columns: list[str], rows, params: dict) -> None:
-    """Write a provenance-headed CSV with deterministic formatting."""
+def write_csv(path: Path, columns: dict, params: dict) -> None:
+    """Write a provenance-headed CSV of named, equal-length columns: string
+    cells as they are, every other cell as ``fmt`` renders it."""
     lines = _provenance_comment_lines(params)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt(cell)
-                              for cell in row))
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns.values())))
+    if rows:
+        template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in rows[0])
+        lines.extend(template % row for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -33,13 +33,12 @@ class EvaluationError(ArithmeticError):
 def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
     """(chi, d chi/d omega) at offsets ``omega`` broadcast against |Omega2|^2.
 
-    Written in product form: with P = one * inner - |Omega2|^2,
-    chi = -pref inner / P and chi' = pref (inner^2 + |Omega2|^2) / P^2, so
-    both come from one P and one pole check.  Nothing divides by the inner
-    denominator, so with gamma_bc = 0 chi and chi' reach their two-photon
-    limits, 0 and pref/|Omega2|^2, with no overflow however close to
-    resonance.  Without control inner is taken as 1, which leaves the bare
-    line.
+    Both come from one product form: with P = one * inner - |Omega2|^2,
+    chi = -pref inner / P and chi' = pref (inner^2 + |Omega2|^2) / P^2.
+    Nothing divides by the inner denominator, so with gamma_bc = 0 chi
+    and chi' reach their two-photon limits, 0 and pref/|Omega2|^2, with no
+    overflow however close to resonance.  Without control inner is taken
+    as 1, which leaves the bare line.
     """
     pref = system.chi_prefactor
     one = omega - drive.delta1 + 1j * system.gamma_ab
@@ -121,7 +120,7 @@ def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> Spe
     w = np.asarray(omega_grid, dtype=float)
     x, dx = _evaluate(w, system, drive)
     return SpectrumTable(omega_grid=w, chi_re=x.real, chi_im=x.imag,
-                         n_g=np.asarray(_group_index(dx, drive)))
+                         n_g=_group_index(dx, drive))
 
 
 @dataclass(frozen=True)

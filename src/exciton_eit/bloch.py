@@ -147,9 +147,6 @@ class BlochTrajectory:
     def sigma_bb(self) -> np.ndarray:
         return self.y[1]
 
-    def state(self, index: int = -1) -> DensityMatrixState:
-        return DensityMatrixState.from_vector(self.y[:, index])
-
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM

@@ -122,7 +122,6 @@ class PulseRecord:
     converged: bool = True
     band_share: float = 0.0
     spill_share: float = 0.0
-    params: PropagationParams | None = None
 
     @property
     def convergence_delta(self) -> float:
@@ -153,12 +152,12 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     n_pad = _padded_length(params.t_steps)
     transfer = _transfer(n_pad, params, drive, system)
     if transfer is None:
-        record = _measure(params.t_grid, env0, env0.copy(), params)
+        record = _measure(params.t_grid, env0, env0.copy())
     else:
         spectrum = np.fft.fft(env0, n_pad)
         spectrum_out = spectrum * transfer
         padded = np.fft.ifft(spectrum_out)
-        record = _measure(params.t_grid, env0, padded[:len(env0)], params)
+        record = _measure(params.t_grid, env0, padded[:len(env0)])
         band = slice(n_pad // 4, n_pad - n_pad // 4)
         record.band_share = max(_share(s[band], s) for s in (spectrum, spectrum_out))
         record.spill_share = _share(padded[len(env0):], padded)
@@ -200,8 +199,7 @@ def _share(part: np.ndarray, whole: np.ndarray) -> float:
     return float(np.vdot(part, part).real / total) if total else 0.0
 
 
-def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray,
-             params: PropagationParams) -> PulseRecord:
+def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRecord:
     def centroid(e):
         w = np.abs(e) ** 2
         total = np.trapezoid(w, t)
@@ -220,5 +218,4 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray,
         measured_delay=centroid(env_out) - centroid(env_in),
         measured_attenuation=float(peak_out / peak_in) if peak_in else 0.0,
         measured_phase=float(np.angle(env_out[i_out] * np.conj(env_in[i_in]))),
-        params=params,
     )

@@ -249,8 +249,7 @@ class TestPaddedLength:
 
 def fixed_padding_record(env, params, drive, system):
     """``propagate_pulse``'s observables with the FFT padded to 4x its grid."""
-    return _measure(params.t_grid, env, slab_transmission(env, params, drive, system),
-                    params)
+    return _measure(params.t_grid, env, slab_transmission(env, params, drive, system))
 
 
 # Bounds are a few times the worst seen over these cases: envelope 4.9e-15

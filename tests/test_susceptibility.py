@@ -438,6 +438,32 @@ def test_sweep_matches_pointwise_response(gamma_ab, gamma_bc, delta1, delta2, lo
         assert ab == pytest.approx(chi(center, sys_, d).imag, rel=1e-14, abs=0.0)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11),
+       gamma_bc=st.one_of(st.just(0.0), st.floats(1e7, 1e10)),
+       omega2=st.one_of(st.just(0.0), st.floats(1e8, 2e11)),
+       delta1=st.floats(-1e11, 1e11), delta2=st.floats(-1e11, 1e11),
+       points=st.integers(1, 60))
+def test_fused_kernel_is_bit_identical_to_the_pointwise_calls(gamma_ab, gamma_bc, omega2,
+                                                              delta1, delta2, points):
+    # compute_spectrum and group_velocity take chi and chi' from one
+    # evaluation; it must give the very bits the separate calls give
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, Omega2=omega2, delta1=delta1, delta2=delta2)
+    center = delta1 - delta2
+    w = center + gamma_ab * np.linspace(-5.0, 5.0, points)
+    table = compute_spectrum(sys_, drv, w)
+    x, dx = chi(w, sys_, drv), chi_derivative(w, sys_, drv)
+    assert np.array_equal(table.chi_re, x.real)
+    assert np.array_equal(table.chi_im, x.imag)
+    assert np.array_equal(table.n_g, group_index(w, sys_, drv))
+    vg = CONST.c / (1.0 + 0.5 * x.real + 0.5 * drv.omega1 * dx.real)
+    assert np.array_equal(group_velocity(w, sys_, drv), vg)
+    x0, dx0 = chi(center, sys_, drv), chi_derivative(center, sys_, drv)
+    assert group_velocity(center, sys_, drv) == (
+        CONST.c / (1.0 + 0.5 * x0.real + 0.5 * drv.omega1 * dx0.real))
+
+
 class TestScalingInvariance:
     def test_prefactor_scaling(self):
         rng = np.random.default_rng(5)
@@ -463,6 +489,27 @@ class TestScalingInvariance:
         assert a.argmax_omega2 == b.argmax_omega2
 
 
+def hilbert_residual(gamma_ab, gamma_bc, om2, delta1, delta2):
+    """Largest gap between Re chi and the Hilbert sum of Im chi, relative to
+    the largest |Re chi|, at 201 offsets within 1e11 rad/s of resonance.
+
+    chi is a rational response, analytic in the upper half plane, so
+    chi'(w0) = (1/pi) PV int chi''(w) / (w - w0) dw; the PV sum is taken at
+    grid midpoints.
+    """
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, Omega2=om2, delta1=delta1, delta2=delta2)
+    span = 1.2e13
+    n = 24001
+    w = np.linspace(-span, span, n)
+    im = chi(w, sys_, drv).imag
+    dw = w[1] - w[0]
+    targets = np.linspace(-1e11, 1e11, 201) + 0.5 * dw
+    kk = (dw / np.pi) * np.sum(im[None, :] / (w[None, :] - targets[:, None]), axis=1)
+    re = chi(targets, sys_, drv).real
+    return np.max(np.abs(kk - re)) / np.max(np.abs(re))
+
+
 class TestKramersKronig:
     @pytest.mark.parametrize("gamma_ab, gamma_bc, om2, delta1, delta2", [
         pytest.param(4.5573e10, 7.596e9, 2.5e10, 0.0, 0.0, id="default"),
@@ -474,21 +521,16 @@ class TestKramersKronig:
     ])
     def test_hilbert_transform_reproduces_dispersion(self, gamma_ab, gamma_bc, om2,
                                                      delta1, delta2):
-        # chi is a rational response, analytic in the upper half plane, so
-        # chi'(w0) = (1/pi) PV int chi''(w) / (w - w0) dw; evaluate the PV
-        # sum at grid midpoints against the analytic real part
-        sys_ = medium(gamma_ab, gamma_bc)
-        drv = drive_for(sys_, Omega2=om2, delta1=delta1, delta2=delta2)
-        span = 1.2e13
-        n = 24001
-        w = np.linspace(-span, span, n)
-        im = chi(w, sys_, drv).imag
-        dw = w[1] - w[0]
-        targets = np.linspace(-1e11, 1e11, 201) + 0.5 * dw
-        kk = (dw / np.pi) * np.sum(im[None, :] / (w[None, :] - targets[:, None]), axis=1)
-        re = chi(targets, sys_, drv).real
-        scale = np.max(np.abs(re))
-        assert np.max(np.abs(kk - re)) / scale < 1e-5
+        assert hilbert_residual(gamma_ab, gamma_bc, om2, delta1, delta2) < 1e-5
+
+    # media drawn within the envelope of the six fixed ones above
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gamma_ab=st.floats(2e10, 4.5573e10),
+           gamma_bc=st.one_of(st.just(0.0), st.floats(0.0, 2e10)),
+           om2=st.floats(2.5e10, 8e10), delta1=st.floats(0.0, 3e10),
+           delta2=st.floats(-2e10, 0.0))
+    def test_hilbert_transform_on_random_media(self, gamma_ab, gamma_bc, om2, delta1, delta2):
+        assert hilbert_residual(gamma_ab, gamma_bc, om2, delta1, delta2) < 1e-5
 
 
 # Ranges keep both poles at least ~0.05 gamma_ab below the real axis, so

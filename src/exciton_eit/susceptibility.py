@@ -30,24 +30,30 @@ class EvaluationError(ArithmeticError):
     exactly on a pole, or a time evolution that overflows."""
 
 
-def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
-    """(chi, d chi/d omega) at offsets ``omega`` broadcast against |Omega2|^2.
+def _product_form(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
+    """(chi, inner, P) at offsets ``omega`` broadcast against |Omega2|^2.
 
-    Both come from one product form: with P = one * inner - |Omega2|^2,
-    chi = -pref inner / P and chi' = pref (inner^2 + |Omega2|^2) / P^2.
-    Nothing divides by the inner denominator, so with gamma_bc = 0 chi
-    and chi' reach their two-photon limits, 0 and pref/|Omega2|^2, with no
+    Written in product form: with P = one * inner - |Omega2|^2,
+    chi = -pref inner / P.  Nothing divides by the inner denominator, so
+    with gamma_bc = 0 chi reaches its two-photon limit, 0, with no
     overflow however close to resonance.  Without control inner is taken
     as 1, which leaves the bare line.
     """
-    pref = system.chi_prefactor
     one = omega - drive.delta1 + 1j * system.gamma_ab
     inner = np.where(om2_sq == 0, 1.0,
                      omega - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
     p = one * inner - om2_sq
     if np.any(p == 0):
         raise EvaluationError("susceptibility evaluated exactly on a pole")
-    return -pref * inner / p, pref * (inner * inner + om2_sq) / (p * p)
+    return -system.chi_prefactor * inner / p, inner, p
+
+
+def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
+    """(chi, d chi/d omega) from one product form (see ``_product_form``):
+    chi' = pref (inner^2 + |Omega2|^2) / P^2, whose two-photon limit at
+    gamma_bc = 0 is pref/|Omega2|^2."""
+    x, inner, p = _product_form(omega, om2_sq, system, drive)
+    return x, system.chi_prefactor * (inner * inner + om2_sq) / (p * p)
 
 
 def _evaluate(omega, system: LadderSystem, drive: FieldDrive):
@@ -68,8 +74,11 @@ def chi(omega, system: LadderSystem, drive: FieldDrive):
     two-photon resonance is taken as its analytic limit (0 for a nonzero
     control field).  An exact pole, reachable only with all dampings zero,
     raises :class:`EvaluationError` rather than returning an infinity.
+    It evaluates chi alone, for callers such as the pulse kernel that need
+    no derivative.
     """
-    return _evaluate(omega, system, drive)[0]
+    x = _product_form(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)[0]
+    return complex(x) if x.ndim == 0 else x
 
 
 def chi_derivative(omega, system: LadderSystem, drive: FieldDrive):

@@ -24,7 +24,7 @@ LAUNCH = ROOT / "bench" / "launch.py"
 def cli_names():
     tree = ast.parse(LAUNCH.read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and node.targets[0].id == "CLI_NAMES":
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CLI_NAMES":
             return ast.literal_eval(node.value)
     raise AssertionError("bench/launch.py defines no CLI_NAMES")
 

@@ -23,8 +23,6 @@ import numpy as np
 from .medium import FieldDrive, LadderSystem
 from .susceptibility import EvaluationError
 
-_DECAY_MODES = ("literal", "standard")
-
 
 class SingularSteadyStateError(ArithmeticError):
     """Raised when the linear steady-state system is degenerate."""
@@ -74,7 +72,7 @@ class DensityMatrixState:
 
 
 def _rhs_vector(y: np.ndarray, drive: FieldDrive, system: LadderSystem,
-                decay_mode: str, literal_ac_coherence: bool) -> np.ndarray:
+                decay_mode: str) -> np.ndarray:
     om1 = complex(drive.Omega1)
     om2 = complex(drive.Omega2)
     d1, d2 = drive.delta1, drive.delta2
@@ -93,16 +91,17 @@ def _rhs_vector(y: np.ndarray, drive: FieldDrive, system: LadderSystem,
     if decay_mode == "literal":
         daa = pump1 + pump2 - (Gab - Gca) * saa
         dcc = -pump2 - Gca * saa
-    else:
+    elif decay_mode == "standard":
         daa = pump1 + pump2 - (Gab + Gca) * saa
         dcc = -pump2 + Gca * saa
+    else:
+        raise ValueError("decay_mode must be 'literal' or 'standard'")
     dbb = -pump1 + Gab * saa
 
     dab = -1j * ((d1 - 1j * gab) * sab - om1 * (sbb - saa) - om2 * sbc.conjugate())
     dbc = -1j * ((d2 - d1 - 1j * gbc) * sbc + om2 * sab.conjugate()
                  - om1.conjugate() * sac)
-    ac_first = sac.conjugate() if literal_ac_coherence else sac
-    dac = -1j * ((d2 - 1j * gac) * ac_first - om2 * (scc - saa) - om1 * sbc)
+    dac = -1j * ((d2 - 1j * gac) * sac - om2 * (scc - saa) - om1 * sbc)
 
     return np.array([
         daa, dbb, dcc,
@@ -113,19 +112,10 @@ def _rhs_vector(y: np.ndarray, drive: FieldDrive, system: LadderSystem,
 
 
 def bloch_rhs(state: DensityMatrixState, drive: FieldDrive, system: LadderSystem,
-              decay_mode: str = "literal",
-              literal_ac_coherence: bool = False) -> DensityMatrixState:
-    """Time derivative of the six density-matrix components.
-
-    ``literal_ac_coherence`` switches the first term of the a-c coherence
-    equation to act on the conjugate coherence; the default keeps the
-    self-consistent form acting on sigma_ac itself.
-    """
-    if decay_mode not in _DECAY_MODES:
-        raise ValueError(f"decay_mode must be one of {_DECAY_MODES}")
-    dy = _rhs_vector(state.to_vector(), drive, system, decay_mode,
-                     literal_ac_coherence)
-    return DensityMatrixState.from_vector(dy)
+              decay_mode: str = "literal") -> DensityMatrixState:
+    """Time derivative of the six density-matrix components."""
+    return DensityMatrixState.from_vector(
+        _rhs_vector(state.to_vector(), drive, system, decay_mode))
 
 
 @dataclass
@@ -195,8 +185,7 @@ def _sample(generator: np.ndarray, y0: np.ndarray, T: float, t_eval):
 
 def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
                     system: LadderSystem, T: float,
-                    t_eval=None, decay_mode: str = "literal",
-                    literal_ac_coherence: bool = False) -> BlochTrajectory:
+                    t_eval=None, decay_mode: str = "literal") -> BlochTrajectory:
     """Propagate the full six-component dynamics from 0 to T.
 
     The right-hand side is linear in the packed real state, so the 9x9
@@ -208,15 +197,12 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     damping) can overflow the samples; that raises
     :class:`EvaluationError` naming the growth rate.
     """
-    if decay_mode not in _DECAY_MODES:
-        raise ValueError(f"decay_mode must be one of {_DECAY_MODES}")
     # work in coordinates z that replace sigma_bb by the trace, y = S z;
     # the equations conserve the trace, so its row of the generator is 0
     S = np.eye(9)
     S[1, 0] = S[1, 2] = -1.0
     generator = np.column_stack([
-        _rhs_vector(column, drive, system, decay_mode, literal_ac_coherence)
-        for column in S.T])
+        _rhs_vector(column, drive, system, decay_mode) for column in S.T])
     generator[1] = 0.0
     z0 = initial.to_vector()
     z0[1] = initial.trace
@@ -265,30 +251,23 @@ def steady_state_linearized(drive: FieldDrive,
 
 @dataclass
 class LinearizedTrajectory:
-    """Sampled first-order probe response."""
+    """End point of the first-order probe response."""
 
-    t: np.ndarray
-    y: np.ndarray  # shape (4, n_samples): Re, Im of sigma_ab, then of sigma_cb
     nfev: int      # matrix exponentials computed
     final_sigma_ab: complex
-    final_sigma_bc: complex
 
 
-def integrate_linearized(drive: FieldDrive, system: LadderSystem, T: float,
-                         initial: tuple[complex, complex] = (0.0, 0.0),
-                         t_eval=None) -> LinearizedTrajectory:
-    """Propagate the first-order probe equations from 0 to T.
+def integrate_linearized(drive: FieldDrive, system: LadderSystem,
+                         T: float) -> LinearizedTrajectory:
+    """Propagate the first-order probe equations from rest, 0 to T.
 
-    ``initial`` is (sigma_ab, sigma_cb) at t = 0.  The source term is
-    carried as a constant third component, d/dt (v, 1) = [[-iM, i b],
-    [0, 0]] (v, 1) with b = (Omega1, 0), so the exponential of that 3x3
-    matrix is exact whether or not M is singular.
+    The source term is carried as a constant third component, d/dt (v, 1)
+    = [[-iM, i b], [0, 0]] (v, 1) with v = (sigma_ab, sigma_cb) and
+    b = (Omega1, 0), so the exponential of that 3x3 matrix is exact
+    whether or not M is singular.
     """
     generator = np.zeros((3, 3), dtype=complex)
     generator[:2, :2] = -1j * _linear_matrix(drive, system)
     generator[0, 2] = 1j * complex(drive.Omega1)
-    y0 = np.array([initial[0], initial[1], 1.0], dtype=complex)
-    t, v, count = _sample(generator, y0, T, t_eval)
-    return LinearizedTrajectory(
-        t=t, y=np.array([v[0].real, v[0].imag, v[1].real, v[1].imag]), nfev=count,
-        final_sigma_ab=complex(v[0, -1]), final_sigma_bc=complex(v[1, -1]).conjugate())
+    _, v, count = _sample(generator, np.array([0.0, 0.0, 1.0], dtype=complex), T, None)
+    return LinearizedTrajectory(nfev=count, final_sigma_ab=complex(v[0, -1]))

@@ -155,9 +155,7 @@ class ScenarioConfig:
             gamma_ac=self.gamma_ac,
         )
 
-    def build_drive(self, system: LadderSystem | None = None,
-                    Omega2: float | None = None) -> FieldDrive:
-        system = system or self.build_system()
+    def build_drive(self, system: LadderSystem, Omega2: float | None = None) -> FieldDrive:
         return FieldDrive.from_detunings(
             system,
             Omega1=self.Omega1,

@@ -209,7 +209,7 @@ class LevelRow:
     branch: str
 
 
-def level_table(params: LevelModelParams, n_max: int = 10, l_max: int = 1) -> list[LevelRow]:
+def level_table(params: LevelModelParams, n_max: int, l_max: int) -> list[LevelRow]:
     """Bare anisotropy-corrected levels plus the two field-mixed roots.
 
     Bare rows carry binding energies (branch "bare"); the mixed rows carry

@@ -24,14 +24,10 @@ def fmt(x) -> str:
 
 
 def _provenance_value(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, complex):
-        return {"re": fmt(v.real), "im": fmt(v.imag)}
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return fmt(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
+    if isinstance(v, int):  # bool too
+        return v
     if isinstance(v, np.ndarray):
         return _provenance_value(v.tolist())
     if isinstance(v, (list, tuple)):

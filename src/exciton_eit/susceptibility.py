@@ -139,7 +139,6 @@ class WindowMetrics:
     center_abs: float       # Im chi at the window center
     width: float            # span where Im chi < half of the bare peak, rad/s
     ng_center: float        # group index at the center
-    slope: float            # d Re(chi)/d omega at the center, s
 
 
 def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
@@ -211,20 +210,19 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     center = drive.delta1 - drive.delta2
     half = 0.5 * pref / system.gamma_ab
     om2_sq = abs(drive.Omega2) ** 2
-    # _response at the center, in numpy scalars, whose complex division
-    # rounds as the array loop does (Python's does not); with gamma_ab > 0
-    # the center is no pole
+    # _response written out in numpy scalars, because a one-point array
+    # call costs about eight times as much and studies call this once per
+    # control value.  The values may differ from the array path's in the
+    # last bit.  With gamma_ab > 0 the center is no pole
     one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
     inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
                           if om2_sq != 0 else 1.0)
     p = one * inner - om2_sq
     center_abs = float((-pref * inner / p).imag)
-    slope = float((pref * (inner * inner + om2_sq) / (p * p)).real)
-    ng_center = _group_index(slope, drive)
+    ng_center = _group_index(float((pref * (inner * inner + om2_sq) / (p * p)).real), drive)
 
     if abs(drive.Omega2) == 0.0 or center_abs >= half:
-        return WindowMetrics(center_abs=center_abs, width=0.0,
-                             ng_center=ng_center, slope=slope)
+        return WindowMetrics(center_abs=center_abs, width=0.0, ng_center=ng_center)
 
     s, numer, den = _im_chi_fraction(system, drive)
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
@@ -233,7 +231,7 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
     left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
     return WindowMetrics(center_abs=center_abs, width=float(right + left),
-                         ng_center=ng_center, slope=slope)
+                         ng_center=ng_center)
 
 
 def dressed_peaks(system: LadderSystem, drive: FieldDrive) -> tuple[float, float]:

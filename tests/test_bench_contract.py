@@ -1,9 +1,11 @@
-"""What the benchmark's traced launcher needs from the package.
+"""What the benchmark's traced runs need from the package.
 
 ``bench/launch.py`` rebinds the names in its ``CLI_NAMES`` on
 ``exciton_eit.cli`` and reads each writer's first positional argument as
-the output path; these tests fail when a rename or a signature change
-would break its traced runs.
+the output path.  ``bench/warm.py`` traces the warm workloads, where it
+reads ``LinearizedTrajectory.nfev``, ``PropagationParams.z_steps`` and
+``sweep_control(threads=2)``.  These tests fail when a rename, a signature
+change or a deleted field would break those traced runs.
 """
 
 import ast
@@ -19,6 +21,8 @@ from exciton_eit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 LAUNCH = ROOT / "bench" / "launch.py"
+if str(ROOT / "bench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "bench"))   # bench/ is scripts, not a package
 
 
 def cli_names():
@@ -50,3 +54,17 @@ def test_traced_launch_records_the_writer_spans(tmp_path, command):
     for writer in ("output.write_csv", "output.write_json"):
         written = [s["counts"]["output.bytes"] for s in spans if s["name"] == writer]
         assert written and min(written) > 0, writer
+
+
+@pytest.mark.parametrize("workload, counter", [("study-warm", "bloch.linearized_nfev"),
+                                               ("pulse-warm", "propagation.cells")])
+def test_traced_warm_operation_passes_its_checks(workload, counter):
+    import scenarios
+    import warm
+
+    op, check = warm.WORKLOADS[workload]
+    traced = warm.Traced(workload)
+    seconds, failures = traced.attempt(op, check, scenarios.warmup(workload), 0)
+    assert failures == [] and seconds > 0
+    counts = [s["counts"][counter] for s in traced.tracer.spans if counter in s["counts"]]
+    assert counts and min(counts) > 0, counter

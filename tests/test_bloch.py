@@ -153,19 +153,6 @@ class TestIntegration:
         ss, _ = steady_state_linearized(drv, sys_)
         assert abs(traj.sigma_ab[-1] - ss) / abs(ss) < 1e-6
 
-    def test_ac_coherence_flag_changes_only_that_equation(self):
-        sys_ = default_system()
-        drv = drive_for(sys_, Omega1=3e9, Omega2=2.5e10)
-        state = DensityMatrixState(sigma_aa=0.2, sigma_bb=0.5, sigma_cc=0.3,
-                                   sigma_ab=0.05 + 0.02j, sigma_bc=0.01 - 0.03j,
-                                   sigma_ac=0.04 + 0.06j)
-        base = bloch_rhs(state, drv, sys_)
-        alt = bloch_rhs(state, drv, sys_, literal_ac_coherence=True)
-        assert alt.sigma_ac != base.sigma_ac
-        assert alt.sigma_ab == base.sigma_ab
-        assert alt.sigma_bc == base.sigma_bc
-        assert alt.sigma_aa == base.sigma_aa
-
     @pytest.mark.parametrize("mode", ["literal", "standard"])
     def test_extreme_rate_time_product_stays_exact(self, mode):
         # rate*T = 1e20, far past any explicit integrator's stability budget
@@ -215,9 +202,9 @@ class TestIntegration:
        omega1=st.floats(1e4, 3e10), omega2=st.floats(0.0, 1e11),
        delta1=st.floats(-1e11, 1e11), delta2=st.floats(-1e11, 1e11),
        horizon=st.floats(1.0, 100.0), mode=st.sampled_from(["literal", "standard"]),
-       ac_flag=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 def test_bloch_matches_runge_kutta(gamma_ab, gamma_bc, omega1, omega2, delta1,
-                                   delta2, horizon, mode, ac_flag, seed):
+                                   delta2, horizon, mode, seed):
     sys_ = default_system(gamma_ab=gamma_ab, gamma_bc=gamma_bc)
     drv = drive_for(sys_, Omega1=omega1, Omega2=omega2, delta1=delta1, delta2=delta2)
     # the horizon counts periods of the fastest rate, which bounds the
@@ -226,13 +213,12 @@ def test_bloch_matches_runge_kutta(gamma_ab, gamma_bc, omega1, omega2, delta1,
                       abs(delta1), abs(delta2))
     t = np.linspace(0.0, T, 11)
     initial = random_state(np.random.default_rng(seed))
-    traj = integrate_bloch(initial, drv, sys_, T, t_eval=t, decay_mode=mode,
-                           literal_ac_coherence=ac_flag)
-    ref = solve_ivp(lambda _, y: _rhs_vector(y, drv, sys_, mode, ac_flag), (0.0, T),
+    traj = integrate_bloch(initial, drv, sys_, T, t_eval=t, decay_mode=mode)
+    ref = solve_ivp(lambda _, y: _rhs_vector(y, drv, sys_, mode), (0.0, T),
                     initial.to_vector(), method="DOP853", rtol=1e-12, atol=1e-14,
                     t_eval=t)
-    # the literal a-c coherence form has a growing mode, so compare on the
-    # scale of the solution
+    # the literal population pattern can have a growing mode, so compare on
+    # the scale of the solution
     assert np.max(np.abs(traj.y - ref.y)) < 1e-8 * max(1.0, np.max(np.abs(ref.y)))
 
 

@@ -17,6 +17,7 @@ against is in tests/oracles.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,9 @@ def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
     P = (a + x)(b + x) - |Omega2|^2/s^2, N = -Im((b + x) conj P) and
     D = |P|^2 are real polynomials in x (ascending coefficients) of degree
     2 and 4, written out term by term; s = max(gamma_ab, |Omega2|) keeps
-    their coefficients of order one.
+    their coefficients of order one.  At delta2 = 0 a and b are imaginary,
+    so the odd coefficients are exactly 0 and both polynomials are
+    quadratics in x^2; the kernels then use ``_resonant_ratios`` instead.
     """
     s = max(system.gamma_ab, abs(drive.Omega2))
     a = (1j * system.gamma_ab - drive.delta2) / s
@@ -161,6 +164,47 @@ def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
     den = np.array([(p0 * c0).real, (p0 * c1 + p1 * c0).real,
                     (p0 + p1 * c1 + c0).real, (p1 + c1).real, 1.0])
     return s, numer, den
+
+
+def _resonant_ratios(system: LadderSystem, drive: FieldDrive):
+    """(s, a, b, w) for the closed forms at delta2 = 0, where Im chi is even.
+
+    a = gamma_ab/s, b = gamma_bc/s and w = |Omega2|^2/s^2, with s the
+    power of two at or below max(gamma_ab, |Omega2|): the division is then
+    exact and the ratios lie in [0, 2) but for b.  In u = (x/s)^2, with
+    k = ab + w, Im chi(center + x) = (pref/s) (bk + a u) / ((u - k)^2 + (a + b)^2 u).
+    """
+    om2 = float(abs(drive.Omega2))
+    s = math.ldexp(0.5, math.frexp(max(system.gamma_ab, om2))[1])
+    r = om2 / s
+    return s, system.gamma_ab / s, system.gamma_bc / s, r * r
+
+
+def _resonant_half_width(system: LadderSystem, drive: FieldDrive) -> float:
+    """Center-to-edge distance of the window at delta2 = 0 (0 if closed,
+    inf if Im chi never climbs back to the half level).
+
+    With the ratios of ``_resonant_ratios``, the half level pref/(2 gamma_ab)
+    is crossed where u^2 - e1 u - e0 = 0, with e0 = (ab + w)(ab - w) and
+    e1 = a^2 - b^2 + 2w.  The sign of e0 is the center test: the window is
+    open iff e0 < 0, the dip floor below the half level.  Then the roots
+    have one sign, and the edge is the smaller, e0 / (-u_far), with
+    u_far = (e1 + sqrt(disc))/2 from the stable quadratic formula, so one
+    number decides both the test and the edge.  The discriminant
+    e1^2 + 4 e0 is written as (a^2 + b^2)^2 + 4w(a^2 - b^2), which does not
+    cancel for gamma_bc << |Omega2|.
+    """
+    s, a, b, w = _resonant_ratios(system, drive)
+    ab = a * b
+    e0 = (ab + w) * (ab - w)
+    if e0 >= 0.0:
+        return 0.0
+    d = (a - b) * (a + b)
+    e1 = d + 2.0 * w
+    disc = (a * a + b * b) ** 2 + 4.0 * w * d
+    if e1 <= 0.0 or disc < 0.0:
+        return math.inf
+    return s * math.sqrt(-e0 / (0.5 * (e1 + math.sqrt(disc))))
 
 
 def _real_roots(coef: np.ndarray) -> np.ndarray:
@@ -194,14 +238,16 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     """Locate the transparency window around two-photon resonance.
 
     The window edges are where Im chi crosses half of the bare (control
-    off) Lorentzian peak N|d|^2/(hbar eps0 gamma_ab).  The crossings are
-    the real roots of a quartic (see ``_im_chi_fraction``), and each edge
-    is the one nearest the center on its side; a root at the center itself
-    (the dip floor on the half level) closes the window.  With the control
-    off, or while the dip floor still sits above the half level, the
-    window is reported absent (width 0).  An edge farther than max(10 gamma_ab,
-    4 |Omega2|) from the center, or missing, is capped at that span.
-    gamma_ab = 0 raises :class:`EvaluationError`.
+    off) Lorentzian peak N|d|^2/(hbar eps0 gamma_ab).  At delta2 = 0 the
+    window is symmetric and its edges are the closed-form roots of a
+    quadratic in x^2 (``_resonant_half_width``).  Otherwise the crossings
+    are the real roots of a quartic (see ``_im_chi_fraction``), and each
+    edge is the one nearest the center on its side; a root at the center
+    itself (the dip floor on the half level) closes the window.  With the
+    control off, or while the dip floor still sits above the half level,
+    the window is reported absent (width 0).  An edge farther than
+    max(10 gamma_ab, 4 |Omega2|) from the center, or missing, is capped at
+    that span.  gamma_ab = 0 raises :class:`EvaluationError`.
     """
     if system.gamma_ab == 0:
         raise EvaluationError("window metrics need gamma_ab > 0: at gamma_ab = 0 "
@@ -221,17 +267,19 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     center_abs = float((-pref * inner / p).imag)
     ng_center = _group_index(float((pref * (inner * inner + om2_sq) / (p * p)).real), drive)
 
-    if abs(drive.Omega2) == 0.0 or center_abs >= half:
-        return WindowMetrics(center_abs=center_abs, width=0.0, ng_center=ng_center)
-
-    s, numer, den = _im_chi_fraction(system, drive)
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
-    edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
-                        - 0.5 * s / system.gamma_ab * den)
-    right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
-    left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
-    return WindowMetrics(center_abs=center_abs, width=float(right + left),
-                         ng_center=ng_center)
+    if drive.delta2 == 0:
+        width = float(2.0 * min(_resonant_half_width(system, drive), span))
+    elif abs(drive.Omega2) == 0.0 or center_abs >= half:
+        width = 0.0
+    else:
+        s, numer, den = _im_chi_fraction(system, drive)
+        edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
+                            - 0.5 * s / system.gamma_ab * den)
+        right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
+        left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
+        width = float(right + left)
+    return WindowMetrics(center_abs=center_abs, width=width, ng_center=ng_center)
 
 
 def dressed_peaks(system: LadderSystem, drive: FieldDrive) -> tuple[float, float]:
@@ -253,13 +301,31 @@ def locate_absorption_peaks(system: LadderSystem,
     The extrema of Im chi = (pref / s) N / D are the real roots of
     N' D - N D'; the maxima are those where that polynomial falls through
     zero.  One entry when the doublet has merged into a single line.
+
+    At delta2 = 0, in the terms of ``_resonant_ratios``, N' D - N D' is
+    -2 sqrt(u) (q0 + q1 u + a u^2) with q0 = k (b^3 - w(a + 2b)) and
+    q1 = 2bk, so q1, a >= 0.  The center is the one maximum if q0 > 0;
+    if q0 < 0 the maxima are the pair at the positive root
+    u = -2 q0 / (q1 + sqrt(q1^2 - 4 a q0)), where the slope falls through
+    zero because q1 + 2au > 0; if q0 = 0 (all dampings zero) there is none.
     """
+    center = drive.delta1 - drive.delta2
+    if drive.delta2 == 0:
+        s, a, b, w = _resonant_ratios(system, drive)
+        k = a * b + w
+        q0 = k * (b * b * b - w * (a + 2.0 * b))
+        if q0 > 0.0:
+            return (float(center),)
+        if q0 == 0.0:
+            return ()
+        q1 = 2.0 * b * k
+        x = s * math.sqrt(-2.0 * q0 / (q1 + math.sqrt(q1 * q1 - 4.0 * a * q0)))
+        return (float(center - x), float(center + x))
     s, numer, den = _im_chi_fraction(system, drive)
     slope = (np.convolve(_derivative(numer), den)
              - np.convolve(numer, _derivative(den)))
     x = _real_roots(slope)
     maxima = x[np.polyval(_derivative(slope)[::-1], x) < 0]   # Horner
-    center = drive.delta1 - drive.delta2
     return tuple(float(center + s * v) for v in maxima)
 
 

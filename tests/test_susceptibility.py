@@ -10,8 +10,9 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          group_index, group_velocity,
                          locate_absorption_peaks, sweep_control,
                          window_metrics)
+from exciton_eit import susceptibility
 from exciton_eit.susceptibility import SpectrumTable, _real_roots, _response
-from oracles import group_index_fd
+from oracles import group_index_fd, window_and_peaks_mp
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -321,6 +322,72 @@ def test_closed_form_kernels_match_the_polynomial_oracle(gamma_ab, gamma_bc, ome
     assert len(peaks) == len(expected)
     scale = max(gamma_ab, omega2)
     np.testing.assert_allclose(peaks, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11),
+       gamma_bc=st.one_of(st.just(0.0), st.floats(1e7, 1e11)),
+       omega2=st.one_of(st.just(0.0), st.floats(1e8, 1e12)),
+       delta1=st.floats(-1e11, 1e11))
+def test_resonant_window_and_peaks_match_the_mpmath_oracle(gamma_ab, gamma_bc, omega2, delta1):
+    # at delta2 = 0 both kernels take the closed form; the oracle roots the
+    # unreduced polynomials at 50 digits
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, Omega2=omega2, delta1=delta1)
+    width, maxima = window_and_peaks_mp(sys_, drv)
+    assert window_metrics(sys_, drv).width == pytest.approx(float(width), rel=4 * EPS, abs=0.0)
+    peaks = locate_absorption_peaks(sys_, drv)
+    assert len(peaks) == len(maxima)
+    for found, x in zip(peaks, maxima):
+        assert abs(found - delta1 - float(x)) <= 4 * EPS * max(abs(delta1), abs(float(x)))
+
+
+def test_knife_edge_window_is_near_zero_at_two_photon_resonance():
+    # the dip floor within a few ULP of the half level (gamma_ab gamma_bc =
+    # |Omega2|^2): the width is near 0 whichever side the floor rounds to,
+    # never the far edges
+    rng = np.random.default_rng(18)
+    for _ in range(3000):
+        gamma_ab = rng.uniform(1e9, 1e11)
+        gamma_bc = gamma_ab * rng.uniform(0.01, 1.0)
+        k = rng.integers(-3, 4)
+        sys_ = medium(gamma_ab, gamma_bc)
+        drv = drive_for(sys_, Omega2=np.sqrt(gamma_ab * gamma_bc) * (1 + k * 2.2e-16))
+        assert window_metrics(sys_, drv).width < 1e-6 * gamma_ab
+
+
+@pytest.mark.parametrize("gamma_ab, gamma_bc, omega2, expected", [
+    (0.0, 7.6e9, 2.5e10, (-24415568803.531895, 24415568803.5319)),  # linear in x^2
+    (0.0, 0.0, 2.5e10, ()),
+    (4.5573e10, 0.0, 2.5e10, (-2.5e10, 2.5e10)),
+    (4.5573e10, 7.596e9, 0.0, (0.0,)),
+])
+def test_resonant_peaks_with_degenerate_dampings(gamma_ab, gamma_bc, omega2, expected):
+    sys_ = medium(gamma_ab, gamma_bc)
+    peaks = locate_absorption_peaks(sys_, drive_for(sys_, Omega2=omega2))
+    assert peaks == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_closed_form_paths_never_reach_the_companion_solve(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def companion(coef):
+        raise Reached
+
+    monkeypatch.setattr(susceptibility, "_real_roots", companion)
+    sys_ = default_system()
+    resonant = drive_for(sys_, delta1=3e9)
+    assert window_metrics(sys_, resonant).width > 0
+    assert len(locate_absorption_peaks(sys_, resonant)) == 2
+    detuned = drive_for(sys_, delta1=3e9, delta2=1e8)
+    with pytest.raises(Reached):
+        window_metrics(sys_, detuned)
+    with pytest.raises(Reached):
+        locate_absorption_peaks(sys_, detuned)
 
 
 @pytest.mark.parametrize("coef, roots", [

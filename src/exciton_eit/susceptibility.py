@@ -199,9 +199,9 @@ def _resonant_half_width(system: LadderSystem, drive: FieldDrive) -> float:
     e0 = (ab + w) * (ab - w)
     if e0 >= 0.0:
         return 0.0
-    d = (a - b) * (a + b)
+    d, n = (a - b) * (a + b), a * a + b * b
     e1 = d + 2.0 * w
-    disc = (a * a + b * b) ** 2 + 4.0 * w * d
+    disc = n * n + 4.0 * w * d
     if e1 <= 0.0 or disc < 0.0:
         return math.inf
     return s * math.sqrt(-e0 / (0.5 * (e1 + math.sqrt(disc))))

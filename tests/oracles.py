@@ -136,8 +136,8 @@ def _mp_real_roots(coef):
     return sorted(zeros + [mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= 1e-30])
 
 
-def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive, dps: int = 50):
-    """(width, maxima) of Im chi at ``dps`` digits from the exact float inputs.
+def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive):
+    """(width, maxima) of Im chi at 50 digits from the exact float inputs.
 
     Writes Im chi = pref N(x)/D(x) in the physical offset x from the center
     without reducing it: P = (i gamma_ab - delta2 + x)(i gamma_bc + x) -
@@ -149,7 +149,7 @@ def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive, dps: int = 50):
     the center.  An independent route to the package's window and peak
     kernels.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         # in units of s, so that the coefficients are of order one
         s = mpmath.mpf(max(system.gamma_ab, abs(drive.Omega2)))
         g, c = system.gamma_ab / s, system.gamma_bc / s

@@ -332,6 +332,10 @@ EPS = np.finfo(float).eps
        gamma_bc=st.one_of(st.just(0.0), st.floats(1e7, 1e11)),
        omega2=st.one_of(st.just(0.0), st.floats(1e8, 1e12)),
        delta1=st.floats(-1e11, 1e11))
+# exactly on the knife edge gamma_ab gamma_bc = |Omega2|^2 (width 0), and
+# the bare line without any ground dephasing, where N and D share x^2
+@example(gamma_ab=1e9, gamma_bc=1e7, omega2=1e8, delta1=0.0)
+@example(gamma_ab=1e9, gamma_bc=0.0, omega2=0.0, delta1=1e9)
 def test_resonant_window_and_peaks_match_the_mpmath_oracle(gamma_ab, gamma_bc, omega2, delta1):
     # at delta2 = 0 both kernels take the closed form; the oracle roots the
     # unreduced polynomials at 50 digits

@@ -158,31 +158,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _sample(generator: np.ndarray, y0: np.ndarray, T: float, t_eval):
-    """Exact samples of dy/dt = generator @ y, y(0) = y0, at ``t_eval``.
-
-    ``t_eval=None`` samples [0, T].  One exponential is computed per
-    distinct step between consecutive samples; returns (t, y, count).
-    A growing mode that overflows leaves non-finite samples, without
-    floating-point warnings; callers check the result.
-    """
-    if T <= 0:
-        raise ValueError("integration time T must be positive")
-    t = np.array([0.0, T]) if t_eval is None else np.asarray(t_eval, dtype=float)
-    if (t.ndim != 1 or not np.all(np.diff(t) >= 0)
-            or (t.size and not (0.0 <= t[0] and t[-1] <= T))):
-        raise ValueError("t_eval must be a sorted 1-d grid within [0, T]")
-    steps, which = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
-    y = np.empty((len(y0), len(t)), dtype=np.result_type(generator, y0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        propagators = [_expm(generator * h) for h in steps]
-        state = y0
-        for k, j in enumerate(which):
-            state = propagators[j] @ state
-            y[:, k] = state
-    return t, y, len(steps)
-
-
 def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
                     system: LadderSystem, T: float,
                     t_eval=None, decay_mode: str = "literal") -> BlochTrajectory:
@@ -191,12 +166,18 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     The right-hand side is linear in the packed real state, so the 9x9
     generator is read off its action on a basis and the state is advanced
     by its matrix exponential; the trace is a coordinate of its own and
-    stays exact for any rate-time product.  ``t_eval`` (sorted, within
-    [0, T]) sets the samples; ``None`` returns [0, T].  A drive whose
-    generator has a growing mode (possible with the literal population
-    damping) can overflow the samples; that raises
+    stays exact for any rate-time product.  ``t_eval`` must be
+    ``np.linspace(0, T, n)`` with n >= 2 (``None`` means [0, T]), so one
+    exponential over the step T/(n - 1) advances every sample.  A drive
+    whose generator has a growing mode (possible with the literal
+    population damping) can overflow the samples; that raises
     :class:`EvaluationError` naming the growth rate.
     """
+    if T <= 0:
+        raise ValueError("integration time T must be positive")
+    t = np.linspace(0.0, T, 2) if t_eval is None else np.asarray(t_eval, dtype=float)
+    if t.size < 2 or not np.array_equal(t, np.linspace(0.0, T, t.size)):
+        raise ValueError("t_eval must be np.linspace(0, T, n) with n >= 2")
     # work in coordinates z that replace sigma_bb by the trace, y = S z;
     # the equations conserve the trace, so its row of the generator is 0
     S = np.eye(9)
@@ -204,9 +185,14 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     generator = np.column_stack([
         _rhs_vector(column, drive, system, decay_mode) for column in S.T])
     generator[1] = 0.0
-    z0 = initial.to_vector()
-    z0[1] = initial.trace
-    t, z, _ = _sample(generator, z0, T, t_eval)
+    z = np.empty((9, t.size))
+    z[:, 0] = initial.to_vector()
+    z[1, 0] = initial.trace
+    # a growing mode that overflows leaves non-finite samples, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _expm(generator * (T / (t.size - 1)))
+        for k in range(1, t.size):
+            z[:, k] = step @ z[:, k - 1]
     if not np.isfinite(z).all():
         rate = np.linalg.eigvals(generator).real.max()
         raise EvaluationError(
@@ -253,7 +239,7 @@ def steady_state_linearized(drive: FieldDrive,
 class LinearizedTrajectory:
     """End point of the first-order probe response."""
 
-    nfev: int      # matrix exponentials computed
+    nfev: int      # matrix exponentials computed: always 1
     final_sigma_ab: complex
 
 
@@ -263,11 +249,14 @@ def integrate_linearized(drive: FieldDrive, system: LadderSystem,
 
     The source term is carried as a constant third component, d/dt (v, 1)
     = [[-iM, i b], [0, 0]] (v, 1) with v = (sigma_ab, sigma_cb) and
-    b = (Omega1, 0), so the exponential of that 3x3 matrix is exact
-    whether or not M is singular.
+    b = (Omega1, 0), so one exponential of that 3x3 matrix over T is exact
+    whether or not M is singular, and sigma_ab(T) is its (0, 2) entry.
     """
+    if T <= 0:
+        raise ValueError("integration time T must be positive")
     generator = np.zeros((3, 3), dtype=complex)
     generator[:2, :2] = -1j * _linear_matrix(drive, system)
     generator[0, 2] = 1j * complex(drive.Omega1)
-    _, v, count = _sample(generator, np.array([0.0, 0.0, 1.0], dtype=complex), T, None)
-    return LinearizedTrajectory(nfev=count, final_sigma_ab=complex(v[0, -1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = _expm(generator * T)[0, 2]
+    return LinearizedTrajectory(nfev=1, final_sigma_ab=complex(end))

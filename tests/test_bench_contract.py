@@ -4,8 +4,10 @@
 ``exciton_eit.cli`` and reads each writer's first positional argument as
 the output path.  ``bench/warm.py`` traces the warm workloads, where it
 reads ``LinearizedTrajectory.nfev``, ``PropagationParams.z_steps`` and
-``sweep_control(threads=2)``.  These tests fail when a rename, a signature
-change or a deleted field would break those traced runs.
+``sweep_control(threads=2)``, and calls
+``integrate_bloch(t_eval=np.linspace(0, T, 101))``.  These tests fail when
+a rename, a signature change, a deleted field or a narrowed input rule
+would break those traced runs.
 """
 
 import ast

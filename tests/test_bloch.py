@@ -12,7 +12,8 @@ from exciton_eit import (DensityMatrixState, EvaluationError, FieldDrive,
                          LadderSystem, SingularSteadyStateError, bloch_rhs, chi,
                          integrate_bloch, integrate_linearized,
                          steady_state_linearized)
-from exciton_eit.bloch import _linear_matrix, _rhs_vector
+from exciton_eit import bloch
+from exciton_eit.bloch import _expm, _linear_matrix, _rhs_vector
 
 
 def default_system(**kw):
@@ -184,7 +185,10 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, 0.0)
 
-    @pytest.mark.parametrize("t_eval", [[0.0, 2e-9, 1e-9], [-1e-9, 0.0], [0.0, 2e-9]])
+    # only np.linspace(0, T, n) with n >= 2 is accepted, so a sorted
+    # non-uniform grid inside [0, T] and a one-point grid are rejected too
+    @pytest.mark.parametrize("t_eval", [[0.0, 2e-9, 1e-9], [-1e-9, 0.0], [0.0, 2e-9],
+                                        [0.0, 0.25e-9, 1e-9], [0.0]])
     def test_bad_sample_grid_rejected(self, t_eval):
         sys_ = default_system()
         with pytest.raises(ValueError):
@@ -195,6 +199,22 @@ class TestIntegration:
         sys_ = default_system()
         traj = integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, 1e-9)
         np.testing.assert_array_equal(traj.t, [0.0, 1e-9])
+
+    def test_one_exponential_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _expm(*args)
+
+        monkeypatch.setattr(bloch, "_expm", counted)
+        sys_ = default_system()
+        T = 100.0 / sys_.gamma_ab
+        integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, T,
+                        t_eval=np.linspace(0.0, T, 101))
+        assert len(calls) == 1
+        assert integrate_linearized(drive_for(sys_), sys_, T).nfev == 1
+        assert len(calls) == 2
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

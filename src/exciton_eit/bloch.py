@@ -138,17 +138,23 @@ class BlochTrajectory:
         return self.y[1]
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray, T: float) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM
     Rev. 45, 3 (2003)); for a 1-norm below 1, 18 Taylor terms are exact.
 
     Only products enter, so a zero row of ``a`` (a conserved coordinate)
     stays exactly the identity's row through the series and the
-    squarings, and no roundoff can compound there.
+    squarings, and no roundoff can compound there.  ``a`` is a generator
+    times a step of the horizon ``T``; a 1-norm that is not finite raises
+    :class:`EvaluationError` naming ``T``.
     """
     norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):
+        raise EvaluationError(
+            f"the propagator over T = {T:.6g} s overflows: the generator times "
+            f"the step has a 1-norm of {norm}")
     squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    a = a / 2.0**squarings
+    a = a * 0.5**squarings     # exact, and finite up to 1024 squarings
     r = term = np.eye(len(a))
     for k in range(1, 19):
         term = a @ term / k
@@ -168,13 +174,13 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     by its matrix exponential; the trace is a coordinate of its own and
     stays exact for any rate-time product.  ``t_eval`` must be
     ``np.linspace(0, T, n)`` with n >= 2 (``None`` means [0, T]), so one
-    exponential over the step T/(n - 1) advances every sample.  A drive
-    whose generator has a growing mode (possible with the literal
-    population damping) can overflow the samples; that raises
-    :class:`EvaluationError` naming the growth rate.
+    exponential over the step T/(n - 1) advances every sample.  T must be
+    positive and finite.  A drive whose generator has a growing mode
+    (possible with the literal population damping) can overflow the
+    samples; that raises :class:`EvaluationError` naming the growth rate.
     """
-    if T <= 0:
-        raise ValueError("integration time T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"integration time T must be positive and finite, got {T!r}")
     t = np.linspace(0.0, T, 2) if t_eval is None else np.asarray(t_eval, dtype=float)
     if t.size < 2 or not np.array_equal(t, np.linspace(0.0, T, t.size)):
         raise ValueError("t_eval must be np.linspace(0, T, n) with n >= 2")
@@ -190,7 +196,7 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     z[1, 0] = initial.trace
     # a growing mode that overflows leaves non-finite samples, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _expm(generator * (T / (t.size - 1)))
+        step = _expm(generator * (T / (t.size - 1)), T)
         for k in range(1, t.size):
             z[:, k] = step @ z[:, k - 1]
     if not np.isfinite(z).all():
@@ -251,12 +257,16 @@ def integrate_linearized(drive: FieldDrive, system: LadderSystem,
     = [[-iM, i b], [0, 0]] (v, 1) with v = (sigma_ab, sigma_cb) and
     b = (Omega1, 0), so one exponential of that 3x3 matrix over T is exact
     whether or not M is singular, and sigma_ab(T) is its (0, 2) entry.
+    T must be positive and finite; an end point that is not finite raises
+    :class:`EvaluationError`.
     """
-    if T <= 0:
-        raise ValueError("integration time T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"integration time T must be positive and finite, got {T!r}")
     generator = np.zeros((3, 3), dtype=complex)
     generator[:2, :2] = -1j * _linear_matrix(drive, system)
     generator[0, 2] = 1j * complex(drive.Omega1)
     with np.errstate(over="ignore", invalid="ignore"):
-        end = _expm(generator * T)[0, 2]
-    return LinearizedTrajectory(nfev=1, final_sigma_ab=complex(end))
+        end = complex(_expm(generator * T, T)[0, 2])
+    if not np.isfinite(end):
+        raise EvaluationError(f"sigma_ab over T = {T:.6g} s is not finite: {end}")
+    return LinearizedTrajectory(nfev=1, final_sigma_ab=end)

@@ -304,21 +304,24 @@ def locate_absorption_peaks(system: LadderSystem,
 
     At delta2 = 0, in the terms of ``_resonant_ratios``, N' D - N D' is
     -2 sqrt(u) (q0 + q1 u + a u^2) with q0 = k (b^3 - w(a + 2b)) and
-    q1 = 2bk, so q1, a >= 0.  The center is the one maximum if q0 > 0;
+    q1 = 2bk, so q1, a >= 0.  The center is the one maximum if q0 > 0, and
+    also if q0 = 0 with q1 > 0 or a > 0 (the bare line at Omega2 =
+    gamma_bc = 0, say), since the slope is then -2 sqrt(u) (q1 u + a u^2);
     if q0 < 0 the maxima are the pair at the positive root
     u = -2 q0 / (q1 + sqrt(q1^2 - 4 a q0)), where the slope falls through
-    zero because q1 + 2au > 0; if q0 = 0 (all dampings zero) there is none.
+    zero because q1 + 2au > 0.  If q0 = q1 = a = 0 (gamma_ab = 0 and
+    gamma_bc |Omega2| = 0) Im chi vanishes off its poles and there is none.
     """
     center = drive.delta1 - drive.delta2
     if drive.delta2 == 0:
         s, a, b, w = _resonant_ratios(system, drive)
         k = a * b + w
         q0 = k * (b * b * b - w * (a + 2.0 * b))
-        if q0 > 0.0:
-            return (float(center),)
-        if q0 == 0.0:
-            return ()
         q1 = 2.0 * b * k
+        if q0 == q1 == a == 0.0:
+            return ()
+        if q0 >= 0.0:
+            return (float(center),)
         x = s * math.sqrt(-2.0 * q0 / (q1 + math.sqrt(q1 * q1 - 4.0 * a * q0)))
         return (float(center - x), float(center + x))
     s, numer, den = _im_chi_fraction(system, drive)

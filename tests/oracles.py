@@ -141,7 +141,9 @@ def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive):
 
     Writes Im chi = pref N(x)/D(x) in the physical offset x from the center
     without reducing it: P = (i gamma_ab - delta2 + x)(i gamma_bc + x) -
-    |Omega2|^2, N = -Im((i gamma_bc + x) conj P), D = |P|^2.  The width is
+    |Omega2|^2, N = -Im((i gamma_bc + x) conj P), D = |P|^2, where the
+    factor i gamma_bc + x is 1 at Omega2 = 0, as in the package's product
+    form (otherwise N and D share x^2 at gamma_bc = 0).  The width is
     the span between the real roots of N - D/(2 gamma_ab) nearest the
     center on each side (0 if the center sits at or above the half level,
     each side capped at max(10 gamma_ab, 4 |Omega2|)); the maxima are the
@@ -155,8 +157,9 @@ def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive):
         g, c = system.gamma_ab / s, system.gamma_bc / s
         om2 = abs(drive.Omega2) / s
         a = mpmath.mpc(-drive.delta2 / s, g)
-        inner = [mpmath.mpc(0, c), 1]
-        p = [a * inner[0] - om2**2, a + inner[0], 1]
+        inner = [mpmath.mpc(0, c), 1] if om2 else [1]
+        p = _mp_polymul([a, 1], inner)
+        p[0] -= om2**2
         pc = [mpmath.conj(z) for z in p]
         num = [-mpmath.im(z) for z in _mp_polymul(inner, pc)] + [0, 0]
         den = [mpmath.re(z) for z in _mp_polymul(p, pc)]

@@ -182,8 +182,31 @@ class TestIntegration:
 
     def test_bad_horizon_rejected(self):
         sys_ = default_system()
-        with pytest.raises(ValueError):
-            integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, 0.0)
+        for T in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, T)
+            with pytest.raises(ValueError, match="positive and finite"):
+                integrate_linearized(drive_for(sys_), sys_, T)
+
+    def test_overflowing_horizon_raises(self):
+        # on the default medium generator * 1e300 s has an infinite 1-norm
+        sys_ = default_system()
+        with pytest.raises(EvaluationError, match=r"T = 1e\+300 s"):
+            integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, 1e300)
+        with pytest.raises(EvaluationError, match=r"T = 1e\+300 s"):
+            integrate_linearized(drive_for(sys_), sys_, 1e300)
+        # undamped, the 3x3 exponential's squarings lose the end point to NaN
+        sys_ = undamped_system()
+        with pytest.raises(EvaluationError, match=r"T = 1e\+100 s is not finite"):
+            integrate_linearized(drive_for(sys_), sys_, 1e100)
+
+    def test_step_norm_above_two_to_the_1023_propagates(self):
+        # ||generator * 1e297 s||_1 lies in [2^1023, max float]: the scaling
+        # takes 1024 halvings and the state is the steady state
+        sys_ = default_system()
+        traj = integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, 1e297)
+        ref = integrate_bloch(DensityMatrixState.ground(), drive_for(sys_), sys_, 1e-6)
+        np.testing.assert_allclose(traj.y[:, -1], ref.y[:, -1], rtol=0.0, atol=1e-12)
 
     # only np.linspace(0, T, n) with n >= 2 is accepted, so a sorted
     # non-uniform grid inside [0, T] and a one-point grid are rejected too

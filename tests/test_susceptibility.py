@@ -258,12 +258,14 @@ def test_every_peak_is_a_local_maximum(gamma_ab, bc_ratio, om2_ratio, delta1, de
 
 
 # Oracle: the window and peak kernels built through numpy.polynomial, as
-# the package did before it wrote the coefficients out in closed form.
+# the package did before it wrote the coefficients out in closed form.  The
+# factor (i gamma_bc + x) cancels at Omega2 = 0, as in the product form, so
+# that N and D share no x^2 at gamma_bc = 0.
 
 def oracle_fraction(system, drive):
     s = max(system.gamma_ab, abs(drive.Omega2))
     one = np.array([(1j * system.gamma_ab - drive.delta2) / s, 1.0])
-    inner = np.array([1j * system.gamma_bc / s, 1.0])
+    inner = np.array([1j * system.gamma_bc / s, 1.0] if drive.Omega2 else [1.0])
     p = poly.polysub(poly.polymul(one, inner), [abs(drive.Omega2) ** 2 / s**2])
     return s, -poly.polymul(inner, p.conj()).imag, poly.polymul(p, p.conj()).real
 
@@ -333,7 +335,7 @@ EPS = np.finfo(float).eps
        omega2=st.one_of(st.just(0.0), st.floats(1e8, 1e12)),
        delta1=st.floats(-1e11, 1e11))
 # exactly on the knife edge gamma_ab gamma_bc = |Omega2|^2 (width 0), and
-# the bare line without any ground dephasing, where N and D share x^2
+# the bare Lorentzian at Omega2 = gamma_bc = 0, whose one maximum is delta1
 @example(gamma_ab=1e9, gamma_bc=1e7, omega2=1e8, delta1=0.0)
 @example(gamma_ab=1e9, gamma_bc=0.0, omega2=0.0, delta1=1e9)
 def test_resonant_window_and_peaks_match_the_mpmath_oracle(gamma_ab, gamma_bc, omega2, delta1):
@@ -368,6 +370,7 @@ def test_knife_edge_window_is_near_zero_at_two_photon_resonance():
     (0.0, 0.0, 2.5e10, ()),
     (4.5573e10, 0.0, 2.5e10, (-2.5e10, 2.5e10)),
     (4.5573e10, 7.596e9, 0.0, (0.0,)),
+    (4.5573e10, 0.0, 0.0, (0.0,)),   # the bare Lorentzian
 ])
 def test_resonant_peaks_with_degenerate_dampings(gamma_ab, gamma_bc, omega2, expected):
     sys_ = medium(gamma_ab, gamma_bc)

@@ -15,13 +15,19 @@ Both conserve the trace exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .medium import FieldDrive, LadderSystem
 from .susceptibility import EvaluationError
+
+
+_EPS = sys.float_info.epsilon
+_LN_EPS = math.log(_EPS)
 
 
 class SingularSteadyStateError(ArithmeticError):
@@ -257,16 +263,27 @@ def integrate_linearized(drive: FieldDrive, system: LadderSystem,
     = [[-iM, i b], [0, 0]] (v, 1) with v = (sigma_ab, sigma_cb) and
     b = (Omega1, 0), so one exponential of that 3x3 matrix over T is exact
     whether or not M is singular, and sigma_ab(T) is its (0, 2) entry.
-    T must be positive and finite; an end point that is not finite raises
-    :class:`EvaluationError`.
+    T must be positive and finite.  An end point that is not finite raises
+    :class:`EvaluationError`, and so does one that is roundoff: a mode of
+    -iM that has not decayed below eps by T (Re lambda T > ln eps) while
+    rounding has lost its phase T Im lambda (T |Im lambda| eps > 1).
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"integration time T must be positive and finite, got {T!r}")
+    block = -1j * _linear_matrix(drive, system)
     generator = np.zeros((3, 3), dtype=complex)
-    generator[:2, :2] = -1j * _linear_matrix(drive, system)
+    generator[:2, :2] = block
     generator[0, 2] = 1j * complex(drive.Omega1)
     with np.errstate(over="ignore", invalid="ignore"):
         end = complex(_expm(generator * T, T)[0, 2])
     if not np.isfinite(end):
         raise EvaluationError(f"sigma_ab over T = {T:.6g} s is not finite: {end}")
+    (a, b), (c, d) = block.tolist()
+    root = cmath.sqrt(0.25 * (a - d) * (a - d) + b * c)   # eigenvalues of the 2x2 block
+    for rate in (0.5 * (a + d) + root, 0.5 * (a + d) - root):
+        if rate.real * T > _LN_EPS and T * abs(rate.imag) * _EPS > 1.0:
+            raise EvaluationError(
+                f"sigma_ab over T = {T:.6g} s is roundoff: a mode oscillating at "
+                f"{abs(rate.imag):.6g} rad/s has not decayed by T, so its phase "
+                "there is lost to rounding")
     return LinearizedTrajectory(nfev=1, final_sigma_ab=end)

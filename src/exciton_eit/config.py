@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from .constants import ev_to_angular_frequency
-from .levels import LevelModelParams
 from .medium import FieldDrive, LadderSystem
 from .output import fmt
+
+if TYPE_CHECKING:
+    from .levels import LevelModelParams
 
 
 class ConfigError(ValueError):
@@ -165,6 +168,7 @@ class ScenarioConfig:
         )
 
     def build_level_params(self) -> LevelModelParams:
+        from .levels import LevelModelParams   # only `levels` reads the level model
         return LevelModelParams(
             E_gap=self.E_gap,
             rydberg=self.rydberg_energy,
@@ -190,10 +194,15 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be >= 1", keys=(key,))
         if self.t_steps < 8:
             raise ConfigError("t_steps must be >= 8", keys=("t_steps",))
-        if self.t_steps > 2**20:  # the pulse kernel keeps ~330 B per step
-            raise ConfigError("t_steps must be <= 1048576", keys=("t_steps",))
+        # the pulse kernel keeps ~330 B per step, and a table ~300 B per row
+        for key in ("t_steps", "omega_points", "omega2_points"):
+            if getattr(self, _KEYS[key][1]) > 2**20:
+                raise ConfigError(f"{key} must be <= 1048576", keys=(key,))
         if self.levels_l_max < 0:
             raise ConfigError("levels_l_max must be >= 0", keys=("levels_l_max",))
+        if _level_rows(self.levels_n_max, self.levels_l_max) > 2**20:
+            raise ConfigError("levels_n_max and levels_l_max give a level table of more "
+                              "than 1048576 rows", keys=("levels_n_max", "levels_l_max"))
         for key in ("N", "gamma_ab", "gamma_bc", "gamma_ac", "dipole_ab_sq", "slab_length"):
             value = getattr(self, _KEYS[key][1])
             if value is not None and value < 0:
@@ -202,7 +211,7 @@ class ScenarioConfig:
             raise ConfigError("omega_ac must lie in (0, omega_ab): the ladder "
                               "needs E_a > E_c > E_b", keys=("omega_ab", "omega_ac"))
         for key in ("gamma_aniso", "bohr_radius", "rydberg_energy", "r0",
-                    "pulse_sigma", "t_span"):
+                    "omega_half_span", "pulse_sigma", "t_span"):
             value = getattr(self, _KEYS[key][1])
             if value is not None and value <= 0:
                 raise ConfigError(f"{key} must be positive", keys=(key,))
@@ -214,6 +223,14 @@ class ScenarioConfig:
                     f"spectrum_omega2 values {stems[stem]:.17g} and {om2:.17g} rad/s "
                     f"would both write '{stem}'", keys=("spectrum_omega2",))
             stems[stem] = om2
+
+
+def _level_rows(n_max: int, l_max: int) -> int:
+    """Bare rows of the level table: (l + 1) values of m for each
+    l <= min(l_max, n - 1) and n <= n_max."""
+    full = min(n_max, l_max + 1)   # the shells that hold every l < n
+    return (full * (full + 1) * (full + 2) // 6
+            + (n_max - full) * (l_max + 1) * (l_max + 2) // 2)
 
 
 def spectrum_stem(omega2: float) -> str:

@@ -12,23 +12,28 @@ the longitudinal-transverse splitting and the coherence radius.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial import legendre
-
 from .constants import CONST
 
 
-# one Gauss-Legendre rule: after the substitution in anisotropy_eta the
-# integrand is smooth on a finite interval for every anisotropy ratio
-_NODES, _WEIGHTS = legendre.leggauss(64)
+@functools.cache
+def _quadrature():
+    """numpy, its Legendre series module and one 64-node Gauss-Legendre
+    rule, imported on the first anisotropic quadrature: after the
+    substitution in anisotropy_eta the integrand is smooth on a finite
+    interval for every anisotropy ratio, and equal masses need none."""
+    import numpy as np
+    from numpy.polynomial import legendre
+    return np, legendre, *legendre.leggauss(64)
 
 
-def _ylm_sq(l: int, m: int, u: np.ndarray) -> np.ndarray:
+def _ylm_sq(l: int, m: int, u):
     """|Y_lm|^2 in u = cos(theta), a polynomial: |P_l^m|^2 = (1 - u^2)^|m| (P_l^(|m|))^2."""
+    np, legendre, _, _ = _quadrature()
     am = abs(m)
     norm = (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
     deriv = legendre.legder(np.eye(l + 1)[l], am)
@@ -57,11 +62,12 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     k = 1.0 - gamma_aniso**2
     if k == 0:
         return 1.0
+    np, _, nodes, weights = _quadrature()
     root = math.sqrt(abs(k))
     top = math.asin(root) if k > 0 else math.asinh(root)
-    phi = 0.5 * top * (_NODES + 1.0)
+    phi = 0.5 * top * (nodes + 1.0)
     u = (np.sin(phi) if k > 0 else np.sinh(phi)) / root
-    return 2.0 * math.pi * top / root * float(np.dot(_WEIGHTS, _ylm_sq(l, m, u)))
+    return 2.0 * math.pi * top / root * float(np.dot(weights, _ylm_sq(l, m, u)))
 
 
 def energy_nlm(n: int, l: int, m: int, gamma_aniso: float, rydberg_ev: float) -> float:
@@ -112,7 +118,7 @@ def solve_secular(E_T1: complex, E_T2: complex, V: float) -> SecularRoots:
     imaginary part); callers pick the branch their mixed state follows.
     """
     s = E_T1 + E_T2
-    disc = np.sqrt(complex((E_T1 - E_T2) ** 2 + 4.0 * V**2))
+    disc = cmath.sqrt(complex((E_T1 - E_T2) ** 2 + 4.0 * V**2))
     if (s.conjugate() * disc).real < 0:
         disc = -disc
     r1 = 0.5 * (s + disc)  # |r1| >= |r2| by construction

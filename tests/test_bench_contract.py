@@ -1,8 +1,9 @@
 """What the benchmark's traced runs need from the package.
 
 ``bench/launch.py`` rebinds the names in its ``CLI_NAMES`` on
-``exciton_eit.cli`` and reads each writer's first positional argument as
-the output path.  ``bench/warm.py`` traces the warm workloads, where it
+``exciton_eit.cli``, so the CLI must call its kernels through those
+attributes, and reads each writer's first positional argument as the
+output path.  ``bench/warm.py`` traces the warm workloads, where it
 reads ``LinearizedTrajectory.nfev``, ``PropagationParams.z_steps`` and
 ``sweep_control(threads=2)``, and calls
 ``integrate_bloch(t_eval=np.linspace(0, T, 101))``.  These tests fail when
@@ -42,7 +43,18 @@ def test_every_traced_name_is_a_cli_attribute():
         assert callable(getattr(cli, name, None)), name
 
 
-@pytest.mark.parametrize("command", ["spectrum", "sweep", "levels", "propagate"])
+# the kernel spans each command's traced launch records, with their counts;
+# the CLI imports its kernels lazily, and a runner that bypassed the rebound
+# module attribute would record none
+KERNEL_SPANS = {
+    "spectrum": {"susceptibility.compute_spectrum": 4},
+    "sweep": {"susceptibility.sweep_control": 1},
+    "levels": {"levels.level_table": 1},
+    "propagate": {"susceptibility.window_metrics": 1, "propagation.propagate_pulse": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL_SPANS))
 def test_traced_launch_records_the_writer_spans(tmp_path, command):
     spans_file = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
@@ -56,6 +68,9 @@ def test_traced_launch_records_the_writer_spans(tmp_path, command):
     for writer in ("output.write_csv", "output.write_json"):
         written = [s["counts"]["output.bytes"] for s in spans if s["name"] == writer]
         assert written and min(written) > 0, writer
+    names = [s["name"] for s in spans]
+    for kernel, calls in KERNEL_SPANS[command].items():
+        assert names.count(kernel) == calls, kernel
 
 
 @pytest.mark.parametrize("workload, counter", [("study-warm", "bloch.linearized_nfev"),

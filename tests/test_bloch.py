@@ -1,5 +1,6 @@
 """Density-matrix dynamics: equations of motion, integration, steady state."""
 
+import math
 import warnings
 
 import numpy as np
@@ -199,6 +200,28 @@ class TestIntegration:
         sys_ = undamped_system()
         with pytest.raises(EvaluationError, match=r"T = 1e\+100 s is not finite"):
             integrate_linearized(drive_for(sys_), sys_, 1e100)
+
+    def test_undamped_phase_lost_to_rounding_raises(self):
+        # undamped, sigma_ab(T) = i (Omega1/Omega2) sin(Omega2 T): its phase
+        # is lost once T Omega2 eps > 1, i.e. past T = 1.8e5 s here
+        sys_ = undamped_system()
+        drv = drive_for(sys_)
+        for T in (1e-9, 1e3, 1e5):
+            exact = 1j * 1e6 / 2.5e10 * math.sin(2.5e10 * T)
+            end = integrate_linearized(drv, sys_, T).final_sigma_ab
+            assert abs(end - exact) < 0.6 * 1e6 / 2.5e10
+        for T, shown in ((1e6, r"1e\+06"), (1e10, r"1e\+10"), (1e200, r"1e\+200")):
+            with pytest.raises(EvaluationError, match=rf"T = {shown} s is roundoff"):
+                integrate_linearized(drv, sys_, T)
+
+    def test_damped_long_horizon_is_the_steady_state(self):
+        # every mode decays, so no horizon is roundoff however long
+        sys_ = default_system()
+        drv = drive_for(sys_)
+        ss, _ = steady_state_linearized(drv, sys_)
+        for T in (1e-3, 1e290):
+            end = integrate_linearized(drv, sys_, T).final_sigma_ab
+            assert abs(end - ss) <= 1e-12 * abs(ss)
 
     def test_step_norm_above_two_to_the_1023_propagates(self):
         # ||generator * 1e297 s||_1 lies in [2^1023, max float]: the scaling

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exciton_eit import ScenarioConfig
+from exciton_eit import ScenarioConfig, config
 from exciton_eit.cli import main
 
 
@@ -119,6 +119,32 @@ def test_default_outputs_match_stored_digests(tmp_path, capsys, command):
     got = {p.name: digest(p) for p in out.iterdir()} if out.exists() else {}
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == DEFAULT_DIGESTS[command]
+
+
+# `levels` away from equal masses, where the anisotropy quadrature runs
+ANISOTROPIC_LEVELS_DIGESTS = {
+    "0.5": {
+        "levels.csv": "528e7a78bef614f301934748b88bb285d3fff6fac03a55299b0f80dc2bb8c730",
+        "levels.json": "895e4496a08c53155248a35e797bb5ee18e020a0cf4f0c3608b02b7a3510b0f5",
+        "stdout": "732027ae99af06d8dde5973f2bc5f3aec22ba6ec34783d2db75189d309b6be48",
+    },
+    "3": {
+        "levels.csv": "e2771b3a199173fd6827f87f06b92517aa12f97be77177de011a87dfbe19cbd2",
+        "levels.json": "26411a7b9cc120a8527eb223453bcbb1e2aaf66bad7b83845f9e028e48d3f3bd",
+        "stdout": "632fab5f5c124f7467c91148c6965141e06a80fbf2cdc55ad04b2c451efb9e5a",
+    },
+}
+
+
+@pytest.mark.parametrize("gamma_aniso", sorted(ANISOTROPIC_LEVELS_DIGESTS))
+def test_anisotropic_levels_match_stored_digests(tmp_path, capsys, gamma_aniso):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"gamma_aniso = {gamma_aniso} dimensionless\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "levels"]) == 0
+    got = {p.name: digest(p) for p in out.iterdir()}
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == ANISOTROPIC_LEVELS_DIGESTS[gamma_aniso]
 
 
 def test_sweep_argmax_summary(tmp_path, capsys):
@@ -286,6 +312,12 @@ def test_colliding_spectrum_files_exit_code(tmp_path, capsys):
     ("Omega2 = 1e300 Trad/s", "Omega2", "propagate"),
     ("gamma_aniso = nan dimensionless", "gamma_aniso", "levels"),
     ("t_span = nan s", "t_span", "propagate"),
+    ("omega_half_span = 0 rad/s", "omega_half_span", "spectrum"),
+    ("omega_half_span = -2 rad/s", "omega_half_span", "spectrum"),
+    ("omega_points = 1048577", "omega_points", "spectrum"),
+    ("omega2_points = 1048577", "omega2_points", "sweep"),
+    ("levels_n_max = 600000", "levels_n_max", "levels"),
+    ("levels_n_max = 2000000", "levels_n_max", "validate"),
 ])
 def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
     cfg = tmp_path / "cfg.txt"
@@ -296,6 +328,24 @@ def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
     assert "config error" in err and key in err
     assert "Traceback" not in err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text, command", [
+    ("delta1 = 1e10 rad/s\nomega_half_span = 1e-10 rad/s\n", "spectrum"),
+    ("omega2_min = 1e10 rad/s\nomega2_max = 1.000000000000001e10 rad/s\n", "sweep"),
+])
+def test_grid_that_rounding_collapses_is_a_config_error(text, command):
+    code, err = run_config(command, text)
+    assert code == 2
+    assert err.startswith("config error:") and "rounding does not keep distinct" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "propagate"])
+def test_overflowing_kernel_is_a_numerical_failure(command):
+    # numpy's overflow is raised, not warned, and the run exits 3
+    code, err = run_config(command, "gamma_bc = 1.7e308 rad/s\n")
+    assert code == 3
+    assert err.startswith("numerical failure: overflow") and err.count("\n") == 1
 
 
 def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):
@@ -459,3 +509,61 @@ def test_io_error_exit_code(tmp_path, capsys):
     target.write_text("a file, not a directory\n")
     assert main(["--out", str(target), "sweep"]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+# Config fuzz: whole configs, mostly well formed, with values from decades
+# around each default out to the ends of the float range, and typos.
+# Counts run to 64, which bounds the test's time, and past the 2^20 caps.
+# Above 64 they are slower, and levels_l_max beyond about 60 is where the
+# 64-node anisotropy quadrature stops being accurate: not covered here.
+CONFIG_KEYS = sorted(config._KEYS)
+UNITS_OF = {dimension: sorted(u for u, (kind, _) in config._UNITS.items()
+                              if kind == dimension or (dimension, kind) == ("frequency", "energy"))
+            for dimension, _ in config._KEYS.values() if dimension is not None}
+TYPICAL = {"frequency": 1e10, "time": 1e-9, "length": 1e-6}
+
+
+@st.composite
+def config_lines(draw):
+    key = draw(st.sampled_from(CONFIG_KEYS))
+    dimension, attr = config._KEYS[key]
+    if dimension is None:
+        value = draw(st.integers(1, 64) | st.integers(1, 64) | st.integers(-2, 0)
+                     | st.integers(2**20 + 1, 2**64))
+        line = f"{key} = {value}"
+    else:
+        default = getattr(ScenarioConfig(), attr)
+        scale = abs((default[-1] if isinstance(default, tuple) else default)
+                    or TYPICAL.get(dimension, 1.0))
+        near = (st.tuples(st.sampled_from([1.0] * 6 + [-1.0, 0.0]), st.floats(-6.0, 6.0))
+                .map(lambda t: t[0] * scale * 10.0 ** t[1]))
+        number = st.one_of(near, near, near,
+                           st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
+        numbers = draw(st.lists(number, min_size=1, max_size=3 if key == "spectrum_omega2" else 1))
+        unit = draw(st.sampled_from(UNITS_OF[dimension]))
+        line = f"{key} = {', '.join(map(repr, numbers))} {unit}"
+    typo = draw(st.sampled_from([None] * 16 + ["key", "unit", "number", "equals"]))
+    if typo == "key":
+        return line.replace(key, key[:-1], 1)
+    if typo == "unit":
+        return f"{line} {draw(st.sampled_from(sorted(config._UNITS)))}"
+    if typo == "number":
+        return line.replace("= ", f"= {draw(st.sampled_from(['nan', '-inf', '1e999', 'x', '']))}", 1)
+    if typo == "equals":
+        return line.replace("=", "", 1)
+    return line
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lines=st.lists(config_lines(), max_size=5))
+@example(lines=["omega_half_span = 0.0 rad/s"])     # was a ValueError traceback
+@example(lines=["gamma_bc = 1.7e308 rad/s"])        # was an overflow RuntimeWarning
+@example(lines=["levels_n_max = 3000", "levels_l_max = 900"])   # 1e9 rows: out of memory
+def test_any_config_exits_cleanly(lines):
+    # every command exits 0, 2 or 3; a RuntimeWarning is an error here
+    text = "\n".join(lines) + "\n"
+    for command in ("validate", "levels", "sweep", "spectrum", "propagate"):
+        code, err = run_config(command, text)
+        assert code in (0, 2, 3), (command, err)
+        assert "Traceback" not in err
+        assert code == 0 or err.count("\n") == 1, (command, err)

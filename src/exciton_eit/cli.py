@@ -1,16 +1,18 @@
 """Command-line orchestration of spectra, sweeps, level tables and pulses.
 
-Subcommands: spectrum | sweep | levels | propagate | validate.  Outputs
-are CSV and/or JSON shaped for external plotting tools, one dependent
-variable per column, byte-identical across reruns of the same
-configuration.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 I/O error.
+One subcommand per entry of ``_COMMANDS``.  Outputs are CSV and/or JSON
+shaped for external plotting tools, one dependent variable per column,
+byte-identical across reruns of the same configuration, and written only
+once every table is computed.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure (no file written), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -20,11 +22,10 @@ from .constants import CONST
 from .medium import FieldDrive, LadderSystem
 from .output import fmt, render, write_csv, write_json
 
-# Each kernel is imported on first use, through the package root, and
-# numpy with the first of them, so `validate` loads no numerical module.
-# A kernel is an attribute of this module that the runners look up on
-# `_cli` at call time: a wrapper bound here from outside (the benchmark's
-# traced launch does so) is the one that runs.
+# Each kernel is imported on first use, through the package root (numpy with
+# the first), so `validate` loads no numerical module.  The runners look each
+# kernel up on `_cli` at call time, so a wrapper bound here from outside (the
+# benchmark's traced launch does so) is the one that runs.
 _KERNELS = ("compute_spectrum", "sweep_control", "window_metrics", "level_table",
             "propagate_pulse")
 _cli = sys.modules[__name__]
@@ -33,51 +34,44 @@ _cli = sys.modules[__name__]
 def __getattr__(name: str):
     if name not in _KERNELS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(sys.modules[__package__], name)
-    return value
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="exciton-eit",
-        description="EIT and slow-light calculations for a Rydberg-exciton ladder medium",
-    )
+    parser = argparse.ArgumentParser(prog="exciton-eit", description=(
+        "EIT and slow-light calculations for a Rydberg-exciton ladder medium"))
     parser.add_argument("--config", type=Path, default=None,
                         help="configuration file (missing keys take built-in defaults)")
-    parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory")
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both",
                         help="output formats to emit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", help="probe spectra for each configured control field")
-    sub.add_parser("sweep", help="window-center group index and absorption vs control field")
-    sub.add_parser("levels", help="level table and field-mixed branch energies")
-    sub.add_parser("propagate", help="pulse propagation through the slab")
-    sub.add_parser("validate", help="parse the config and echo the resolved values")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def _load_config(path: Path | None) -> ScenarioConfig:
-    if path is None:
-        cfg = ScenarioConfig()
-        cfg.validate()
-        return cfg
+    """The config file at ``path``; without one, the built-in defaults."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = "" if path is None else path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text)
 
 
-def _formats(args) -> tuple[bool, bool]:
-    return args.format in ("csv", "both"), args.format in ("json", "both")
+def _write(args, params: dict, files: dict) -> None:
+    """Write each of ``files`` (name -> table) whose extension ``--format`` selects."""
+    for name, content in files.items():
+        kind = name.rpartition(".")[2]
+        if args.format in (kind, "both"):
+            (write_csv if kind == "csv" else write_json)(args.out / name, content, params)
 
 
 def _numerical(runner):
     """``runner`` with numpy's overflow, invalid-value and divide-by-zero
-    faults raised as FloatingPointError, an ArithmeticError: a config that
-    drives a kernel out of floating-point range exits 3 instead of warning
-    and writing what the fault left."""
+    faults raised (FloatingPointError, an ArithmeticError: exit 3) instead
+    of warned, so no file holds what the fault left."""
     @functools.wraps(runner)
     def strict(cfg: ScenarioConfig, args) -> int:
         import numpy as np
@@ -85,6 +79,17 @@ def _numerical(runner):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return runner(cfg, args)
     return strict
+
+
+@contextlib.contextmanager
+def _naming(*keys: str):
+    """Report a Python float overflow (an OverflowError, such as ``x ** 2``
+    past the float range) as a numerical failure that names ``keys``."""
+    try:
+        yield
+    except OverflowError:
+        raise ArithmeticError("a result leaves floating-point range: bring "
+                              f"{', '.join(keys)} back into range") from None
 
 
 def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]):
@@ -95,29 +100,25 @@ def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]):
     grid = np.linspace(lo, hi, points)
     if not (np.diff(grid) > 0).all():
         raise ConfigError(f"{', '.join(keys)} give {points} grid points from {fmt(lo)} "
-                          f"to {fmt(hi)} rad/s that rounding does not keep distinct",
-                          keys=keys)
+                          f"to {fmt(hi)} rad/s that rounding does not keep distinct", keys=keys)
     return grid
 
 
 @_numerical
+@_naming("spectrum_omega2")
 def run_spectrum(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
-    csv_on, json_on = _formats(args)
-    for om2 in cfg.spectrum_omega2:
-        drive = cfg.build_drive(system, Omega2=om2)
-        center = drive.delta1 - drive.delta2
-        grid = _grid(center - cfg.omega_half_span, center + cfg.omega_half_span,
-                     cfg.omega_points, ("omega_half_span", "omega_points"))
-        table = _cli.compute_spectrum(system, drive, grid)
+    center = cfg.delta1 - cfg.delta2   # the two-photon resonance, for every Omega2
+    grid = _grid(center - cfg.omega_half_span, center + cfg.omega_half_span,
+                 cfg.omega_points, ("omega_half_span", "omega_points"))
+    tables = [(om2, _cli.compute_spectrum(system, cfg.build_drive(system, Omega2=om2), grid))
+              for om2 in cfg.spectrum_omega2]
+    for om2, table in tables:
         columns = render({"omega_rad_s": table.omega_grid, "chi_re": table.chi_re,
                           "chi_im": table.chi_im, "n_g": table.n_g})
-        params = {**resolved_params_dict(cfg), "Omega2_this_run": om2}
         stem = spectrum_stem(om2)
-        if csv_on:
-            write_csv(args.out / f"{stem}.csv", columns, params)
-        if json_on:
-            write_json(args.out / f"{stem}.json", columns, params)
+        _write(args, {**resolved_params_dict(cfg), "Omega2_this_run": om2},
+               {f"{stem}.csv": columns, f"{stem}.json": columns})
         print(f"spectrum: Omega2 = {fmt(om2)} rad/s -> {stem}")
     return 0
 
@@ -125,71 +126,58 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
 @_numerical
 def run_sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
-    drive = cfg.build_drive(system)
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,
                  ("omega2_min", "omega2_max", "omega2_points"))
-    sweep = _cli.sweep_control(system, drive, grid)
+    sweep = _cli.sweep_control(system, cfg.build_drive(system), grid)
     columns = render({"omega2_rad_s": sweep.omega2_grid, "ng_center": sweep.ng_center,
                       "chi_im_center": sweep.chi_im_center})
-    params = resolved_params_dict(cfg)
-    csv_on, json_on = _formats(args)
-    if csv_on:
-        write_csv(args.out / "sweep.csv", columns, params)
-    if json_on:
-        write_json(args.out / "sweep.json", {
-            **columns, "argmax_omega2_rad_s": sweep.argmax_omega2, "ng_max": sweep.ng_max,
-        }, params)
+    _write(args, resolved_params_dict(cfg), {"sweep.csv": columns, "sweep.json": {
+        **columns, "argmax_omega2_rad_s": sweep.argmax_omega2, "ng_max": sweep.ng_max}})
     print(f"sweep: argmax Omega2 = {fmt(sweep.argmax_omega2)} rad/s, "
           f"max n_g(center) = {fmt(sweep.ng_max)}")
     return 0
 
 
+@_naming("E_gap", "rydberg_energy", "bohr_radius", "gamma_aniso", "field_strength",
+         "damping_n2", "damping_n10")
 def run_levels(cfg: ScenarioConfig, args) -> int:
     params_model = cfg.build_level_params()
     rows = _cli.level_table(params_model, n_max=cfg.levels_n_max, l_max=cfg.levels_l_max)
+    if not all(math.isfinite(x) for r in rows
+               for x in (r.energy.real * 1e3, -2e3 * r.energy.imag)):
+        raise OverflowError("a level energy or width is not finite")
     columns = render({"n": [r.n for r in rows], "l": [r.l for r in rows],
                       "m": [r.m for r in rows], "eta": [r.eta for r in rows],
                       "E_real_meV": [r.energy.real * 1e3 for r in rows],
                       "E_imag_meV": [r.energy.imag * 1e3 for r in rows],
                       "branch": [r.branch for r in rows]})
-    params = resolved_params_dict(cfg)
-    csv_on, json_on = _formats(args)
-    if csv_on:
-        write_csv(args.out / "levels.csv", columns, params)
-    if json_on:
-        write_json(args.out / "levels.json",
-                   {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]},
-                   params)
-    mixed = [r for r in rows if r.branch in ("2P", "10S")]
-    for r in mixed:
-        print(f"levels: {r.branch} branch at {fmt(r.energy.real * 1e3)} meV "
-              f"(width {fmt(-2e3 * r.energy.imag)} meV)")
+    _write(args, resolved_params_dict(cfg), {
+        "levels.csv": columns,
+        "levels.json": {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]}})
+    for r in rows:
+        if r.branch in ("2P", "10S"):
+            print(f"levels: {r.branch} branch at {fmt(r.energy.real * 1e3)} meV "
+                  f"(width {fmt(-2e3 * r.energy.imag)} meV)")
     return 0
 
 
-def _propagation_setup(cfg: ScenarioConfig, system: LadderSystem,
-                       drive: FieldDrive):
+def _propagation_setup(cfg: ScenarioConfig, system: LadderSystem, drive: FieldDrive):
     """Pulse sizing: duration defaults to 10x the inverse window width.
 
     The pulse starts 9 sigma into the grid so the turn-on truncation sits
     far below the transmitted amplitude even for optically thick slabs.
     """
     metrics = _cli.window_metrics(system, drive)
-    if cfg.pulse_sigma is not None:
-        sigma = cfg.pulse_sigma
-    elif metrics.width > 0:
-        sigma = 10.0 / metrics.width
-    else:
-        sigma = 10.0 / max(system.gamma_ab, 1.0)
-    delay_guess = 0.0
-    if system.N > 0:
-        delay_guess = cfg.slab_length * max(metrics.ng_center, 1.0) / CONST.c
+    sigma = cfg.pulse_sigma or 10.0 / (metrics.width if metrics.width > 0
+                                       else max(system.gamma_ab, 1.0))
+    delay_guess = (cfg.slab_length * max(metrics.ng_center, 1.0) / CONST.c
+                   if system.N > 0 else 0.0)
     span = cfg.t_span if cfg.t_span is not None else 18.0 * sigma + 2.0 * delay_guess
-    center = 9.0 * sigma
-    return sigma, center, span
+    return sigma, 9.0 * sigma, span
 
 
 @_numerical
+@_naming("Omega2", "pulse_sigma")
 def run_propagate(cfg: ScenarioConfig, args) -> int:
     import numpy as np
 
@@ -229,27 +217,24 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
 
     params = {**resolved_params_dict(cfg), **params_prop.params_dict(),
               "pulse_sigma_s": sigma, "pulse_center_s": center, "t_span_s": span}
-    csv_on, json_on = _formats(args)
-    if csv_on:
-        env_in, env_out = record.envelope_in, record.envelope_out
-        write_csv(args.out / "pulse.csv", {
-            "t_s": record.t_grid, "env_in_abs": np.abs(env_in), "env_in_arg": np.angle(env_in),
-            "env_out_abs": np.abs(env_out), "env_out_arg": np.angle(env_out)}, params)
-    if json_on:
-        payload = {
-            "delay_s": record.measured_delay,
-            "attenuation": record.measured_attenuation,
-            "phase_rad": record.measured_phase,
-            "slowdown_factor": slowdown,
-            "vg_over_c": 1.0 / (1.0 + slowdown) if slowdown != -1.0 else np.inf,
-            "grid": {"z_steps": params_prop.z_steps, "t_steps": params_prop.t_steps,
-                     "dt_s": params_prop.dt},
-            "converged": bool(record.converged),
-            "convergence_delta": record.convergence_delta,
-        }
-        if warning:
-            payload["warning"] = warning
-        write_json(args.out / "pulse_summary.json", payload, params)
+    env_in, env_out = record.envelope_in, record.envelope_out
+    summary = {
+        "delay_s": record.measured_delay,
+        "attenuation": record.measured_attenuation,
+        "phase_rad": record.measured_phase,
+        "slowdown_factor": slowdown,
+        "vg_over_c": 1.0 / (1.0 + slowdown) if slowdown != -1.0 else np.inf,
+        "grid": {"z_steps": params_prop.z_steps, "t_steps": params_prop.t_steps,
+                 "dt_s": params_prop.dt},
+        "converged": bool(record.converged),
+        "convergence_delta": record.convergence_delta,
+        **({"warning": warning} if warning else {}),
+    }
+    _write(args, params, {
+        "pulse.csv": {"t_s": record.t_grid,
+                      "env_in_abs": np.abs(env_in), "env_in_arg": np.angle(env_in),
+                      "env_out_abs": np.abs(env_out), "env_out_arg": np.angle(env_out)},
+        "pulse_summary.json": summary})
     print(f"propagate: delay = {fmt(record.measured_delay)} s, "
           f"attenuation = {fmt(record.measured_attenuation)}, "
           f"slowdown factor = {fmt(slowdown)}")
@@ -263,20 +248,20 @@ def run_validate(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "sweep": run_sweep,
-    "levels": run_levels,
-    "propagate": run_propagate,
-    "validate": run_validate,
+# command -> (runner, help text), in the order --help lists them
+_COMMANDS = {
+    "spectrum": (run_spectrum, "probe spectra for each configured control field"),
+    "sweep": (run_sweep, "window-center group index and absorption vs control field"),
+    "levels": (run_levels, "level table and field-mixed branch energies"),
+    "propagate": (run_propagate, "pulse propagation through the slab"),
+    "validate": (run_validate, "parse the config and echo the resolved values"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _RUNNERS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](_load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

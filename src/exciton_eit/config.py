@@ -215,6 +215,11 @@ class ScenarioConfig:
             value = getattr(self, _KEYS[key][1])
             if value is not None and value <= 0:
                 raise ConfigError(f"{key} must be positive", keys=(key,))
+        # `levels.anisotropy_eta` is within 1e-10 of a 40-digit quadrature up to l = 32
+        if self.gamma_aniso != 1 and min(self.levels_l_max, self.levels_n_max - 1) > 32:
+            raise ConfigError("levels_l_max above 32 needs gamma_aniso = 1: the anisotropy "
+                              "average is accurate only up to l = 32",
+                              keys=("levels_l_max", "gamma_aniso"))
         stems: dict[str, float] = {}
         for om2 in self.spectrum_omega2:
             stem = spectrum_stem(om2)

@@ -181,3 +181,40 @@ def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive):
         maxima = [s * x for x in _mp_real_roots(slope)
                   if mpmath.polyval(dslope[::-1], x) < 0]
         return width, maxima
+
+
+def _ylm_sq_mp(l: int, m: int, u):
+    """|Y_lm(u)|^2, u = cos(theta), by the normalized associated-Legendre
+    recurrence (no factorials, no series derivatives)."""
+    m = abs(m)
+    p = mpmath.sqrt((2 * m + 1) / (4 * mpmath.pi)) * (1 - u * u) ** (mpmath.mpf(m) / 2)
+    for i in range(1, m + 1):
+        p *= mpmath.sqrt(mpmath.mpf(2 * i - 1) / (2 * i))
+    prev, cur = 0, p
+    for j in range(m + 1, l + 1):
+        a = mpmath.sqrt(mpmath.mpf(4 * j * j - 1) / (j * j - m * m))
+        b = mpmath.sqrt(mpmath.mpf((j - 1) ** 2 - m * m) / (4 * (j - 1) ** 2 - 1))
+        prev, cur = cur, a * (u * cur - b * prev)
+    return cur * cur
+
+
+def anisotropy_eta_mp(l: int, m: int, gamma: float):
+    """eta_lm = 4 pi int_0^1 |Y_lm(u)|^2 / sqrt(1 - k u^2) du, k = 1 - gamma^2,
+    at 40 digits, in u directly (no substitution), with ``mpmath.quad``.
+
+    The integrand's square root vanishes just past u = 1 for gamma -> 0
+    and has its scale 1/sqrt(-k) near u = 0 for large gamma, so the
+    interval is cut at points that close in geometrically on each.
+    """
+    with mpmath.workdps(40):
+        k = 1 - mpmath.mpf(gamma) ** 2
+        if k == 0:
+            return mpmath.mpf(1)
+        cuts = {mpmath.mpf(i) / 8 for i in range(9)}
+        step = 1 / mpmath.sqrt(-k) if k < 0 else 1 / mpmath.sqrt(k) - 1
+        while step < 0.5:
+            cuts.add(step if k < 0 else 1 - step)
+            step *= 4
+        return 4 * mpmath.pi * mpmath.quad(
+            lambda u: _ylm_sq_mp(l, m, u) / mpmath.sqrt(1 - k * u * u), sorted(cuts),
+            method="gauss-legendre")

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -119,6 +120,23 @@ def test_default_outputs_match_stored_digests(tmp_path, capsys, command):
     got = {p.name: digest(p) for p in out.iterdir()} if out.exists() else {}
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == DEFAULT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "levels", "propagate"])
+def test_each_format_writes_its_own_files_only(tmp_path, capsys, command):
+    # --format csv and --format json each write exactly their half of the
+    # --format both run, byte for byte, and print the same stdout
+    both = tmp_path / "both"
+    assert main(["--out", str(both), command]) == 0
+    stdout = capsys.readouterr().out
+    for kind in ("csv", "json"):
+        out = tmp_path / kind
+        assert main(["--format", kind, "--out", str(out), command]) == 0
+        assert capsys.readouterr().out == stdout
+        expected = sorted(p.name for p in both.glob(f"*.{kind}"))
+        assert expected and sorted(p.name for p in out.iterdir()) == expected
+        for name in expected:
+            assert (out / name).read_bytes() == (both / name).read_bytes(), name
 
 
 # `levels` away from equal masses, where the anisotropy quadrature runs
@@ -348,6 +366,39 @@ def test_overflowing_kernel_is_a_numerical_failure(command):
     assert err.startswith("numerical failure: overflow") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, command, key", [
+    ("E_gap = 1e300 eV", "levels", "E_gap"),                 # was exit 0, 2P row inf
+    ("rydberg_energy = 1e300 eV", "levels", "rydberg_energy"),   # was exit 0, 10S row -inf
+    ("damping_n10 = 1.7e308 eV", "levels", "damping_n10"),
+    ("gamma_aniso = 1e300 dimensionless", "levels", "gamma_aniso"),
+    ("field_strength = 1e300 V/m", "levels", "field_strength"),
+    ("bohr_radius = 1e300 m", "levels", "bohr_radius"),
+    ("spectrum_omega2 = 1e160 rad/s", "spectrum", "spectrum_omega2"),
+    ("Omega2 = 1e160 rad/s", "propagate", "Omega2"),
+])
+def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key):
+    # a Python float overflow, or a level row that is not finite, exits 3
+    # with one line naming the keys to change, and writes no file
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: a result leaves floating-point range")
+    assert key in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_numerical_failure_writes_nothing(tmp_path, capsys):
+    # the second table overflows: the first is neither written nor announced
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("spectrum_omega2 = 0, 1e150 Grad/s\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 3
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("gamma_ab = 0 rad/s\n")
@@ -405,8 +456,9 @@ def test_vanishing_time_scales_warn_or_fail_cleanly(tmp_path, capsys, text):
     assert text.split()[0] in err
 
 
-def run_config(command, text):
-    """Exit code and stderr of one CLI run, with every warning an error."""
+def run_config(command, text, written=None):
+    """Exit code and stderr of one CLI run, with every warning an error;
+    ``written``, if given, is called with the output directory."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.txt"
         cfg.write_text(text)
@@ -415,7 +467,24 @@ def run_config(command, text):
               contextlib.redirect_stdout(io.StringIO())):
             warnings.simplefilter("error")
             code = main(["--config", str(cfg), "--out", str(Path(tmp) / "run"), command])
+        if written:
+            written(Path(tmp) / "run")
     return code, err.getvalue()
+
+
+NON_FINITE = re.compile(r"(?<![\w.+-])[+-]?(?:inf|nan)\b")
+
+
+def non_finite_numbers(out):
+    """Each non-finite number in the files under ``out``, less the documented
+    vg_over_c = inf of a pulse whose slowdown factor is exactly -1."""
+    found = []
+    for path in sorted(out.glob("*")) if out.exists() else ():
+        text = path.read_text(encoding="utf-8")
+        if path.name == "pulse_summary.json" and json.loads(text)["slowdown_factor"] == "-1":
+            text = text.replace('"vg_over_c": "inf"', "")
+        found += [(path.name, match.group()) for match in NON_FINITE.finditer(text)]
+    return found
 
 
 log_seconds = st.floats(-300.0, 3.0).map(lambda e: 10.0**e)
@@ -513,9 +582,8 @@ def test_io_error_exit_code(tmp_path, capsys):
 
 # Config fuzz: whole configs, mostly well formed, with values from decades
 # around each default out to the ends of the float range, and typos.
-# Counts run to 64, which bounds the test's time, and past the 2^20 caps.
-# Above 64 they are slower, and levels_l_max beyond about 60 is where the
-# 64-node anisotropy quadrature stops being accurate: not covered here.
+# Counts run to 64, which bounds the test's time, and past the 2^20 caps;
+# at gamma_aniso != 1 the level table stops at l = 32.
 CONFIG_KEYS = sorted(config._KEYS)
 UNITS_OF = {dimension: sorted(u for u, (kind, _) in config._UNITS.items()
                               if kind == dimension or (dimension, kind) == ("frequency", "energy"))
@@ -559,11 +627,20 @@ def config_lines(draw):
 @example(lines=["omega_half_span = 0.0 rad/s"])     # was a ValueError traceback
 @example(lines=["gamma_bc = 1.7e308 rad/s"])        # was an overflow RuntimeWarning
 @example(lines=["levels_n_max = 3000", "levels_l_max = 900"])   # 1e9 rows: out of memory
+@example(lines=["E_gap = 1e300 eV"])                # was exit 0 with an inf row
+@example(lines=["bohr_radius = 1e300 m"])           # was "(34, 'Numerical result ...')"
+@example(lines=["spectrum_omega2 = 0, 1e150 Grad/s"])   # was a file written, then exit 3
+@example(lines=["levels_n_max = 71", "levels_l_max = 70",
+                "gamma_aniso = 3 dimensionless"])   # was eta(70, 0) = 0.5048, not 0.5366
 def test_any_config_exits_cleanly(lines):
-    # every command exits 0, 2 or 3; a RuntimeWarning is an error here
+    # every command exits 0, 2 or 3; a RuntimeWarning is an error here; a
+    # failure is one line that is not a bare errno tuple, and a success
+    # writes only finite numbers
     text = "\n".join(lines) + "\n"
     for command in ("validate", "levels", "sweep", "spectrum", "propagate"):
-        code, err = run_config(command, text)
+        found = []
+        code, err = run_config(command, text, lambda out: found.extend(non_finite_numbers(out)))
         assert code in (0, 2, 3), (command, err)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and not err.startswith("numerical failure: (")
         assert code == 0 or err.count("\n") == 1, (command, err)
+        assert code != 0 or not found, (command, found)

@@ -120,6 +120,21 @@ class TestErrors:
         with pytest.raises(ConfigError, match="spectrum_om2_10Grads"):
             parse_config(f"spectrum_omega2 = {values} rad/s\n")
 
+    @pytest.mark.parametrize("text, accepted", [
+        ("levels_n_max = 34\nlevels_l_max = 33\ngamma_aniso = 3 dimensionless\n", False),
+        ("levels_n_max = 200\nlevels_l_max = 70\ngamma_aniso = 0.5 dimensionless\n", False),
+        ("levels_n_max = 33\nlevels_l_max = 90\ngamma_aniso = 3 dimensionless\n", True),
+        ("levels_n_max = 34\nlevels_l_max = 33\n", True),
+    ])
+    def test_anisotropic_level_table_stops_at_l_32(self, text, accepted):
+        # the orbitals the table holds run to min(levels_l_max, levels_n_max - 1);
+        # past l = 32 the anisotropy average is not accurate, at gamma != 1 only
+        if accepted:
+            parse_config(text)
+        else:
+            with pytest.raises(ConfigError, match=r"levels_l_max above 32 .*\(line 3"):
+                parse_config(text)
+
     def test_distinct_spectrum_stems_accepted(self):
         cfg = parse_config("spectrum_omega2 = -10, 10, 10.0001 Grad/s\n")
         assert len(cfg.spectrum_omega2) == 3

@@ -11,7 +11,7 @@ from scipy.special import lpmv
 from exciton_eit import (ScenarioConfig, anisotropy_eta,
                          dipole_moment_squared, energy_nlm, level_table,
                          mixed_level, solve_secular, stark_coupling)
-from oracles import stark_coupling_integral
+from oracles import anisotropy_eta_mp, stark_coupling_integral
 
 
 def level_params(**kw):
@@ -115,6 +115,15 @@ class TestAnisotropyEta:
 def test_eta_matches_doubling_quadrature(l, m_frac, gamma):
     m = round(m_frac * l)
     assert abs(anisotropy_eta(l, m, gamma) - eta_doubling_quadrature(l, m, gamma)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 0.01, 3.0, 100.0, 1e4, 1e6])
+def test_eta_matches_the_40_digit_reference(gamma):
+    # l = 32 is the largest l the config admits at gamma != 1; with one
+    # 64-node panel for every l, gamma = 100, 1e4 and 1e6 missed these by up
+    # to 1e-3 (the interval in phi grows like ln(2 gamma))
+    for l, m in ((20, 5), (32, 12), (32, 32)):
+        assert abs(anisotropy_eta(l, m, gamma) - anisotropy_eta_mp(l, m, gamma)) < 1e-10, (l, m)
 
 
 class TestEnergyNlm:

@@ -374,6 +374,8 @@ def test_overflowing_kernel_is_a_numerical_failure(command):
     ("field_strength = 1e300 V/m", "levels", "field_strength"),
     ("bohr_radius = 1e300 m", "levels", "bohr_radius"),
     ("spectrum_omega2 = 1e160 rad/s", "spectrum", "spectrum_omega2"),
+    # the second table overflows: the first is neither written nor announced
+    ("spectrum_omega2 = 0, 1e150 Grad/s", "spectrum", "spectrum_omega2"),
     ("Omega2 = 1e160 rad/s", "propagate", "Omega2"),
 ])
 def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key):
@@ -387,16 +389,6 @@ def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key
     assert captured.err.startswith("numerical failure: a result leaves floating-point range")
     assert key in captured.err and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
-
-
-def test_numerical_failure_writes_nothing(tmp_path, capsys):
-    # the second table overflows: the first is neither written nor announced
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("spectrum_omega2 = 0, 1e150 Grad/s\n")
-    out = tmp_path / "run"
-    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 3
-    assert capsys.readouterr().out == ""
-    assert not out.exists()
 
 
 def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):

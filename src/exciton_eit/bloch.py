@@ -79,6 +79,8 @@ class DensityMatrixState:
 
 def _rhs_vector(y: np.ndarray, drive: FieldDrive, system: LadderSystem,
                 decay_mode: str) -> np.ndarray:
+    """Time derivative of the packed state ``y``, shape (9,) or (9, k): a
+    block of k states gives the k derivatives as the columns."""
     om1 = complex(drive.Omega1)
     om2 = complex(drive.Omega2)
     d1, d2 = drive.delta1, drive.delta2
@@ -86,9 +88,9 @@ def _rhs_vector(y: np.ndarray, drive: FieldDrive, system: LadderSystem,
     Gab, Gca = system.Gamma_ab, system.Gamma_ca
 
     saa, sbb, scc = y[0], y[1], y[2]
-    sab = complex(y[3], y[4])
-    sbc = complex(y[5], y[6])
-    sac = complex(y[7], y[8])
+    sab = y[3] + 1j * y[4]
+    sbc = y[5] + 1j * y[6]
+    sac = y[7] + 1j * y[8]
 
     # shared pump terms so the occupation sum cancels exactly
     pump1 = 2.0 * (om1.conjugate() * sab).imag
@@ -170,6 +172,27 @@ def _expm(a: np.ndarray, T: float) -> np.ndarray:
     return r
 
 
+def _samples(step: np.ndarray, z0: np.ndarray, n: int) -> np.ndarray:
+    """The n states step^k z0, k = 0 .. n - 1, as columns.
+
+    They are filled in doubling blocks: with P = step^m, the next m columns
+    are P times the first m, and then P is squared, so ceil(log2(n)) block
+    products and squarings replace n - 1 matrix-vector products.  A row of
+    ``step`` that is the identity's (a conserved coordinate) stays so in
+    every power, so that coordinate keeps z0's value exactly.
+    """
+    z = np.empty((len(z0), n))
+    z[:, 0] = z0
+    power, filled = step, 1
+    while True:
+        m = min(filled, n - filled)
+        z[:, filled:filled + m] = power @ z[:, :m]
+        filled += m
+        if filled == n:
+            return z
+        power = power @ power
+
+
 def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
                     system: LadderSystem, T: float,
                     t_eval=None, decay_mode: str = "literal") -> BlochTrajectory:
@@ -180,10 +203,11 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     by its matrix exponential; the trace is a coordinate of its own and
     stays exact for any rate-time product.  ``t_eval`` must be
     ``np.linspace(0, T, n)`` with n >= 2 (``None`` means [0, T]), so one
-    exponential over the step T/(n - 1) advances every sample.  T must be
-    positive and finite.  A drive whose generator has a growing mode
-    (possible with the literal population damping) can overflow the
-    samples; that raises :class:`EvaluationError` naming the growth rate.
+    exponential over the step T/(n - 1) gives every sample, by repeated
+    squaring (``_samples``).  T must be positive and finite.  A drive
+    whose generator has a growing mode (possible with the literal
+    population damping) can overflow the samples; that raises
+    :class:`EvaluationError` naming the growth rate.
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"integration time T must be positive and finite, got {T!r}")
@@ -194,17 +218,13 @@ def integrate_bloch(initial: DensityMatrixState, drive: FieldDrive,
     # the equations conserve the trace, so its row of the generator is 0
     S = np.eye(9)
     S[1, 0] = S[1, 2] = -1.0
-    generator = np.column_stack([
-        _rhs_vector(column, drive, system, decay_mode) for column in S.T])
+    generator = _rhs_vector(S, drive, system, decay_mode)
     generator[1] = 0.0
-    z = np.empty((9, t.size))
-    z[:, 0] = initial.to_vector()
-    z[1, 0] = initial.trace
+    z0 = initial.to_vector()
+    z0[1] = initial.trace
     # a growing mode that overflows leaves non-finite samples, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _expm(generator * (T / (t.size - 1)), T)
-        for k in range(1, t.size):
-            z[:, k] = step @ z[:, k - 1]
+        z = _samples(_expm(generator * (T / (t.size - 1)), T), z0, t.size)
     if not np.isfinite(z).all():
         rate = np.linalg.eigvals(generator).real.max()
         raise EvaluationError(

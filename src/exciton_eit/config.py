@@ -207,6 +207,10 @@ class ScenarioConfig:
             value = getattr(self, _KEYS[key][1])
             if value is not None and value < 0:
                 raise ConfigError(f"{key} must be non-negative", keys=(key,))
+        if self.gamma_ac is None and not math.isfinite(self.gamma_ab + self.gamma_bc):
+            raise ConfigError("gamma_ac defaults to gamma_ab + gamma_bc, which overflows: "
+                              "lower gamma_ab or gamma_bc, or set gamma_ac",
+                              keys=("gamma_ab", "gamma_bc", "gamma_ac"))
         if not 0 < self.omega_ac < self.omega_ab:
             raise ConfigError("omega_ac must lie in (0, omega_ab): the ladder "
                               "needs E_a > E_c > E_b", keys=("omega_ab", "omega_ac"))

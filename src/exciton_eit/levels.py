@@ -38,13 +38,21 @@ def _quadrature():
     return np, legendre, *legendre.leggauss(64)
 
 
-def _ylm_sq(l: int, m: int, u):
-    """|Y_lm|^2 in u = cos(theta), a polynomial: |P_l^m|^2 = (1 - u^2)^|m| (P_l^(|m|))^2."""
+@functools.cache
+def _ylm_series(l: int, am: int):
+    """(norm, Legendre series of P_l^(am)) for ``_ylm_sq``, built once per (l, |m|)."""
     np, legendre, _, _ = _quadrature()
-    am = abs(m)
     norm = (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
     deriv = legendre.legder(np.eye(l + 1)[l], am)
-    return norm * (1.0 - u * u) ** am * legendre.legval(u, deriv) ** 2
+    deriv.flags.writeable = False
+    return norm, deriv
+
+
+def _ylm_sq(l: int, m: int, u):
+    """|Y_lm|^2 in u = cos(theta), a polynomial: |P_l^m|^2 = (1 - u^2)^|m| (P_l^(|m|))^2."""
+    am = abs(m)
+    norm, deriv = _ylm_series(l, am)
+    return norm * (1.0 - u * u) ** am * _quadrature()[1].legval(u, deriv) ** 2
 
 
 @functools.lru_cache(maxsize=1024)
@@ -77,11 +85,13 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     top = math.asin(root) if k > 0 else math.asinh(root)
     panels = max(1, math.ceil(l * top / _PANEL_SPAN))
     width = top / panels
+    # every panel's nodes in one evaluation, one row per panel; the rows
+    # are summed panel by panel, in order
+    phi = width * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))
+    values = _ylm_sq(l, m, (np.sin(phi) if k > 0 else np.sinh(phi)) / root)
     total = 0.0
-    for i in range(panels):
-        phi = width * (i + 0.5 * (nodes + 1.0))
-        u = (np.sin(phi) if k > 0 else np.sinh(phi)) / root
-        total += float(np.dot(weights, _ylm_sq(l, m, u)))
+    for row in values:
+        total += float(np.dot(weights, row))
     return 2.0 * math.pi * width / root * total
 
 
@@ -238,13 +248,15 @@ def level_table(params: LevelModelParams, n_max: int, l_max: int) -> list[LevelR
     the S-like n=10 branch.  eta depends on |m| only, so m runs over
     0..l.
     """
-    gamma = params.gamma_aniso
-    rows = [LevelRow(n=n, l=l, m=m, eta=anisotropy_eta(l, m, gamma),
-                     energy=complex(energy_nlm(n, l, m, gamma, params.rydberg)),
+    gamma, rydberg = params.gamma_aniso, params.rydberg
+    # eta once per (l, m); each energy is energy_nlm's expression
+    etas = [[anisotropy_eta(l, m, gamma) for m in range(l + 1)]
+            for l in range(min(l_max, n_max - 1) + 1)]
+    rows = [LevelRow(n=n, l=l, m=m, eta=eta, energy=complex(-(eta**2) / n**2 * rydberg),
                      branch="bare")
             for n in range(1, n_max + 1)
             for l in range(0, min(l_max, n - 1) + 1)
-            for m in range(0, l + 1)]
+            for m, eta in enumerate(etas[l])]
     for n, branch, label in ((2, "P", "2P"), (10, "S", "10S")):
         l = 1 if branch == "P" else 0
         rows.append(LevelRow(

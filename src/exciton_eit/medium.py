@@ -8,7 +8,7 @@ as immutable values, which makes concurrent sweeps safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import CONST
 
@@ -116,4 +116,6 @@ class FieldDrive:
 
     def with_control(self, Omega2: complex) -> "FieldDrive":
         """Copy of this drive with a different control Rabi frequency."""
-        return replace(self, Omega2=Omega2)
+        # the constructor, not dataclasses.replace: studies call this per
+        # control value, and replace costs about three times as much
+        return FieldDrive(self.omega1, self.Omega1, Omega2, self.delta1, self.delta2)

@@ -234,6 +234,31 @@ def _derivative(coef: np.ndarray) -> np.ndarray:
     return coef[1:] * np.arange(1, len(coef))
 
 
+def _resonant_center(pref: float, system: LadderSystem, drive: FieldDrive,
+                     om2_sq: float) -> tuple[float, float]:
+    """(Im chi, n_g) at the window center for delta2 = 0 and Omega2 != 0.
+
+    There both resonance factors are imaginary, i gamma_ab and i gamma_bc,
+    so P = -gamma_ab gamma_bc - |Omega2|^2 is real: Im chi = -pref gamma_bc / P
+    and chi' = pref (|Omega2|^2 - gamma_bc^2) / P^2, in Python floats.
+    numpy divides a complex scalar by multiplying with the reciprocal of
+    the real divisor, and so does this, so the bits are those of the
+    numpy-scalar route; 0.0 - x gives its -0.0 for Im chi at gamma_bc = 0.
+    Python floats overflow silently, so a P or a result that is not
+    finite raises :class:`EvaluationError`, where numpy's overflow would
+    raise under the CLI's ``errstate``.
+    """
+    gab, gbc = system.gamma_ab, system.gamma_bc
+    p = -gab * gbc - om2_sq
+    center_abs = (0.0 - pref * gbc) * (1.0 / p)
+    ng_center = 1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / (p * p)))
+    if not (math.isfinite(p) and math.isfinite(center_abs) and math.isfinite(ng_center)):
+        raise EvaluationError(
+            f"overflow at the window center: gamma_ab = {gab:.6g}, gamma_bc = {gbc:.6g} "
+            f"and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s leave floating-point range")
+    return float(center_abs), float(ng_center)
+
+
 def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     """Locate the transparency window around two-photon resonance.
 
@@ -247,7 +272,8 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     control off, or while the dip floor still sits above the half level,
     the window is reported absent (width 0).  An edge farther than
     max(10 gamma_ab, 4 |Omega2|) from the center, or missing, is capped at
-    that span.  gamma_ab = 0 raises :class:`EvaluationError`.
+    that span.  gamma_ab = 0 raises :class:`EvaluationError`, and so does
+    a center value at delta2 = 0 that leaves floating-point range.
     """
     if system.gamma_ab == 0:
         raise EvaluationError("window metrics need gamma_ab > 0: at gamma_ab = 0 "
@@ -255,17 +281,21 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     pref = system.chi_prefactor
     center = drive.delta1 - drive.delta2
     half = 0.5 * pref / system.gamma_ab
-    om2_sq = abs(drive.Omega2) ** 2
-    # _response written out in numpy scalars, because a one-point array
-    # call costs about eight times as much and studies call this once per
-    # control value.  The values may differ from the array path's in the
-    # last bit.  With gamma_ab > 0 the center is no pole
-    one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
-    inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
-                          if om2_sq != 0 else 1.0)
-    p = one * inner - om2_sq
-    center_abs = float((-pref * inner / p).imag)
-    ng_center = _group_index(float((pref * (inner * inner + om2_sq) / (p * p)).real), drive)
+    om2_sq = float(abs(drive.Omega2) ** 2)
+    if drive.delta2 == 0 and om2_sq != 0:
+        center_abs, ng_center = _resonant_center(pref, system, drive, om2_sq)
+    else:
+        # _response written out in numpy scalars, because a one-point array
+        # call costs about eight times as much.  The values may differ from
+        # the array path's in the last bit.  With gamma_ab > 0 the center
+        # is no pole
+        one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
+        inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
+                              if om2_sq != 0 else 1.0)
+        p = one * inner - om2_sq
+        center_abs = float((-pref * inner / p).imag)
+        ng_center = float(_group_index(
+            float((pref * (inner * inner + om2_sq) / (p * p)).real), drive))
 
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
     if drive.delta2 == 0:

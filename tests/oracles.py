@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 
 from exciton_eit import CONST, FieldDrive, LadderSystem, chi, group_velocity
+from exciton_eit.bloch import _expm, _rhs_vector
+from exciton_eit.levels import _PANEL_SPAN, _ylm_sq
 
 
 def group_index_fd(omega, system: LadderSystem, drive: FieldDrive, rel_step: float = 1e-6):
@@ -20,6 +22,49 @@ def group_index_fd(omega, system: LadderSystem, drive: FieldDrive, rel_step: flo
     dre = (np.real(chi(np.asarray(omega) + h, system, drive))
            - np.real(chi(np.asarray(omega) - h, system, drive))) / (2.0 * h)
     return 1.0 + 0.5 * drive.omega1 * dre
+
+
+def window_center_np(system: LadderSystem, drive: FieldDrive) -> tuple[float, float]:
+    """(Im chi, n_g) at the window center in numpy complex scalars.
+
+    The route ``window_metrics`` took at every delta2 before its float
+    closed form at delta2 = 0: the product form of chi and chi' evaluated
+    at the center, with numpy's complex division.
+    """
+    pref = system.chi_prefactor
+    center = drive.delta1 - drive.delta2
+    om2_sq = abs(drive.Omega2) ** 2
+    one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
+    inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
+                          if om2_sq != 0 else 1.0)
+    p = one * inner - om2_sq
+    center_abs = float((-pref * inner / p).imag)
+    dchi = float((pref * (inner * inner + om2_sq) / (p * p)).real)
+    return center_abs, float(1.0 + 0.5 * drive.omega1 * dchi)
+
+
+def bloch_samples_stepwise(initial, drive: FieldDrive, system: LadderSystem, T: float,
+                           n: int, decay_mode: str):
+    """(step, z, y) of the Bloch samples at np.linspace(0, T, n), one step at a time.
+
+    The generator is read off nine single-state calls of the right-hand
+    side, in the coordinates z that replace sigma_bb by the trace
+    (y = S z), and the package's exponential over T/(n - 1) is applied
+    n - 1 times in sequence: the route ``integrate_bloch`` took before it
+    sampled by repeated squaring.
+    """
+    S = np.eye(9)
+    S[1, 0] = S[1, 2] = -1.0
+    generator = np.column_stack([_rhs_vector(column, drive, system, decay_mode)
+                                 for column in S.T])
+    generator[1] = 0.0
+    step = _expm(generator * (T / (n - 1)), T)
+    z = np.empty((9, n))
+    z[:, 0] = initial.to_vector()
+    z[1, 0] = initial.trace
+    for k in range(1, n):
+        z[:, k] = step @ z[:, k - 1]
+    return step, z, S @ z
 
 
 def _genlaguerre(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -218,3 +263,26 @@ def anisotropy_eta_mp(l: int, m: int, gamma: float):
         return 4 * mpmath.pi * mpmath.quad(
             lambda u: _ylm_sq_mp(l, m, u) / mpmath.sqrt(1 - k * u * u), sorted(cuts),
             method="gauss-legendre")
+
+
+def anisotropy_eta_panelwise(l: int, m: int, gamma: float) -> float:
+    """``anisotropy_eta``'s panel rule, one panel's nodes at a time.
+
+    The same nodes, weights and summation order as the package, which
+    evaluates every panel's nodes in one call: the two must agree bit for
+    bit.
+    """
+    k = 1.0 - gamma**2
+    if k == 0:
+        return 1.0
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    root = math.sqrt(abs(k))
+    top = math.asin(root) if k > 0 else math.asinh(root)
+    panels = max(1, math.ceil(l * top / _PANEL_SPAN))
+    width = top / panels
+    total = 0.0
+    for i in range(panels):
+        phi = width * (i + 0.5 * (nodes + 1.0))
+        u = (np.sin(phi) if k > 0 else np.sinh(phi)) / root
+        total += float(np.dot(weights, _ylm_sq(l, m, u)))
+    return 2.0 * math.pi * width / root * total

@@ -14,7 +14,8 @@ from exciton_eit import (DensityMatrixState, EvaluationError, FieldDrive,
                          integrate_bloch, integrate_linearized,
                          steady_state_linearized)
 from exciton_eit import bloch
-from exciton_eit.bloch import _expm, _linear_matrix, _rhs_vector
+from exciton_eit.bloch import _expm, _linear_matrix, _rhs_vector, _samples
+from oracles import bloch_samples_stepwise
 
 
 def default_system(**kw):
@@ -336,3 +337,27 @@ class TestLinearizedSteadyState:
         sol = integrate_linearized(drv, sys_, T)
         ss, _ = steady_state_linearized(drv, sys_)
         assert abs(sol.final_sigma_ab - ss) / abs(ss) < 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11), gamma_bc=st.floats(0.0, 1e10),
+       omega1=st.floats(1e4, 3e10), omega2=st.floats(0.0, 1e11),
+       delta1=st.floats(-1e11, 1e11), delta2=st.floats(-1e11, 1e11),
+       horizon=st.floats(0.1, 100.0), n=st.integers(2, 300),
+       mode=st.sampled_from(["literal", "standard"]), seed=st.integers(0, 2**32 - 1))
+def test_repeated_squaring_matches_stepwise_samples(gamma_ab, gamma_bc, omega1, omega2,
+                                                    delta1, delta2, horizon, n, mode, seed):
+    # the doubling blocks against n - 1 steps in sequence of the same
+    # exponential; the trace coordinate (the step's identity row) is exact
+    sys_ = default_system(gamma_ab=gamma_ab, gamma_bc=gamma_bc)
+    drv = drive_for(sys_, Omega1=omega1, Omega2=omega2, delta1=delta1, delta2=delta2)
+    T = horizon / max(gamma_ab, sys_.Gamma_ab, sys_.gamma_ac, omega1, omega2,
+                      abs(delta1), abs(delta2))
+    initial = random_state(np.random.default_rng(seed))
+    step, z, y = bloch_samples_stepwise(initial, drv, sys_, T, n, mode)
+    sampled = _samples(step, z[:, 0], n)
+    assert np.all(sampled[1] == initial.trace)
+    assert np.max(np.abs(sampled - z)) <= 1e-13 * np.max(np.abs(z))
+    traj = integrate_bloch(initial, drv, sys_, T, t_eval=np.linspace(0.0, T, n),
+                           decay_mode=mode)
+    assert np.max(np.abs(traj.y - y)) <= 1e-13 * np.max(np.abs(y))

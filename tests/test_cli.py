@@ -366,6 +366,15 @@ def test_overflowing_kernel_is_a_numerical_failure(command):
     assert err.startswith("numerical failure: overflow") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "levels", "spectrum", "sweep", "propagate"])
+def test_overflowing_default_gamma_ac_is_a_config_error(command):
+    # gamma_ac defaults to gamma_ab + gamma_bc; `levels` once wrote it as "inf"
+    code, err = run_config(command, "gamma_ab = 1.7e308 rad/s\ngamma_bc = 1.7e308 rad/s\n")
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(key in err for key in ("gamma_ab", "gamma_bc", "gamma_ac"))
+
+
 @pytest.mark.parametrize("text, command, key", [
     ("E_gap = 1e300 eV", "levels", "E_gap"),                 # was exit 0, 2P row inf
     ("rydberg_energy = 1e300 eV", "levels", "rydberg_energy"),   # was exit 0, 10S row -inf
@@ -622,6 +631,7 @@ def config_lines(draw):
 @example(lines=["E_gap = 1e300 eV"])                # was exit 0 with an inf row
 @example(lines=["bohr_radius = 1e300 m"])           # was "(34, 'Numerical result ...')"
 @example(lines=["spectrum_omega2 = 0, 1e150 Grad/s"])   # was a file written, then exit 3
+@example(lines=["gamma_ab = 1.7e308 rad/s", "gamma_bc = 1.7e308 rad/s"])  # gamma_ac was inf
 @example(lines=["levels_n_max = 71", "levels_l_max = 70",
                 "gamma_aniso = 3 dimensionless"])   # was eta(70, 0) = 0.5048, not 0.5366
 def test_any_config_exits_cleanly(lines):

@@ -11,7 +11,7 @@ from scipy.special import lpmv
 from exciton_eit import (ScenarioConfig, anisotropy_eta,
                          dipole_moment_squared, energy_nlm, level_table,
                          mixed_level, solve_secular, stark_coupling)
-from oracles import anisotropy_eta_mp, stark_coupling_integral
+from oracles import anisotropy_eta_mp, anisotropy_eta_panelwise, stark_coupling_integral
 
 
 def level_params(**kw):
@@ -124,6 +124,19 @@ def test_eta_matches_the_40_digit_reference(gamma):
     # to 1e-3 (the interval in phi grows like ln(2 gamma))
     for l, m in ((20, 5), (32, 12), (32, 32)):
         assert abs(anisotropy_eta(l, m, gamma) - anisotropy_eta_mp(l, m, gamma)) < 1e-10, (l, m)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 3.0, 1e6, 1.3e154])
+def test_eta_and_level_rows_keep_their_bits(gamma):
+    # all panels in one evaluation against one panel at a time (up to 114
+    # panels at l = 32, gamma = 1.3e154), and each bare row against energy_nlm
+    for l, m in ((0, 0), (7, 3), (32, 0), (32, 32)):
+        assert anisotropy_eta(l, m, gamma) == anisotropy_eta_panelwise(l, m, gamma), (l, m)
+    params = level_params(gamma_aniso=gamma)
+    for row in level_table(params, n_max=12, l_max=4):
+        if row.branch == "bare":
+            assert row.eta == anisotropy_eta(row.l, row.m, gamma)
+            assert row.energy == energy_nlm(row.n, row.l, row.m, gamma, params.rydberg)
 
 
 class TestEnergyNlm:

@@ -12,7 +12,7 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          window_metrics)
 from exciton_eit import susceptibility
 from exciton_eit.susceptibility import SpectrumTable, _real_roots, _response
-from oracles import group_index_fd, window_and_peaks_mp
+from oracles import group_index_fd, window_and_peaks_mp, window_center_np
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -324,6 +324,49 @@ def test_closed_form_kernels_match_the_polynomial_oracle(gamma_ab, gamma_bc, ome
     assert len(peaks) == len(expected)
     scale = max(gamma_ab, omega2)
     np.testing.assert_allclose(peaks, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11),
+       gamma_bc=st.one_of(st.just(0.0), st.floats(1e7, 1e11)),
+       omega2=st.one_of(st.just(0.0), st.floats(1e8, 1e12), st.just("knife")),
+       phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)),
+       kind=st.sampled_from([complex, np.complex128, np.float64]),
+       delta1=st.one_of(st.just(0.0), st.floats(-1e11, 1e11)),
+       delta2=st.one_of(st.just(0.0), st.floats(-1e11, 1e11)))
+# gamma_bc = 0, where Im chi at the center is -0.0 on the numpy route; the
+# bare line; and the knife edge |Omega2|^2 = gamma_ab gamma_bc
+@example(gamma_ab=1e9, gamma_bc=0.0, omega2=1e9, phase=0.0, kind=complex, delta1=0.0,
+         delta2=0.0)
+@example(gamma_ab=1e9, gamma_bc=1e7, omega2=0.0, phase=0.0, kind=complex, delta1=1e9,
+         delta2=0.0)
+@example(gamma_ab=1e9, gamma_bc=1e7, omega2="knife", phase=0.0, kind=np.float64,
+         delta1=0.0, delta2=0.0)
+def test_window_center_has_the_numpy_scalar_bits(gamma_ab, gamma_bc, omega2, phase, kind,
+                                                 delta1, delta2):
+    # at delta2 = 0 the center is evaluated in Python floats; its bits,
+    # the sign of zero included, are those of numpy's complex scalars
+    sys_ = medium(gamma_ab, gamma_bc)
+    magnitude = np.sqrt(gamma_ab * gamma_bc) if omega2 == "knife" else omega2
+    om2 = kind(magnitude) if kind is np.float64 else kind(magnitude * np.exp(1j * phase))
+    drv = drive_for(sys_, Omega2=om2, delta1=delta1, delta2=delta2)
+    metrics = window_metrics(sys_, drv)
+    center_abs, ng_center = window_center_np(sys_, drv)
+    assert type(metrics.center_abs) is float and type(metrics.ng_center) is float
+    assert same_bits(metrics.center_abs, center_abs)
+    assert same_bits(metrics.ng_center, ng_center)
+
+
+def test_window_center_overflow_raises():
+    # Python floats overflow silently; the float center raises instead
+    sys_ = medium(4.5573e10, 1.7e308)
+    with pytest.raises(EvaluationError, match="^overflow"):
+        window_metrics(sys_, drive_for(sys_))
 
 
 EPS = np.finfo(float).eps

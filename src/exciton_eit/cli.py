@@ -68,17 +68,29 @@ def _write(args, params: dict, files: dict) -> None:
             (write_csv if kind == "csv" else write_json)(args.out / name, content, params)
 
 
-def _numerical(runner):
-    """``runner`` with numpy's overflow, invalid-value and divide-by-zero
-    faults raised (FloatingPointError, an ArithmeticError: exit 3) instead
-    of warned, so no file holds what the fault left."""
-    @functools.wraps(runner)
-    def strict(cfg: ScenarioConfig, args) -> int:
-        import numpy as np
+# the config keys every susceptibility kernel reads
+_LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1", "delta2")
 
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return runner(cfg, args)
-    return strict
+
+def _numerical(*keys: str):
+    """The runner with numpy's overflow, invalid-value and divide-by-zero
+    faults raised instead of warned, so no file holds what the fault left.
+    Each is re-raised as an ArithmeticError (exit 3) whose message is
+    numpy's, followed by ``keys``, the config keys the command's kernel
+    reads."""
+    def wrap(runner):
+        @functools.wraps(runner)
+        def strict(cfg: ScenarioConfig, args) -> int:
+            import numpy as np
+
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    return runner(cfg, args)
+            except FloatingPointError as exc:
+                raise ArithmeticError(
+                    f"{exc}: bring {', '.join(keys)} back into range") from None
+        return strict
+    return wrap
 
 
 @contextlib.contextmanager
@@ -104,7 +116,7 @@ def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]):
     return grid
 
 
-@_numerical
+@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2")
 @_naming("spectrum_omega2")
 def run_spectrum(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
@@ -123,7 +135,7 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-@_numerical
+@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max")
 def run_sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,
@@ -176,7 +188,8 @@ def _propagation_setup(cfg: ScenarioConfig, system: LadderSystem, drive: FieldDr
     return sigma, 9.0 * sigma, span
 
 
-@_numerical
+@_numerical(*_LADDER_KEYS, "Omega1", "Omega2", "slab_length", "t_steps", "t_span",
+            "pulse_sigma")
 @_naming("Omega2", "pulse_sigma")
 def run_propagate(cfg: ScenarioConfig, args) -> int:
     import numpy as np

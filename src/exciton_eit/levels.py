@@ -67,9 +67,11 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     integrand on a finite interval [0, top], split into equal panels of a
     64-node Gauss-Legendre rule, one per 100 of l * top.  For
     l <= 32 (the range ``ScenarioConfig.validate`` admits at gamma != 1)
-    this is within 1e-10 of a 40-digit quadrature for every gamma > 0
-    whose square is finite.  Equal masses (gamma = 1) give exactly 1 for
-    every (l, m).  Results are cached per (l, m, gamma), so the level
+    this is within 1e-10 of a 40-digit quadrature for every finite
+    gamma > 0.  Past gamma ~ 1.34e154, where gamma^2 overflows, k is taken
+    as -inf and sqrt(-k) as sqrt(gamma - 1) sqrt(gamma + 1), so eta stays
+    finite (it falls like ln(2 gamma) / gamma).  Equal masses (gamma = 1)
+    give exactly 1 for every (l, m).  Results are cached per (l, m, gamma), so the level
     table and the mixed-level thresholds integrate each distinct value once.
     """
     if l < 0 or abs(m) > l:
@@ -77,11 +79,15 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
     if gamma_aniso <= 0:
         raise ValueError("anisotropy ratio must be positive")
 
-    k = 1.0 - gamma_aniso**2
+    try:
+        k = 1.0 - gamma_aniso**2
+        root = math.sqrt(abs(k))
+    except OverflowError:
+        # gamma^2 leaves the float range, sqrt(-k) does not
+        k, root = -math.inf, math.sqrt(gamma_aniso - 1.0) * math.sqrt(gamma_aniso + 1.0)
     if k == 0:
         return 1.0
     np, _, nodes, weights = _quadrature()
-    root = math.sqrt(abs(k))
     top = math.asin(root) if k > 0 else math.asinh(root)
     panels = max(1, math.ceil(l * top / _PANEL_SPAN))
     width = top / panels

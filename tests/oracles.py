@@ -139,6 +139,44 @@ def slab_transmission(envelope_in, params, drive: FieldDrive, system: LadderSyst
     return np.fft.ifft(np.fft.fft(env, n_pad) * transfer)[:len(env)]
 
 
+def transfer_full_grid(n_pad: int, params, drive: FieldDrive,
+                       system: LadderSystem) -> np.ndarray | None:
+    """The slab transfer exp(i w1 chi(w) L / 2c) as the package formed it
+    before it used the Hermitian symmetry at resonant drive: chi and the
+    exponential on every one of the ``n_pad`` FFT frequencies."""
+    if params.kappa1_sq == 0.0:
+        return None
+    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
+    response = chi(omega, system, drive) / system.chi_prefactor
+    return np.exp(1j * params.kappa1_sq * params.L / CONST.c * response)
+
+
+def measure_trapezoid(t, env_in, env_out):
+    """``propagate_pulse``'s observables through ``np.trapezoid``, with
+    ``np.abs`` taken afresh for every use: the package's earlier form."""
+    from exciton_eit.propagation import PulseRecord
+
+    def centroid(e):
+        w = np.abs(e) ** 2
+        total = np.trapezoid(w, t)
+        if total == 0:
+            return 0.0
+        return float(np.trapezoid(w * t, t) / total)
+
+    i_in = int(np.argmax(np.abs(env_in)))
+    i_out = int(np.argmax(np.abs(env_out)))
+    peak_in = abs(env_in[i_in])
+    peak_out = abs(env_out[i_out])
+    return PulseRecord(
+        t_grid=t,
+        envelope_in=env_in,
+        envelope_out=env_out,
+        measured_delay=centroid(env_out) - centroid(env_in),
+        measured_attenuation=float(peak_out / peak_in) if peak_in else 0.0,
+        measured_phase=float(np.angle(env_out[i_out] * np.conj(env_in[i_in]))),
+    )
+
+
 def rerun_delay_shift(envelope_in, params, drive: FieldDrive, system: LadderSystem) -> float:
     """The grid check the package ran before it read its checks off one pass.
 
@@ -249,12 +287,22 @@ def anisotropy_eta_mp(l: int, m: int, gamma: float):
 
     The integrand's square root vanishes just past u = 1 for gamma -> 0
     and has its scale 1/sqrt(-k) near u = 0 for large gamma, so the
-    interval is cut at points that close in geometrically on each.
+    interval is cut at points that close in geometrically on each.  That
+    quadrature misses by about 3e-6 relative at gamma = 1e100, so past
+    gamma = 1e40 the reference is the expansion in 1/a, a = sqrt(-k):
+    eta = 4 pi (p(0) asinh(a) + int_0^1 (p(u) - p(0)) / u du) / a with
+    p = |Y_lm|^2, whose first dropped term is 1/a of it, below 40 digits.
     """
     with mpmath.workdps(40):
         k = 1 - mpmath.mpf(gamma) ** 2
         if k == 0:
             return mpmath.mpf(1)
+        if k < -mpmath.mpf(10) ** 80:
+            a = mpmath.sqrt(-k)
+            p0 = _ylm_sq_mp(l, m, mpmath.mpf(0))
+            rest = mpmath.quad(lambda u: (_ylm_sq_mp(l, m, u) - p0) / u, [0, 1],
+                               method="gauss-legendre")
+            return 4 * mpmath.pi * (p0 * mpmath.asinh(a) + rest) / a
         cuts = {mpmath.mpf(i) / 8 for i in range(9)}
         step = 1 / mpmath.sqrt(-k) if k < 0 else 1 / mpmath.sqrt(k) - 1
         while step < 0.5:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exciton_eit import ScenarioConfig, config
+from exciton_eit import ScenarioConfig, config, propagation
 from exciton_eit.cli import main
+from oracles import measure_trapezoid, transfer_full_grid
 
 
 def read_csv(path):
@@ -120,6 +121,39 @@ def test_default_outputs_match_stored_digests(tmp_path, capsys, command):
     got = {p.name: digest(p) for p in out.iterdir()} if out.exists() else {}
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == DEFAULT_DIGESTS[command]
+
+
+PROPAGATE_CONFIGS = {
+    "default": "",
+    "gamma_bc 0": "gamma_bc = 0 rad/s\n",
+    "15 um": "slab_length = 15 um\nOmega2 = 60 Grad/s\n",
+    "detuned": "delta1 = -2 Grad/s\ndelta2 = -3 Grad/s\n",
+}
+
+
+def propagate_outputs(text):
+    """Exit code, stdout, stderr and the bytes of every written file of one
+    `propagate` run on the config ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.txt"
+        cfg.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", str(cfg), "--out", str(Path(tmp) / "run"), "propagate"])
+        files = {p.name: p.read_bytes() for p in sorted((Path(tmp) / "run").iterdir())}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@pytest.mark.parametrize("case", PROPAGATE_CONFIGS)
+def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
+    # `propagate` has no stored digest (see above), so its bytes are held to
+    # the transfer evaluated on every FFT frequency and to np.trapezoid, on
+    # whatever machine the test runs
+    fast = propagate_outputs(PROPAGATE_CONFIGS[case])
+    monkeypatch.setattr(propagation, "_transfer", transfer_full_grid)
+    monkeypatch.setattr(propagation, "_measure", measure_trapezoid)
+    assert propagate_outputs(PROPAGATE_CONFIGS[case]) == fast
+    assert fast[0] == 0 and sorted(fast[3]) == ["pulse.csv", "pulse_summary.json"]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "levels", "propagate"])
@@ -379,7 +413,6 @@ def test_overflowing_default_gamma_ac_is_a_config_error(command):
     ("E_gap = 1e300 eV", "levels", "E_gap"),                 # was exit 0, 2P row inf
     ("rydberg_energy = 1e300 eV", "levels", "rydberg_energy"),   # was exit 0, 10S row -inf
     ("damping_n10 = 1.7e308 eV", "levels", "damping_n10"),
-    ("gamma_aniso = 1e300 dimensionless", "levels", "gamma_aniso"),
     ("field_strength = 1e300 V/m", "levels", "field_strength"),
     ("bohr_radius = 1e300 m", "levels", "bohr_radius"),
     ("spectrum_omega2 = 1e160 rad/s", "spectrum", "spectrum_omega2"),
@@ -398,6 +431,23 @@ def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key
     assert captured.err.startswith("numerical failure: a result leaves floating-point range")
     assert key in captured.err and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "propagate"])
+def test_numpy_overflow_names_the_keys_the_kernel_reads(command):
+    code, err = run_config(command, "gamma_bc = 1.7e308 rad/s\n")
+    assert code == 3
+    assert err.startswith("numerical failure: overflow") and err.count("\n") == 1
+    assert "gamma_bc" in err
+
+
+@pytest.mark.parametrize("gamma_aniso", ["1e300", "1.7976931348623157e308"])
+def test_levels_past_the_squared_anisotropy_overflow(gamma_aniso):
+    # gamma_aniso^2 overflows from about 1.34e154, but eta stays finite
+    found = []
+    code, err = run_config("levels", f"gamma_aniso = {gamma_aniso} dimensionless\n",
+                           lambda out: found.extend(non_finite_numbers(out)))
+    assert (code, err, found) == (0, "", [])
 
 
 def test_zero_optical_damping_is_a_numerical_failure(tmp_path, capsys):

@@ -126,6 +126,15 @@ def test_eta_matches_the_40_digit_reference(gamma):
         assert abs(anisotropy_eta(l, m, gamma) - anisotropy_eta_mp(l, m, gamma)) < 1e-10, (l, m)
 
 
+@pytest.mark.parametrize("gamma", [2e154, 1e200, 1e300, 1.7e308])
+def test_eta_past_the_squared_overflow_matches_the_40_digit_reference(gamma):
+    # gamma^2 overflows here; eta ~ ln(2 gamma) / gamma is far below the
+    # 1e-10 absolute bound, so it is held relative to the reference
+    for l, m in ((0, 0), (1, 0), (20, 5), (31, 0), (32, 12), (32, 32)):
+        eta = anisotropy_eta(l, m, gamma)
+        assert eta == pytest.approx(float(anisotropy_eta_mp(l, m, gamma)), rel=5e-10), (l, m)
+
+
 @pytest.mark.parametrize("gamma", [0.3, 3.0, 1e6, 1.3e154])
 def test_eta_and_level_rows_keep_their_bits(gamma):
     # all panels in one evaluation against one panel at a time (up to 114

@@ -1,5 +1,6 @@
 """Slab pulse propagation against the analytic envelope oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,17 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exciton_eit
 from exciton_eit import (CONST, FieldDrive, LadderSystem, PropagationParams,
                          ScenarioConfig, chi, gaussian_envelope, group_velocity,
-                         propagate_pulse, window_metrics)
+                         propagate_pulse, propagation, window_metrics)
 from exciton_eit.cli import _propagation_setup
 from exciton_eit.propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, _measure,
-                                     _padded_length)
-from oracles import analytic_envelope, rerun_delay_shift, slab_transmission
+                                     _padded_length, _transfer)
+from oracles import (analytic_envelope, measure_trapezoid, rerun_delay_shift,
+                     slab_transmission, transfer_full_grid)
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -245,6 +247,7 @@ class TestPaddedLength:
 
     def test_default_grid(self):
         assert _padded_length(2400) == 9720
+        assert _padded_length(10) == 45   # odd, for the Hermitian transfer's tests
 
 
 def fixed_padding_record(env, params, drive, system):
@@ -274,6 +277,72 @@ def test_smooth_padding_agrees_with_the_fixed_4x_padding(case):
     assert record.measured_delay == pytest.approx(old.measured_delay, rel=5e-9, abs=0.0)
     assert abs(record.measured_phase - old.measured_phase) <= 5e-5
     assert record.converged
+
+
+def bits(record):
+    """Every field of a ``PulseRecord`` as raw bytes."""
+    return {f.name: np.asarray(getattr(record, f.name)).tobytes()
+            for f in dataclasses.fields(record)}
+
+
+# t_steps 10 pads to the odd length 45, t_steps 2400 to the even 9720
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_gamma_ab=st.floats(-3.0, 25.0),
+       bc_ratio=st.just(0.0) | st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+       control=st.just(0.0) | st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+       length=st.floats(-7.0, -3.0).map(lambda e: 10.0**e),
+       span_scale=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+       t_steps=st.sampled_from([10, 2400]))
+@example(log_gamma_ab=10.66, bc_ratio=0.0, control=0.5, length=3e-5, span_scale=1e3,
+         t_steps=10)     # gamma_bc = 0
+@example(log_gamma_ab=10.66, bc_ratio=0.17, control=0.0, length=3e-5, span_scale=1e3,
+         t_steps=2400)   # Omega2 = 0
+def test_resonant_transfer_keeps_the_full_grid_bits(log_gamma_ab, bc_ratio, control,
+                                                    length, span_scale, t_steps):
+    # at delta1 = delta2 = 0 half the grid is evaluated and the rest filled
+    # by conjugation; transfer and record keep every bit of the full grid
+    gamma_ab = 10.0**log_gamma_ab
+    sys_ = LadderSystem.from_frequencies(
+        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=gamma_ab,
+        gamma_bc=bc_ratio * gamma_ab, N=6.2422e25, dipole_ab_sq=0.334e-60)
+    drv = drive_for(sys_, Omega2=control * gamma_ab)
+    params = PropagationParams.from_system(sys_, drv, length, 1, t_steps,
+                                           span_scale / gamma_ab)
+    n_pad = _padded_length(t_steps)
+    half = _transfer(n_pad, params, drv, sys_)
+    full = transfer_full_grid(n_pad, params, drv, sys_)
+    np.testing.assert_array_equal(half.view(np.uint64), full.view(np.uint64))
+    sigma = params.t_grid[-1] / 18.0
+    env = gaussian_envelope(params.t_grid, 9.0 * sigma, sigma, amplitude=complex(drv.Omega1))
+    record = propagate_pulse(env, params, drv, sys_)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "_transfer", transfer_full_grid)
+        patch.setattr(propagation, "_measure", measure_trapezoid)
+        reference = propagate_pulse(env, params, drv, sys_)
+    assert bits(record) == bits(reference)
+
+
+@pytest.mark.parametrize("delta1, delta2, points", [
+    (0.0, 0.0, 9720 // 2 + 1),
+    (2e10, 0.0, 9720),
+    (0.0, -3e9, 9720),
+    (-2e9, -3e9, 9720),
+])
+def test_only_the_resonant_drive_evaluates_half_the_grid(monkeypatch, delta1, delta2, points):
+    seen = []
+
+    def counted(omega, system, drive):
+        seen.append(np.shape(omega))
+        return chi(omega, system, drive)
+
+    monkeypatch.setattr(propagation, "chi", counted)
+    sys_ = default_system()
+    drv = FieldDrive.from_detunings(sys_, Omega1=1e6, Omega2=4e10, delta1=delta1, delta2=delta2)
+    params = PropagationParams.from_system(sys_, drv, SLAB, 1, 2400, SPAN)
+    transfer = _transfer(9720, params, drv, sys_)
+    assert seen == [(points,)]
+    np.testing.assert_array_equal(transfer.view(np.uint64),
+                                  transfer_full_grid(9720, params, drv, sys_).view(np.uint64))
 
 
 def cli_pulse(t_steps=2400, sigma_scale=1.0, span_scale=1.0, **config):

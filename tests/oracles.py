@@ -288,16 +288,18 @@ def anisotropy_eta_mp(l: int, m: int, gamma: float):
     The integrand's square root vanishes just past u = 1 for gamma -> 0
     and has its scale 1/sqrt(-k) near u = 0 for large gamma, so the
     interval is cut at points that close in geometrically on each.  That
-    quadrature misses by about 3e-6 relative at gamma = 1e100, so past
-    gamma = 1e40 the reference is the expansion in 1/a, a = sqrt(-k):
-    eta = 4 pi (p(0) asinh(a) + int_0^1 (p(u) - p(0)) / u du) / a with
-    p = |Y_lm|^2, whose first dropped term is 1/a of it, below 40 digits.
+    quadrature loses digits as gamma grows (2e-29 relative at gamma =
+    1e20, 1e-15 at 1e30, 3e-6 at 1e39), so past gamma = 1e20 the
+    reference is the large-gamma form, a = sqrt(-k), p = |Y_lm|^2:
+    eta = 4 pi (p(0) asinh(a) + int_0^1 (p(u) - p(0)) / u du) / a.
+    p is even in u, so what it drops is of order 1/a^2 relative (4e-39
+    at gamma = 1e20, l = 1).
     """
     with mpmath.workdps(40):
         k = 1 - mpmath.mpf(gamma) ** 2
         if k == 0:
             return mpmath.mpf(1)
-        if k < -mpmath.mpf(10) ** 80:
+        if k < -mpmath.mpf(10) ** 40:
             a = mpmath.sqrt(-k)
             p0 = _ylm_sq_mp(l, m, mpmath.mpf(0))
             rest = mpmath.quad(lambda u: (_ylm_sq_mp(l, m, u) - p0) / u, [0, 1],

@@ -19,12 +19,14 @@ radix-2/3/5 passes instead of falling back to Bluestein's algorithm on a
 large prime factor.
 
 At the resonant drive delta1 = delta2 = 0, chi(-w) = -chi(w)* holds
-exactly, so the transfer is Hermitian: chi and the exponential are
-evaluated on FFT indices 0 to floor(N/2) only, and index N - k is filled
-with the conjugate of index k.  The frequency of index N - k is the exact
-negative of that of index k, and every step of chi and of the exponential
-commutes with conjugation, so the result has the bits of the full-grid
-evaluation.  Every other drive evaluates the full grid.
+exactly, so the transfer is Hermitian and the slab's impulse response is
+real: a real envelope leaves the slab real.  There the real and the
+imaginary part of the envelope each go through one rfft/irfft pair of
+length N, a part that is exactly zero (the imaginary part of the CLI's
+Gaussian) is skipped, and the transfer is evaluated once, on the N/2 + 1
+one-sided frequencies.  The output of a real input is then exactly real,
+so its phase reads exactly 0 or pi.  Every other drive takes one complex
+FFT pair with the transfer on all N frequencies.
 
 There is no z discretisation: ``PropagationParams.z_steps`` is kept and
 reported, but does not change the envelope.  The time grid is the only
@@ -33,7 +35,11 @@ spectral energy above half the Nyquist frequency, of the input or of the
 output (a step too coarse for the pulse, or for the far wings the slab
 passes while it absorbs the line centre), and the output energy past the
 window's end, in the zero padding (a window too short for the delayed
-pulse).  A share above ``LEAK_LIMIT`` marks the record unconverged.
+pulse).  The band is the FFT bins [N//4, N - N//4), which holds bin +N/4
+but not -N/4; on a one-sided spectrum every bin counts twice, for its
+negative-frequency twin, except DC, bin N//4 and, for even N, the Nyquist
+bin, which count once.  A share above ``LEAK_LIMIT`` marks the record
+unconverged.
 Very thick slabs are not resolvable: the ~1e-16 roundoff of the sampled
 input (about e^-34 of its peak) passes the transparent wings of chi and
 swamps the transmitted pulse, so a measured attenuation below
@@ -148,7 +154,8 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     spectrally narrow compared to the transparency window for the
     first-order theory the source term is built on.  The slab acts as the
     exact transfer function exp(i w1 chi(w) L / 2c) on the zero-padded
-    spectrum, in one forward and one inverse FFT, so ``params.z_steps``
+    spectrum, in one forward and one inverse FFT (at resonant drive, one
+    real pair per nonzero part of the envelope), so ``params.z_steps``
     does not change the result.  The record is flagged unconverged when
     its ``band_share`` or ``spill_share``, both read off that one pass,
     exceeds ``LEAK_LIMIT``, or when its measured attenuation is below
@@ -159,10 +166,12 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
         raise ValueError("envelope length must match the time grid")
 
     n_pad = _padded_length(params.t_steps)
-    transfer = _transfer(n_pad, params, drive, system)
-    if transfer is None:
+    if params.kappa1_sq == 0.0:
         record = _measure(params.t_grid, env0, env0.copy())
+    elif drive.delta1 == 0.0 and drive.delta2 == 0.0:
+        record = _propagate_parts(env0, n_pad, params, drive, system)
     else:
+        transfer = _transfer(np.fft.fftfreq(n_pad, params.dt), params, drive, system)
         spectrum = np.fft.fft(env0, n_pad)
         spectrum_out = spectrum * transfer
         padded = np.fft.ifft(spectrum_out)
@@ -190,34 +199,66 @@ def _padded_length(t_steps: int) -> int:
         n += 1
 
 
-def _transfer(n_pad: int, params: PropagationParams, drive: FieldDrive,
-              system: LadderSystem) -> np.ndarray | None:
-    """exp(i w1 chi(w) L / 2c) on the FFT frequencies of length ``n_pad``;
-    None for an empty medium, which passes the envelope unchanged."""
-    if params.kappa1_sq == 0.0:
-        return None
+def _transfer(freq: np.ndarray, params: PropagationParams, drive: FieldDrive,
+              system: LadderSystem) -> np.ndarray:
+    """exp(i w1 chi(w) L / 2c) on the FFT frequencies ``freq``."""
     # numpy's inverse FFT builds e^{+i W t}; the envelope component is e^{-i w t}
-    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
+    response = chi(-2.0 * np.pi * freq, system, drive)
     # kappa1^2 chi / chi_prefactor = w1 chi / 2 for params built by from_system
-    phase = 1j * params.kappa1_sq * params.L / CONST.c
-    if drive.delta1 != 0.0 or drive.delta2 != 0.0:
-        return np.exp(phase * (chi(omega, system, drive) / system.chi_prefactor))
-    # at resonant drive chi(-w) = -chi(w)*, so the transfer is Hermitian:
-    # evaluate indices 0 .. n/2 and fill index n - k with the conjugate of k
-    half = n_pad // 2 + 1
-    response = chi(omega[:half], system, drive)
     response /= system.chi_prefactor
-    response *= phase
-    transfer = np.empty(n_pad, dtype=complex)
-    np.exp(response, out=transfer[:half])
-    np.conjugate(transfer[n_pad - half:0:-1], out=transfer[half:])
-    return transfer
+    response *= 1j * params.kappa1_sq * params.L / CONST.c
+    return np.exp(response, out=response)
+
+
+def _propagate_parts(env0: np.ndarray, n_pad: int, params: PropagationParams,
+                     drive: FieldDrive, system: LadderSystem) -> PulseRecord:
+    """The resonant route: the real and the imaginary part of the envelope
+    each through one rfft/irfft pair, skipping a part that is all zero.
+
+    ``irfft`` keeps only the real part of an even length's Nyquist bin,
+    the Hermitian-consistent value.  The shares add the parts' energies;
+    for a two-part envelope that counts bin N//4 as the mean of its two
+    sides."""
+    transfer = _transfer(np.fft.rfftfreq(n_pad, params.dt), params, drive, system)
+    n = len(env0)
+    env_out = np.zeros(n, dtype=complex)
+    # (whole, part) energies: the input spectrum and its band, the output
+    # spectrum and its band, the padded output and its spill past the window
+    energy = np.zeros((3, 2))
+    for part, out in ((env0.real, env_out.real), (env0.imag, env_out.imag)):
+        if not part.any():
+            continue
+        spectrum = np.fft.rfft(part, n_pad)
+        spectrum_out = spectrum * transfer
+        padded = np.fft.irfft(spectrum_out, n_pad)
+        out[:] = padded[:n]
+        energy += (_total_and_band(spectrum, n_pad), _total_and_band(spectrum_out, n_pad),
+                   (padded @ padded, padded[n:] @ padded[n:]))
+    band_in, band_out, spill = (_ratio(part, whole) for whole, part in energy)
+    record = _measure(params.t_grid, env0, env_out)
+    record.band_share = max(band_in, band_out)
+    record.spill_share = spill
+    return record
+
+
+def _total_and_band(spectrum: np.ndarray, n_pad: int) -> tuple[float, float]:
+    """The energy of a real signal's two-sided spectrum, whole and in the
+    bins [N//4, N - N//4), from its one-sided ``spectrum``."""
+    def two_sided(s):
+        # every bin has a twin but the first (DC; or bin N//4, whose twin
+        # -N/4 is outside the band) and, for even N, the Nyquist bin
+        energy = 2.0 * np.vdot(s, s).real - abs(s[0]) ** 2
+        return energy - abs(s[-1]) ** 2 if n_pad % 2 == 0 else energy
+    return two_sided(spectrum), two_sided(spectrum[n_pad // 4:])
+
+
+def _ratio(part: float, whole: float) -> float:
+    return float(part / whole) if whole else 0.0
 
 
 def _share(part: np.ndarray, whole: np.ndarray) -> float:
     """The energy of ``part`` as a share of the energy of ``whole``."""
-    total = np.vdot(whole, whole).real
-    return float(np.vdot(part, part).real / total) if total else 0.0
+    return _ratio(np.vdot(part, part).real, np.vdot(whole, whole).real)
 
 
 def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRecord:
@@ -241,11 +282,14 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRec
     # the scalar abs, whose last bit can differ from the array's
     peak_in = abs(env_in[i_in])
     peak_out = abs(env_out[i_out])
+    phase = float(np.angle(env_out[i_out] * np.conj(env_in[i_in])))
     return PulseRecord(
         t_grid=t,
         envelope_in=env_in,
         envelope_out=env_out,
         measured_delay=centroid(mag_out) - centroid(mag_in),
         measured_attenuation=float(peak_out / peak_in) if peak_in else 0.0,
-        measured_phase=float(np.angle(env_out[i_out] * np.conj(env_in[i_in]))),
+        # a real output's peaks have exact zero imaginary parts, whose sign
+        # can make np.angle read -pi; the phase is wrapped to (-pi, pi]
+        measured_phase=math.pi if phase == -math.pi else phase,
     )

@@ -133,20 +133,42 @@ def slab_transmission(envelope_in, params, drive: FieldDrive, system: LadderSyst
         n_pad = 4 * len(env)
     if params.kappa1_sq == 0.0:
         return env.copy()
+    return _complex_pass(env, params, drive, system, n_pad)[2][:len(env)]
+
+
+def _complex_pass(env, params, drive, system, n_pad):
+    """The input spectrum, the output spectrum and the padded output of one
+    complex FFT pass of length ``n_pad``."""
     omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
     transfer = np.exp(1j * drive.omega1 * chi(omega, system, drive) * params.L
                       / (2.0 * CONST.c))
-    return np.fft.ifft(np.fft.fft(env, n_pad) * transfer)[:len(env)]
+    spectrum = np.fft.fft(env, n_pad)
+    spectrum_out = spectrum * transfer
+    return spectrum, spectrum_out, np.fft.ifft(spectrum_out)
 
 
-def transfer_full_grid(n_pad: int, params, drive: FieldDrive,
-                       system: LadderSystem) -> np.ndarray | None:
-    """The slab transfer exp(i w1 chi(w) L / 2c) as the package formed it
-    before it used the Hermitian symmetry at resonant drive: chi and the
-    exponential on every one of the ``n_pad`` FFT frequencies."""
-    if params.kappa1_sq == 0.0:
-        return None
-    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
+def grid_shares(envelope_in, params, drive: FieldDrive, system: LadderSystem,
+                n_pad: int) -> tuple[float, float]:
+    """``band_share`` and ``spill_share`` off one complex FFT pass of length
+    ``n_pad``: the larger of the input's and the output's spectral energy
+    share in the bins [n_pad // 4, n_pad - n_pad // 4), and the padded
+    output's energy share past the grid."""
+    env = np.asarray(envelope_in, dtype=complex)
+    spectrum, spectrum_out, padded = _complex_pass(env, params, drive, system, n_pad)
+
+    def share(part, whole):
+        return np.sum(np.abs(part) ** 2) / np.sum(np.abs(whole) ** 2)
+
+    band = slice(n_pad // 4, n_pad - n_pad // 4)
+    return (max(share(s[band], s) for s in (spectrum, spectrum_out)),
+            share(padded[len(env):], padded))
+
+
+def plain_transfer(freq, params, drive: FieldDrive, system: LadderSystem) -> np.ndarray:
+    """The slab transfer exp(i w1 chi(w) L / 2c) on the FFT frequencies
+    ``freq``: ``propagation._transfer``'s operations in their order, each
+    into a new array where the package works in place."""
+    omega = -2.0 * np.pi * np.asarray(freq)
     response = chi(omega, system, drive) / system.chi_prefactor
     return np.exp(1j * params.kappa1_sq * params.L / CONST.c * response)
 

@@ -8,7 +8,8 @@ reads ``LinearizedTrajectory.nfev``, ``PropagationParams.z_steps`` and
 ``sweep_control(threads=2)``, and calls
 ``integrate_bloch(t_eval=np.linspace(0, T, 101))``.  These tests fail when
 a rename, a signature change, a deleted field or a narrowed input rule
-would break those traced runs.
+would break those traced runs, or when the pulse-warm pulse leaves the
+real FFT route it is meant to time.
 """
 
 import ast
@@ -18,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exciton_eit import cli
@@ -85,3 +87,20 @@ def test_traced_warm_operation_passes_its_checks(workload, counter):
     assert failures == [] and seconds > 0
     counts = [s["counts"][counter] for s in traced.tracer.spans if counter in s["counts"]]
     assert counts and min(counts) > 0, counter
+
+
+def test_pulse_warm_takes_one_real_fft_pair(monkeypatch):
+    # every pulse-warm draw is a real Gaussian at resonant drive, the route
+    # that takes one rfft/irfft pair; a detour through the complex pair
+    # would change what the workload measures
+    import scenarios
+    import warm
+
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    warm.pulse(warm.package_api(), scenarios.warmup("pulse-warm"))
+    assert calls == ["rfft", "irfft"]

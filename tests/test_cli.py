@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from exciton_eit import ScenarioConfig, config, propagation
 from exciton_eit.cli import main
-from oracles import measure_trapezoid, transfer_full_grid
+from oracles import measure_trapezoid, plain_transfer
 
 
 def read_csv(path):
@@ -147,13 +147,40 @@ def propagate_outputs(text):
 @pytest.mark.parametrize("case", PROPAGATE_CONFIGS)
 def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     # `propagate` has no stored digest (see above), so its bytes are held to
-    # the transfer evaluated on every FFT frequency and to np.trapezoid, on
-    # whatever machine the test runs
+    # the transfer formed out of place on each route's frequencies (every
+    # FFT frequency, or the one-sided half at resonant drive) and to
+    # np.trapezoid, on whatever machine the test runs
     fast = propagate_outputs(PROPAGATE_CONFIGS[case])
-    monkeypatch.setattr(propagation, "_transfer", transfer_full_grid)
+    monkeypatch.setattr(propagation, "_transfer", plain_transfer)
     monkeypatch.setattr(propagation, "_measure", measure_trapezoid)
     assert propagate_outputs(PROPAGATE_CONFIGS[case]) == fast
     assert fast[0] == 0 and sorted(fast[3]) == ["pulse.csv", "pulse_summary.json"]
+
+
+def default_pulse(tmp_path):
+    """The numeric columns of ``pulse.csv`` and the summary of a default
+    `propagate` run."""
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "propagate"]) == 0
+    columns = {name: [float(x) for x in cells]
+               for name, cells in read_csv(out / "pulse.csv").items()}
+    return columns, json.loads((out / "pulse_summary.json").read_text())
+
+
+def test_resonant_attenuation_is_the_ratio_of_the_printed_peaks(tmp_path):
+    # the resonant output is real, so the array abs that pulse.csv prints
+    # and the scalar abs of the peaks agree to the bit
+    columns, summary = default_pulse(tmp_path)
+    assert (float(summary["attenuation"])
+            == max(columns["env_out_abs"]) / max(columns["env_in_abs"]))
+
+
+def test_resonant_phase_is_exactly_zero(tmp_path):
+    # chi is purely imaginary at the symmetric window centre, and the real
+    # route leaves no imaginary roundoff to read as a phase
+    columns, summary = default_pulse(tmp_path)
+    assert float(summary["phase_rad"]) == 0.0
+    assert set(columns["env_out_arg"]) <= {0.0, np.pi}
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "levels", "propagate"])

@@ -1,6 +1,5 @@
 """Slab pulse propagation against the analytic envelope oracles."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -17,10 +16,8 @@ from exciton_eit import (CONST, FieldDrive, LadderSystem, PropagationParams,
                          ScenarioConfig, chi, gaussian_envelope, group_velocity,
                          propagate_pulse, propagation, window_metrics)
 from exciton_eit.cli import _propagation_setup
-from exciton_eit.propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, _measure,
-                                     _padded_length, _transfer)
-from oracles import (analytic_envelope, measure_trapezoid, rerun_delay_shift,
-                     slab_transmission, transfer_full_grid)
+from exciton_eit.propagation import ATTENUATION_FLOOR, LEAK_LIMIT, _measure, _padded_length
+from oracles import analytic_envelope, grid_shares, rerun_delay_shift, slab_transmission
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -194,6 +191,32 @@ class TestSpectralSolution:
         assert rotated.measured_phase == pytest.approx(phase, rel=0.0, abs=1e-12)
         assert phase == pytest.approx(-0.6902, abs=1e-4)
 
+    def test_opposite_real_peaks_read_a_phase_of_pi(self):
+        # real envelopes, as the resonant route gives them: the product of
+        # the peaks has an imaginary part of -0.0, where np.angle reads -pi;
+        # the phase stays in (-pi, pi]
+        t = np.arange(3.0)
+        env = np.array([1.0, 2.0, 1.0])
+        assert _measure(t, (-env).astype(complex), env.astype(complex)).measured_phase == np.pi
+        assert _measure(t, env.astype(complex), (-env).astype(complex)).measured_phase == np.pi
+
+    @pytest.mark.parametrize("carrier_phase", [3.0, -3.0, np.pi / 2])
+    def test_resonant_output_turns_with_the_input_phase(self, carrier_phase):
+        # a complex envelope takes one real pair per part; the output turns
+        # with the input, and the observables are the real input's
+        sys_ = default_system()
+        drv = drive_for(sys_)
+        params, env = narrowband_setup(sys_, drv)
+        turn = np.exp(1j * carrier_phase)
+        record = propagate_pulse(env, params, drv, sys_)
+        rotated = propagate_pulse(env * turn, params, drv, sys_)
+        assert (np.max(np.abs(rotated.envelope_out - record.envelope_out * turn))
+                <= 4 * np.finfo(float).eps * drv.Omega1)
+        assert rotated.measured_delay == pytest.approx(record.measured_delay, rel=1e-12)
+        assert rotated.measured_attenuation == pytest.approx(record.measured_attenuation,
+                                                             rel=1e-12)
+        assert rotated.measured_phase == pytest.approx(0.0, abs=1e-12)
+
     def test_slabs_compose(self):
         # L1 then L2 is one pass through L1 + L2 (centre transmission ~5e-2);
         # the pulse sits 9 sigma from both grid ends, so truncating the
@@ -258,7 +281,11 @@ def fixed_padding_record(env, params, drive, system):
 # Bounds are a few times the worst seen over these cases: envelope 4.9e-15
 # of the input peak, delay 7.1e-10 (on the e^-29 deep window, where the
 # output sits near the FFT's roundoff floor), phase 8.2e-6 rad (deep
-# window; its true value is 0).
+# window; its true value is 0).  At resonant drive the package's output is
+# real, and the fixed padding's complex pass leaves an imaginary part that
+# alternates sign sample to sample (the Nyquist bin of a complex transfer,
+# fed by the 6 sigma turn-on step; 3.6e-13 of the peak on the narrowband
+# pulse), so there the envelope is held to the real part.
 @pytest.mark.parametrize("case", ["narrowband", "deep window", "detuned"])
 def test_smooth_padding_agrees_with_the_fixed_4x_padding(case):
     sys_ = default_system()
@@ -272,17 +299,12 @@ def test_smooth_padding_agrees_with_the_fixed_4x_padding(case):
     record = propagate_pulse(env, params, drv, sys_)
     old = fixed_padding_record(env, params, drv, sys_)
     peak_in = np.max(np.abs(env))
-    assert np.max(np.abs(record.envelope_out - old.envelope_out)) <= 2e-14 * peak_in
+    expected = old.envelope_out if case == "detuned" else old.envelope_out.real
+    assert np.max(np.abs(record.envelope_out - expected)) <= 2e-14 * peak_in
     assert abs(record.measured_attenuation - old.measured_attenuation) <= 2e-14
     assert record.measured_delay == pytest.approx(old.measured_delay, rel=5e-9, abs=0.0)
     assert abs(record.measured_phase - old.measured_phase) <= 5e-5
     assert record.converged
-
-
-def bits(record):
-    """Every field of a ``PulseRecord`` as raw bytes."""
-    return {f.name: np.asarray(getattr(record, f.name)).tobytes()
-            for f in dataclasses.fields(record)}
 
 
 # t_steps 10 pads to the odd length 45, t_steps 2400 to the even 9720
@@ -297,10 +319,11 @@ def bits(record):
          t_steps=10)     # gamma_bc = 0
 @example(log_gamma_ab=10.66, bc_ratio=0.17, control=0.0, length=3e-5, span_scale=1e3,
          t_steps=2400)   # Omega2 = 0
-def test_resonant_transfer_keeps_the_full_grid_bits(log_gamma_ab, bc_ratio, control,
-                                                    length, span_scale, t_steps):
-    # at delta1 = delta2 = 0 half the grid is evaluated and the rest filled
-    # by conjugation; transfer and record keep every bit of the full grid
+def test_real_input_leaves_the_slab_real(log_gamma_ab, bc_ratio, control, length,
+                                         span_scale, t_steps):
+    # at delta1 = delta2 = 0 the impulse response is real; the output of a
+    # real input has an imaginary part of exactly 0 and follows the complex
+    # pass (worst seen over 300 such draws: 5.2e-16 of the input peak)
     gamma_ab = 10.0**log_gamma_ab
     sys_ = LadderSystem.from_frequencies(
         omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=gamma_ab,
@@ -308,18 +331,13 @@ def test_resonant_transfer_keeps_the_full_grid_bits(log_gamma_ab, bc_ratio, cont
     drv = drive_for(sys_, Omega2=control * gamma_ab)
     params = PropagationParams.from_system(sys_, drv, length, 1, t_steps,
                                            span_scale / gamma_ab)
-    n_pad = _padded_length(t_steps)
-    half = _transfer(n_pad, params, drv, sys_)
-    full = transfer_full_grid(n_pad, params, drv, sys_)
-    np.testing.assert_array_equal(half.view(np.uint64), full.view(np.uint64))
     sigma = params.t_grid[-1] / 18.0
     env = gaussian_envelope(params.t_grid, 9.0 * sigma, sigma, amplitude=complex(drv.Omega1))
     record = propagate_pulse(env, params, drv, sys_)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(propagation, "_transfer", transfer_full_grid)
-        patch.setattr(propagation, "_measure", measure_trapezoid)
-        reference = propagate_pulse(env, params, drv, sys_)
-    assert bits(record) == bits(reference)
+    assert record.envelope_out.dtype == np.complex128
+    assert not record.envelope_out.imag.any()
+    reference = slab_transmission(env, params, drv, sys_, n_pad=_padded_length(t_steps))
+    assert np.max(np.abs(record.envelope_out - reference)) <= 2e-15 * drv.Omega1
 
 
 @pytest.mark.parametrize("delta1, delta2, points", [
@@ -339,10 +357,8 @@ def test_only_the_resonant_drive_evaluates_half_the_grid(monkeypatch, delta1, de
     sys_ = default_system()
     drv = FieldDrive.from_detunings(sys_, Omega1=1e6, Omega2=4e10, delta1=delta1, delta2=delta2)
     params = PropagationParams.from_system(sys_, drv, SLAB, 1, 2400, SPAN)
-    transfer = _transfer(9720, params, drv, sys_)
+    propagate_pulse(gaussian_envelope(params.t_grid, SPAN / 2, SIGMA), params, drv, sys_)
     assert seen == [(points,)]
-    np.testing.assert_array_equal(transfer.view(np.uint64),
-                                  transfer_full_grid(9720, params, drv, sys_).view(np.uint64))
 
 
 def cli_pulse(t_steps=2400, sigma_scale=1.0, span_scale=1.0, **config):
@@ -416,13 +432,43 @@ def test_grids_too_short_for_the_rerun_are_flagged(t_steps):
 
 def test_one_fft_pair_per_pulse(monkeypatch):
     calls = []
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    propagate_pulse(*cli_pulse())
+    env, params, drive, system = cli_pulse()
+    propagate_pulse(env, params, drive, system)
+    assert calls == ["rfft", "irfft"]
+    calls.clear()
+    propagate_pulse(env * np.exp(0.5j), params, drive, system)
+    assert calls == ["rfft", "irfft"] * 2
+    calls.clear()
+    propagate_pulse(*cli_pulse(**GRID_CASES["detuned"]))
     assert calls == ["fft", "ifft"]
+
+
+# Bounds are a few times the worst seen over 200 seed-7 and 300 seed-11
+# pulse-warm draws against the complex pass: envelope 2.3e-16 of the input
+# peak; delay 9.5e-8 and attenuation 2.5e-4 relative, the conditioning of
+# an output near the roundoff floor; shares 2.6e-7, roundoff readings
+# against shares of at most 1.9e-6 there.
+@pytest.mark.parametrize("case", ["default", "gamma_bc 0", "15 um", "t_steps 10"])
+def test_real_route_matches_the_complex_pass(case):
+    env, params, drive, system = cli_pulse(**{**GRID_CASES, "t_steps 10": dict(t_steps=10)}[case])
+    record = propagate_pulse(env, params, drive, system)
+    n_pad = _padded_length(params.t_steps)
+    reference = _measure(params.t_grid, env,
+                         slab_transmission(env, params, drive, system, n_pad=n_pad))
+    band_share, spill_share = grid_shares(env, params, drive, system, n_pad)
+    assert np.max(np.abs(record.envelope_out - reference.envelope_out)) <= 1e-15 * drive.Omega1
+    assert record.measured_delay == pytest.approx(reference.measured_delay, rel=3e-7, abs=0.0)
+    assert record.measured_attenuation == pytest.approx(reference.measured_attenuation,
+                                                        rel=1e-3, abs=0.0)
+    assert record.band_share == pytest.approx(band_share, rel=0.0, abs=1e-6)
+    assert record.spill_share == pytest.approx(spill_share, rel=0.0, abs=1e-6)
+    assert record.converged == (max(band_share, spill_share) <= LEAK_LIMIT
+                                and reference.measured_attenuation >= ATTENUATION_FLOOR)
 
 
 def causal(env_in, env_out):

@@ -18,15 +18,16 @@ round onto the start of the window, and the FFT factors it into
 radix-2/3/5 passes instead of falling back to Bluestein's algorithm on a
 large prime factor.
 
-At the resonant drive delta1 = delta2 = 0, chi(-w) = -chi(w)* holds
-exactly, so the transfer is Hermitian and the slab's impulse response is
-real: a real envelope leaves the slab real.  There the real and the
-imaginary part of the envelope each go through one rfft/irfft pair of
-length N, a part that is exactly zero (the imaginary part of the CLI's
-Gaussian) is skipped, and the transfer is evaluated once, on the N/2 + 1
-one-sided frequencies.  The output of a real input is then exactly real,
-so its phase reads exactly 0 or pi.  Every other drive takes one complex
-FFT pair with the transfer on all N frequencies.
+The transfer H splits into the Hermitian filters H_e(w) = (H(w) +
+H(-w)*)/2 and H_o(w) = (H(w) - H(-w)*)/2i, whose impulse responses are
+real, so x_r + i x_i leaves as (h_e x_r - h_o x_i) + i (h_o x_r + h_e x_i):
+one rfft of length N per nonzero input part and one irfft per nonzero
+output part, with H on the one-sided frequencies of both signs.  An even
+N's Nyquist bin is its own twin and takes H at -fs/2, as fft does: its
+real part is even, its imaginary part odd.  At delta1 = delta2 = 0,
+chi(-w) = -chi(w)* exactly, so H is Hermitian and evaluated once, and H_o
+is dropped (with the Nyquist bin's imaginary part, as irfft drops it): a
+real envelope leaves exactly real, its phase exactly 0 or pi.
 
 There is no z discretisation: ``PropagationParams.z_steps`` is kept and
 reported, but does not change the envelope.  The time grid is the only
@@ -38,8 +39,9 @@ window's end, in the zero padding (a window too short for the delayed
 pulse).  The band is the FFT bins [N//4, N - N//4), which holds bin +N/4
 but not -N/4; on a one-sided spectrum every bin counts twice, for its
 negative-frequency twin, except DC, bin N//4 and, for even N, the Nyquist
-bin, which count once.  A share above ``LEAK_LIMIT`` marks the record
-unconverged.
+bin, which count once.  A bin of x_r + i x_i holds |a|^2 + |b|^2 +
+2 Im(a b*), a and b its parts' spectra; the cross terms of twins cancel
+but for bin N//4.  A share above ``LEAK_LIMIT`` marks it unconverged.
 Very thick slabs are not resolvable: the ~1e-16 roundoff of the sampled
 input (about e^-34 of its peak) passes the transparent wings of chi and
 swamps the transmitted pulse, so a measured attenuation below
@@ -154,10 +156,10 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     spectrally narrow compared to the transparency window for the
     first-order theory the source term is built on.  The slab acts as the
     exact transfer function exp(i w1 chi(w) L / 2c) on the zero-padded
-    spectrum, in one forward and one inverse FFT (at resonant drive, one
-    real pair per nonzero part of the envelope), so ``params.z_steps``
-    does not change the result.  The record is flagged unconverged when
-    its ``band_share`` or ``spill_share``, both read off that one pass,
+    spectrum, in one rfft per nonzero part of the envelope and one irfft
+    per nonzero part of the output, so ``params.z_steps`` does not change
+    the result.  The record is flagged unconverged when its
+    ``band_share`` or ``spill_share``, both read off that one pass,
     exceeds ``LEAK_LIMIT``, or when its measured attenuation is below
     ``ATTENUATION_FLOOR``.
     """
@@ -165,20 +167,10 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     if env0.shape != (params.t_steps + 1,):
         raise ValueError("envelope length must match the time grid")
 
-    n_pad = _padded_length(params.t_steps)
     if params.kappa1_sq == 0.0:
         record = _measure(params.t_grid, env0, env0.copy())
-    elif drive.delta1 == 0.0 and drive.delta2 == 0.0:
-        record = _propagate_parts(env0, n_pad, params, drive, system)
     else:
-        transfer = _transfer(np.fft.fftfreq(n_pad, params.dt), params, drive, system)
-        spectrum = np.fft.fft(env0, n_pad)
-        spectrum_out = spectrum * transfer
-        padded = np.fft.ifft(spectrum_out)
-        record = _measure(params.t_grid, env0, padded[:len(env0)])
-        band = slice(n_pad // 4, n_pad - n_pad // 4)
-        record.band_share = max(_share(s[band], s) for s in (spectrum, spectrum_out))
-        record.spill_share = _share(padded[len(env0):], padded)
+        record = _propagate(env0, params, drive, system)
     if (record.convergence_delta > LEAK_LIMIT
             or record.measured_attenuation < ATTENUATION_FLOOR):
         record.converged = False
@@ -210,55 +202,62 @@ def _transfer(freq: np.ndarray, params: PropagationParams, drive: FieldDrive,
     return np.exp(response, out=response)
 
 
-def _propagate_parts(env0: np.ndarray, n_pad: int, params: PropagationParams,
-                     drive: FieldDrive, system: LadderSystem) -> PulseRecord:
-    """The resonant route: the real and the imaginary part of the envelope
-    each through one rfft/irfft pair, skipping a part that is all zero.
-
-    ``irfft`` keeps only the real part of an even length's Nyquist bin,
-    the Hermitian-consistent value.  The shares add the parts' energies;
-    for a two-part envelope that counts bin N//4 as the mean of its two
-    sides."""
-    transfer = _transfer(np.fft.rfftfreq(n_pad, params.dt), params, drive, system)
+def _propagate(env0: np.ndarray, params: PropagationParams, drive: FieldDrive,
+               system: LadderSystem) -> PulseRecord:
+    """The one FFT route of the module docstring, without the terms of a
+    part that is all zero or, at resonant drive, of h_o."""
+    n_pad = _padded_length(params.t_steps)
+    freq = np.fft.rfftfreq(n_pad, params.dt)
+    even = _transfer(freq, params, drive, system)
+    odd = None
+    if drive.delta1 != 0.0 or drive.delta2 != 0.0:
+        twin = _transfer(-freq, params, drive, system)
+        if n_pad % 2 == 0:
+            even[-1] = twin[-1]   # the Nyquist bin is its own twin, at -fs/2 as in fft
+        twin = np.conjugate(twin, out=twin)
+        even, odd = (even + twin) / 2.0, (even - twin) / 2j
+    re, im = (np.fft.rfft(part, n_pad) if part.any() else None
+              for part in (env0.real, env0.imag))
+    out_spectra = []   # of h_e x_r - h_o x_i and of h_o x_r + h_e x_i
+    for terms in ((re, even), (im, None if odd is None else -odd)), ((re, odd), (im, even)):
+        products = [s * h for s, h in terms if s is not None and h is not None]
+        out_spectra.append(sum(products[1:], products[0]) if products else None)
     n = len(env0)
     env_out = np.zeros(n, dtype=complex)
-    # (whole, part) energies: the input spectrum and its band, the output
-    # spectrum and its band, the padded output and its spill past the window
-    energy = np.zeros((3, 2))
-    for part, out in ((env0.real, env_out.real), (env0.imag, env_out.imag)):
-        if not part.any():
-            continue
-        spectrum = np.fft.rfft(part, n_pad)
-        spectrum_out = spectrum * transfer
-        padded = np.fft.irfft(spectrum_out, n_pad)
-        out[:] = padded[:n]
-        energy += (_total_and_band(spectrum, n_pad), _total_and_band(spectrum_out, n_pad),
-                   (padded @ padded, padded[n:] @ padded[n:]))
-    band_in, band_out, spill = (_ratio(part, whole) for whole, part in energy)
+    padded_energy = spill_energy = 0.0
+    for spectrum, out in zip(out_spectra, (env_out.real, env_out.imag)):
+        if spectrum is not None:
+            padded = np.fft.irfft(spectrum, n_pad)
+            out[:] = padded[:n]
+            padded_energy += padded @ padded
+            spill_energy += padded[n:] @ padded[n:]
     record = _measure(params.t_grid, env0, env_out)
-    record.band_share = max(band_in, band_out)
-    record.spill_share = spill
+    record.band_share = max(_ratio(band, total) for total, band in
+                            (_total_and_band(re, im, n_pad),
+                             _total_and_band(*out_spectra, n_pad)))
+    record.spill_share = _ratio(spill_energy, padded_energy)
     return record
 
 
-def _total_and_band(spectrum: np.ndarray, n_pad: int) -> tuple[float, float]:
-    """The energy of a real signal's two-sided spectrum, whole and in the
-    bins [N//4, N - N//4), from its one-sided ``spectrum``."""
+def _total_and_band(re, im, n_pad: int) -> tuple[float, float]:
+    """The energy of the two-sided spectrum of x_r + i x_i, whole and in
+    the bins [N//4, N - N//4), from its parts' one-sided spectra (None
+    for a part that is all zero)."""
     def two_sided(s):
         # every bin has a twin but the first (DC; or bin N//4, whose twin
         # -N/4 is outside the band) and, for even N, the Nyquist bin
         energy = 2.0 * np.vdot(s, s).real - abs(s[0]) ** 2
         return energy - abs(s[-1]) ** 2 if n_pad % 2 == 0 else energy
-    return two_sided(spectrum), two_sided(spectrum[n_pad // 4:])
+
+    parts = [s for s in (re, im) if s is not None]
+    band = sum(two_sided(s[n_pad // 4:]) for s in parts)
+    if len(parts) == 2:   # the cross term of bin N//4
+        band += 2.0 * (re[n_pad // 4] * im[n_pad // 4].conjugate()).imag
+    return sum(two_sided(s) for s in parts), band
 
 
 def _ratio(part: float, whole: float) -> float:
     return float(part / whole) if whole else 0.0
-
-
-def _share(part: np.ndarray, whole: np.ndarray) -> float:
-    """The energy of ``part`` as a share of the energy of ``whole``."""
-    return _ratio(np.vdot(part, part).real, np.vdot(whole, whole).real)
 
 
 def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRecord:
@@ -279,9 +278,8 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRec
     mag_out = np.abs(env_out)
     i_in = int(np.argmax(mag_in))
     i_out = int(np.argmax(mag_out))
-    # the scalar abs, whose last bit can differ from the array's
-    peak_in = abs(env_in[i_in])
-    peak_out = abs(env_out[i_out])
+    # the peaks off the arrays, as pulse.csv prints them
+    peak_in, peak_out = mag_in[i_in], mag_out[i_out]
     phase = float(np.angle(env_out[i_out] * np.conj(env_in[i_in])))
     return PulseRecord(
         t_grid=t,

@@ -187,8 +187,8 @@ def measure_trapezoid(t, env_in, env_out):
 
     i_in = int(np.argmax(np.abs(env_in)))
     i_out = int(np.argmax(np.abs(env_out)))
-    peak_in = abs(env_in[i_in])
-    peak_out = abs(env_out[i_out])
+    peak_in = np.abs(env_in)[i_in]
+    peak_out = np.abs(env_out)[i_out]
     return PulseRecord(
         t_grid=t,
         envelope_in=env_in,

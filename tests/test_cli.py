@@ -128,6 +128,7 @@ PROPAGATE_CONFIGS = {
     "gamma_bc 0": "gamma_bc = 0 rad/s\n",
     "15 um": "slab_length = 15 um\nOmega2 = 60 Grad/s\n",
     "detuned": "delta1 = -2 Grad/s\ndelta2 = -3 Grad/s\n",
+    "detuned t_steps 10": "delta1 = 5 Grad/s\nt_steps = 10\n",
 }
 
 
@@ -147,9 +148,9 @@ def propagate_outputs(text):
 @pytest.mark.parametrize("case", PROPAGATE_CONFIGS)
 def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     # `propagate` has no stored digest (see above), so its bytes are held to
-    # the transfer formed out of place on each route's frequencies (every
-    # FFT frequency, or the one-sided half at resonant drive) and to
-    # np.trapezoid, on whatever machine the test runs
+    # the transfer formed out of place on the one-sided frequencies (of
+    # both signs off resonant drive; t_steps 10 pads to the odd length 45)
+    # and to np.trapezoid, on whatever machine the test runs
     fast = propagate_outputs(PROPAGATE_CONFIGS[case])
     monkeypatch.setattr(propagation, "_transfer", plain_transfer)
     monkeypatch.setattr(propagation, "_measure", measure_trapezoid)
@@ -157,20 +158,26 @@ def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     assert fast[0] == 0 and sorted(fast[3]) == ["pulse.csv", "pulse_summary.json"]
 
 
-def default_pulse(tmp_path):
-    """The numeric columns of ``pulse.csv`` and the summary of a default
-    `propagate` run."""
+def pulse_run(tmp_path, text=""):
+    """The numeric columns of ``pulse.csv`` and the summary of a
+    `propagate` run on the config ``text`` (by default, the defaults)."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
     out = tmp_path / "run"
-    assert main(["--out", str(out), "propagate"]) == 0
+    assert main(["--config", str(cfg), "--out", str(out), "propagate"]) == 0
     columns = {name: [float(x) for x in cells]
                for name, cells in read_csv(out / "pulse.csv").items()}
     return columns, json.loads((out / "pulse_summary.json").read_text())
 
 
-def test_resonant_attenuation_is_the_ratio_of_the_printed_peaks(tmp_path):
-    # the resonant output is real, so the array abs that pulse.csv prints
-    # and the scalar abs of the peaks agree to the bit
-    columns, summary = default_pulse(tmp_path)
+@pytest.mark.parametrize("text", [
+    "",
+    "delta2 = 1 Grad/s\nslab_length = 15 um\nOmega2 = 60 Grad/s\n",
+], ids=["default", "detuned 15 um"])
+def test_attenuation_is_the_ratio_of_the_printed_peaks(tmp_path, text):
+    # the peaks are read off the array abs that pulse.csv prints; the
+    # scalar abs of a complex peak can differ from it in the last bit
+    columns, summary = pulse_run(tmp_path, text)
     assert (float(summary["attenuation"])
             == max(columns["env_out_abs"]) / max(columns["env_in_abs"]))
 
@@ -178,7 +185,7 @@ def test_resonant_attenuation_is_the_ratio_of_the_printed_peaks(tmp_path):
 def test_resonant_phase_is_exactly_zero(tmp_path):
     # chi is purely imaginary at the symmetric window centre, and the real
     # route leaves no imaginary roundoff to read as a phase
-    columns, summary = default_pulse(tmp_path)
+    columns, summary = pulse_run(tmp_path)
     assert float(summary["phase_rad"]) == 0.0
     assert set(columns["env_out_arg"]) <= {0.0, np.pi}
 

@@ -22,10 +22,11 @@ from .constants import CONST
 from .medium import FieldDrive, LadderSystem
 from .output import fmt, render, write_csv, write_json
 
-# Each kernel is imported on first use, through the package root (numpy with
-# the first), so `validate` loads no numerical module.  The runners look each
-# kernel up on `_cli` at call time, so a wrapper bound here from outside (the
-# benchmark's traced launch does so) is the one that runs.
+# Each kernel is imported on first use, through the package root, so
+# `validate` loads no numerical module, and numpy comes with the first
+# kernel route that uses it.  The runners look each kernel up on `_cli` at
+# call time, so a wrapper bound here from outside (the benchmark's traced
+# launch does so) is the one that runs.
 _KERNELS = ("compute_spectrum", "sweep_control", "window_metrics", "level_table",
             "propagate_pulse")
 _cli = sys.modules[__name__]
@@ -72,15 +73,18 @@ def _write(args, params: dict, files: dict) -> None:
 _LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1", "delta2")
 
 
-def _numerical(*keys: str):
+def _numerical(*keys: str, uses_numpy=lambda cfg: True):
     """The runner with numpy's overflow, invalid-value and divide-by-zero
     faults raised instead of warned, so no file holds what the fault left.
     Each is re-raised as an ArithmeticError (exit 3) whose message is
     numpy's, followed by ``keys``, the config keys the command's kernel
-    reads."""
+    reads.  numpy is imported, and its faults armed, only for a config
+    on which ``uses_numpy`` says the kernel may reach numpy."""
     def wrap(runner):
         @functools.wraps(runner)
         def strict(cfg: ScenarioConfig, args) -> int:
+            if not uses_numpy(cfg):
+                return runner(cfg, args)
             import numpy as np
 
             try:
@@ -93,6 +97,11 @@ def _numerical(*keys: str):
     return wrap
 
 
+def _out_of_range(keys: tuple[str, ...]) -> ArithmeticError:
+    return ArithmeticError("a result leaves floating-point range: bring "
+                           f"{', '.join(keys)} back into range")
+
+
 @contextlib.contextmanager
 def _naming(*keys: str):
     """Report a Python float overflow (an OverflowError, such as ``x ** 2``
@@ -100,17 +109,30 @@ def _naming(*keys: str):
     try:
         yield
     except OverflowError:
-        raise ArithmeticError("a result leaves floating-point range: bring "
-                              f"{', '.join(keys)} back into range") from None
+        raise _out_of_range(keys) from None
 
 
-def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]):
-    """``np.linspace(lo, hi, points)``; a grid that rounding leaves with
-    repeated points is a configuration error naming ``keys``."""
-    import numpy as np
+def _linspace(lo: float, hi: float, points: int) -> list[float]:
+    """``np.linspace(lo, hi, points).tolist()``, bit for bit, in Python floats:
+    lo + i step with step = (hi - lo)/(points - 1), or lo + (i/(points - 1))
+    (hi - lo) where that step underflows to 0, and the last point hi."""
+    span, div = hi - lo, points - 1
+    if div <= 0:
+        return [lo + 0.0 * span][:points]
+    step = span / div
+    if step == 0:
+        return [lo + (i / div) * span for i in range(div)] + [hi]
+    return [lo + i * step for i in range(div)] + [hi]
 
-    grid = np.linspace(lo, hi, points)
-    if not (np.diff(grid) > 0).all():
+
+def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]) -> list[float]:
+    """``_linspace(lo, hi, points)``; a span that overflows is a numerical
+    failure, and a grid that rounding leaves with repeated points a
+    configuration error, each naming ``keys``."""
+    if not math.isfinite(hi - lo):
+        raise _out_of_range(keys)
+    grid = _linspace(lo, hi, points)
+    if not all(a < b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{', '.join(keys)} give {points} grid points from {fmt(lo)} "
                           f"to {fmt(hi)} rad/s that rounding does not keep distinct", keys=keys)
     return grid
@@ -122,7 +144,7 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     center = cfg.delta1 - cfg.delta2   # the two-photon resonance, for every Omega2
     grid = _grid(center - cfg.omega_half_span, center + cfg.omega_half_span,
-                 cfg.omega_points, ("omega_half_span", "omega_points"))
+                 cfg.omega_points, ("delta1", "delta2", "omega_half_span", "omega_points"))
     tables = [(om2, _cli.compute_spectrum(system, cfg.build_drive(system, Omega2=om2), grid))
               for om2 in cfg.spectrum_omega2]
     for om2, table in tables:
@@ -135,7 +157,16 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max")
+def _sweep_uses_numpy(cfg: ScenarioConfig) -> bool:
+    """Whether ``sweep_control`` may leave its Python-float closed form:
+    off two-photon resonance, or on a grid that may hold an Omega2 whose
+    square is 0.  A grid from omega2_min > 0 has every point at or above
+    it, and so every square at or above its square."""
+    return cfg.delta2 != 0 or not (cfg.omega2_min > 0 and cfg.omega2_min * cfg.omega2_min > 0)
+
+
+@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max", uses_numpy=_sweep_uses_numpy)
+@_naming("omega2_min", "omega2_max")
 def run_sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,

@@ -13,17 +13,24 @@ two-photon resonance, w = delta1 - delta2.
 Derivatives are taken analytically (quotient rule on the rational
 response); the finite-difference group index the tests check them
 against is in tests/oracles.py.
+
+numpy is imported by the functions that use it, on first call: the
+closed forms at two-photon resonance (the window center, width and
+peaks, and a control sweep over a list) run in Python floats, so a
+resonant ``sweep`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EvaluationError(ArithmeticError):
@@ -40,6 +47,8 @@ def _product_form(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
     overflow however close to resonance.  Without control inner is taken
     as 1, which leaves the bare line.
     """
+    import numpy as np
+
     one = omega - drive.delta1 + 1j * system.gamma_ab
     inner = np.where(om2_sq == 0, 1.0,
                      omega - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
@@ -59,13 +68,15 @@ def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
 
 def _evaluate(omega, system: LadderSystem, drive: FieldDrive):
     """(chi, chi') at a scalar (as complex numbers) or an array of offsets."""
+    import numpy as np
+
     x, dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)
     return (complex(x), complex(dx)) if x.ndim == 0 else (x, dx)
 
 
 def _group_index(dchi, drive: FieldDrive):
-    """n_g = 1 + (omega1/2) Re chi' from the derivative chi'."""
-    return 1.0 + 0.5 * drive.omega1 * np.real(dchi)
+    """n_g = 1 + (omega1/2) Re chi' from the derivative chi' (a number or an array)."""
+    return 1.0 + 0.5 * drive.omega1 * dchi.real
 
 
 def chi(omega, system: LadderSystem, drive: FieldDrive):
@@ -78,6 +89,8 @@ def chi(omega, system: LadderSystem, drive: FieldDrive):
     It evaluates chi alone, for callers such as the pulse kernel that need
     no derivative.
     """
+    import numpy as np
+
     x = _product_form(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)[0]
     return complex(x) if x.ndim == 0 else x
 
@@ -97,8 +110,10 @@ def group_velocity(omega, system: LadderSystem, drive: FieldDrive):
 
     Negative values (anomalous dispersion) are returned as-is.
     """
+    import numpy as np
+
     x, dx = _evaluate(omega, system, drive)
-    denom = 1.0 + 0.5 * np.real(x) + 0.5 * drive.omega1 * np.real(dx)
+    denom = 1.0 + 0.5 * x.real + 0.5 * drive.omega1 * dx.real
     if np.any(np.asarray(denom) == 0):
         raise EvaluationError("group velocity denominator vanished")
     return CONST.c / denom
@@ -114,6 +129,8 @@ class SpectrumTable:
     n_g: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         n = len(self.omega_grid)
         if not (len(self.chi_re) == len(self.chi_im) == len(self.n_g) == n):
             raise ValueError("spectrum arrays must share one length")
@@ -127,6 +144,8 @@ class SpectrumTable:
 
 def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> SpectrumTable:
     """Evaluate chi and n_g over a strictly increasing offset grid."""
+    import numpy as np
+
     w = np.asarray(omega_grid, dtype=float)
     x, dx = _evaluate(w, system, drive)
     return SpectrumTable(omega_grid=w, chi_re=x.real, chi_im=x.imag,
@@ -154,6 +173,8 @@ def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
     so the odd coefficients are exactly 0 and both polynomials are
     quadratics in x^2; the kernels then use ``_resonant_ratios`` instead.
     """
+    import numpy as np
+
     s = max(system.gamma_ab, abs(drive.Omega2))
     a = (1j * system.gamma_ab - drive.delta2) / s
     b = 1j * system.gamma_bc / s
@@ -215,6 +236,8 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
     rotated by 180 degrees, which makes the window edges about a third
     more accurate.
     """
+    import numpy as np
+
     n = len(coef) - 1
     while n > 0 and coef[n] == 0:
         n -= 1
@@ -231,31 +254,50 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
 
 def _derivative(coef: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of a polynomial (ascending)."""
+    import numpy as np
+
     return coef[1:] * np.arange(1, len(coef))
+
+
+def _center_values(pref: float, system: LadderSystem, drive: FieldDrive, om2_sq):
+    """(P, Im chi, n_g) at the window center for delta2 = 0 and Omega2 != 0,
+    on a float |Omega2|^2 or, element by element, on an array of them.
+
+    There both resonance factors are imaginary, i gamma_ab and i gamma_bc,
+    so P = -gamma_ab gamma_bc - |Omega2|^2 is real: Im chi = -pref gamma_bc / P
+    and chi' = pref (|Omega2|^2 - gamma_bc^2) / P^2.  numpy divides a
+    complex number by a real one by multiplying with its reciprocal, in
+    scalars and in arrays alike, and so does this, so the bits are those
+    of the complex route (``_response``); 0.0 - x gives its -0.0 for Im chi
+    at gamma_bc = 0.
+    """
+    gab, gbc = system.gamma_ab, system.gamma_bc
+    p = -gab * gbc - om2_sq
+    return (p, (0.0 - pref * gbc) * (1.0 / p),
+            1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / (p * p))))
+
+
+def _center_overflow(system: LadderSystem, om2_sq) -> EvaluationError:
+    return EvaluationError(
+        f"overflow at the window center: gamma_ab = {system.gamma_ab:.6g}, gamma_bc = "
+        f"{system.gamma_bc:.6g} and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s leave "
+        "floating-point range")
 
 
 def _resonant_center(pref: float, system: LadderSystem, drive: FieldDrive,
                      om2_sq: float) -> tuple[float, float]:
-    """(Im chi, n_g) at the window center for delta2 = 0 and Omega2 != 0.
+    """(Im chi, n_g) of ``_center_values`` at one |Omega2|^2, in Python floats.
 
-    There both resonance factors are imaginary, i gamma_ab and i gamma_bc,
-    so P = -gamma_ab gamma_bc - |Omega2|^2 is real: Im chi = -pref gamma_bc / P
-    and chi' = pref (|Omega2|^2 - gamma_bc^2) / P^2, in Python floats.
-    numpy divides a complex scalar by multiplying with the reciprocal of
-    the real divisor, and so does this, so the bits are those of the
-    numpy-scalar route; 0.0 - x gives its -0.0 for Im chi at gamma_bc = 0.
-    Python floats overflow silently, so a P or a result that is not
-    finite raises :class:`EvaluationError`, where numpy's overflow would
-    raise under the CLI's ``errstate``.
+    Python floats overflow silently (and P^2 may underflow to 0), so a P
+    or a result that is not finite raises :class:`EvaluationError`, where
+    numpy's overflow would raise under the CLI's ``errstate``.
     """
-    gab, gbc = system.gamma_ab, system.gamma_bc
-    p = -gab * gbc - om2_sq
-    center_abs = (0.0 - pref * gbc) * (1.0 / p)
-    ng_center = 1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / (p * p)))
+    try:
+        p, center_abs, ng_center = _center_values(pref, system, drive, om2_sq)
+    except ZeroDivisionError:
+        raise _center_overflow(system, om2_sq) from None
     if not (math.isfinite(p) and math.isfinite(center_abs) and math.isfinite(ng_center)):
-        raise EvaluationError(
-            f"overflow at the window center: gamma_ab = {gab:.6g}, gamma_bc = {gbc:.6g} "
-            f"and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s leave floating-point range")
+        raise _center_overflow(system, om2_sq)
     return float(center_abs), float(ng_center)
 
 
@@ -289,6 +331,8 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
         # call costs about eight times as much.  The values may differ from
         # the array path's in the last bit.  With gamma_ab > 0 the center
         # is no pole
+        import numpy as np
+
         one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
         inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
                               if om2_sq != 0 else 1.0)
@@ -303,6 +347,8 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     elif abs(drive.Omega2) == 0.0 or center_abs >= half:
         width = 0.0
     else:
+        import numpy as np
+
         s, numer, den = _im_chi_fraction(system, drive)
         edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
                             - 0.5 * s / system.gamma_ab * den)
@@ -354,6 +400,8 @@ def locate_absorption_peaks(system: LadderSystem,
             return (float(center),)
         x = s * math.sqrt(-2.0 * q0 / (q1 + math.sqrt(q1 * q1 - 4.0 * a * q0)))
         return (float(center - x), float(center + x))
+    import numpy as np
+
     s, numer, den = _im_chi_fraction(system, drive)
     slope = (np.convolve(_derivative(numer), den)
              - np.convolve(numer, _derivative(den)))
@@ -364,11 +412,15 @@ def locate_absorption_peaks(system: LadderSystem,
 
 @dataclass
 class ControlSweep:
-    """Window-center response across a control-field grid."""
+    """Window-center response across a control-field grid.
 
-    omega2_grid: np.ndarray
-    ng_center: np.ndarray
-    chi_im_center: np.ndarray
+    The three columns are lists when the grid came in as a list, and
+    arrays otherwise.
+    """
+
+    omega2_grid: list[float] | np.ndarray
+    ng_center: list[float] | np.ndarray
+    chi_im_center: list[float] | np.ndarray
     argmax_omega2: float
     ng_max: float
 
@@ -377,23 +429,55 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
                   threads: int = 1) -> ControlSweep:
     """Evaluate n_g and Im chi at the window center across an Omega2 grid.
 
-    The whole grid is one broadcast of the rational response; ``threads``
-    is accepted and has no effect.
+    At delta2 = 0, on a grid with no Omega2 whose square is 0, the values
+    are the real closed form of ``_center_values``: point by point in
+    Python floats for a list, which needs no numpy, and as one real
+    broadcast for an array.  Either has the bits of the complex response
+    (``_response``), which every other sweep evaluates in one broadcast.
+    A list in gives lists out.  On the closed form a value that is not
+    finite raises :class:`EvaluationError`, except that on a list an
+    Omega2 whose square overflows raises OverflowError, as squaring a
+    Python float with ``**`` does.  ``threads`` is accepted and has no
+    effect.
     """
-    om2 = np.asarray(omega2_grid, dtype=float)
-    if om2.size == 0:
+    listed = isinstance(omega2_grid, list)
+    if listed:
+        om2 = [float(v) for v in omega2_grid]
+        om2_sq = [v * v for v in om2]
+        increasing = all(a < b for a, b in zip(om2, om2[1:]))
+    else:
+        import numpy as np
+
+        om2 = np.asarray(omega2_grid, dtype=float)
+        om2_sq = om2 * om2
+        increasing = bool((om2[1:] > om2[:-1]).all())
+    if len(om2) == 0:
         raise ValueError("omega2 grid must be non-empty")
-    if om2.size > 1 and not np.all(np.diff(om2) > 0):
+    if not increasing:
         raise ValueError("omega2 grid must be strictly increasing")
 
-    center = drive.delta1 - drive.delta2
-    x, dx = _response(center, om2**2, system, drive)
-    ng = _group_index(dx, drive)
+    pref = system.chi_prefactor
+    resonant = drive.delta2 == 0 and (all(om2_sq) if listed else bool(om2_sq.all()))
+    if resonant and listed:
+        if math.inf in om2_sq:
+            raise OverflowError("|Omega2|^2 leaves floating-point range")
+        columns = [_resonant_center(pref, system, drive, w) for w in om2_sq]
+        absorption, ng = [c[0] for c in columns], [c[1] for c in columns]
+        i = ng.index(max(ng))
+        return ControlSweep(om2, ng, absorption, om2[i], ng[i])
+
+    import numpy as np
+
+    if resonant:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
+            p, absorption, ng = _center_values(pref, system, drive, om2_sq)
+        if not (np.isfinite(p).all() and np.isfinite(absorption).all()
+                and np.isfinite(ng).all()):
+            raise _center_overflow(system, float(np.max(om2_sq)))
+    else:
+        x, dx = _response(drive.delta1 - drive.delta2, np.asarray(om2_sq), system, drive)
+        absorption, ng = x.imag, _group_index(dx, drive)
     i = int(np.argmax(ng))
-    return ControlSweep(
-        omega2_grid=om2,
-        ng_center=ng,
-        chi_im_center=x.imag,
-        argmax_omega2=float(om2[i]),
-        ng_max=float(ng[i]),
-    )
+    if listed:
+        absorption, ng = absorption.tolist(), ng.tolist()
+    return ControlSweep(om2, ng, absorption, float(om2[i]), float(ng[i]))

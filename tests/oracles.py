@@ -43,6 +43,25 @@ def window_center_np(system: LadderSystem, drive: FieldDrive) -> tuple[float, fl
     return center_abs, float(1.0 + 0.5 * drive.omega1 * dchi)
 
 
+def sweep_broadcast(system: LadderSystem, drive: FieldDrive, omega2_grid):
+    """(Im chi, n_g) at the window center over an array of Omega2, in numpy
+    complex arrays.
+
+    The route ``sweep_control`` took at every delta2 before its real closed
+    form at delta2 = 0: one broadcast of the product form of chi and chi',
+    with the bare line (inner factor 1) where |Omega2|^2 is 0.
+    """
+    pref = system.chi_prefactor
+    center = drive.delta1 - drive.delta2
+    om2_sq = np.asarray(omega2_grid, dtype=float) ** 2
+    one = center - drive.delta1 + 1j * system.gamma_ab
+    inner = np.where(om2_sq == 0, 1.0,
+                     center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
+    p = one * inner - om2_sq
+    dchi = pref * (inner * inner + om2_sq) / (p * p)
+    return (-pref * inner / p).imag, 1.0 + 0.5 * drive.omega1 * dchi.real
+
+
 def bloch_samples_stepwise(initial, drive: FieldDrive, system: LadderSystem, T: float,
                            n: int, decay_mode: str):
     """(step, z, y) of the Bloch samples at np.linspace(0, T, n), one step at a time.

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -11,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from exciton_eit import ScenarioConfig, config, propagation
+from exciton_eit import ScenarioConfig, cli, config, propagation
 from exciton_eit.cli import main
 from oracles import measure_trapezoid, plain_transfer
 
@@ -86,6 +87,11 @@ def test_reruns_are_byte_identical(tmp_path):
 # before the CSV/JSON writers were rewritten around column mappings.
 # `propagate` is left out: its default observables sit at the FFT roundoff
 # floor, where the last printed digits are not stable under any reordering.
+# The spectrum digests also pin numpy's complex multiply on a CPU with FMA
+# (an Intel Xeon with AVX-512 here), whose loop rounds the real part as
+# fma(ar, br, -ai bi): it matched that form on 3000 of 3000 random products
+# and the plain product on 1726.  A CPU whose numpy loop takes the plain
+# product can give other last bits in chi, and so other spectrum digests.
 DEFAULT_DIGESTS = {
     "spectrum": {
         "spectrum_om2_0Grads.csv": "8f83a23315854d167f2d17f6854c713271c5abc85dc5ca2de61132080ca0e9cc",
@@ -426,6 +432,27 @@ def test_grid_that_rounding_collapses_is_a_config_error(text, command):
     assert err.startswith("config error:") and "rounding does not keep distinct" in err
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lo=st.floats(-1e300, 1e300),
+       offset=st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+                        st.integers(-600, 600)),
+       points=st.integers(1, 400))
+# numpy's step == 0 branch: the step underflows, so each point is lo + (i/div) span
+@example(lo=0.0, offset=1, points=3)
+@example(lo=-5e-324, offset=2, points=5)
+# one point, which takes the sign of zero of lo + 0 * span
+@example(lo=-0.0, offset=1.0, points=1)
+@example(lo=-0.0, offset=-1.0, points=1)
+# the sweep grid that rounding collapses (see the test above)
+@example(lo=1e10, offset=5, points=199)
+def test_python_linspace_has_numpys_bits(lo, offset, points):
+    # offset is a span, or an int count of ulps of lo
+    hi = lo + (offset * math.ulp(lo) if isinstance(offset, int) else offset)
+    assume(math.isfinite(hi - lo))
+    assert np.array(cli._linspace(lo, hi, points)).tobytes() == (
+        np.linspace(lo, hi, points).tobytes())
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "propagate"])
 def test_overflowing_kernel_is_a_numerical_failure(command):
     # numpy's overflow is raised, not warned, and the run exits 3
@@ -453,6 +480,8 @@ def test_overflowing_default_gamma_ac_is_a_config_error(command):
     # the second table overflows: the first is neither written nor announced
     ("spectrum_omega2 = 0, 1e150 Grad/s", "spectrum", "spectrum_omega2"),
     ("Omega2 = 1e160 rad/s", "propagate", "Omega2"),
+    ("omega2_max = 1e160 rad/s", "sweep", "omega2_max"),       # Omega2^2 overflows
+    ("omega2_min = -1.7e308 rad/s\nomega2_max = 1.7e308 rad/s", "sweep", "omega2_min"),  # span
 ])
 def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key):
     # a Python float overflow, or a level row that is not finite, exits 3
@@ -718,6 +747,8 @@ def config_lines(draw):
 @example(lines=["gamma_ab = 1.7e308 rad/s", "gamma_bc = 1.7e308 rad/s"])  # gamma_ac was inf
 @example(lines=["levels_n_max = 71", "levels_l_max = 70",
                 "gamma_aniso = 3 dimensionless"])   # was eta(70, 0) = 0.5048, not 0.5366
+@example(lines=["omega2_max = 1e160 rad/s"])        # Omega2^2 overflows in Python floats
+@example(lines=["omega2_min = -1.7e308 rad/s", "omega2_max = 1.7e308 rad/s"])  # the span does
 def test_any_config_exits_cleanly(lines):
     # every command exits 0, 2 or 3; a RuntimeWarning is an error here; a
     # failure is one line that is not a bare errno tuple, and a success

@@ -1,7 +1,9 @@
 """What a fresh process loads: the package root loads none of its modules,
-and `validate` and `levels` at equal masses (gamma_aniso = 1) run
-without numpy.  Each check starts its own interpreter, with no bytecode
-written, as the benchmark's cold launches do."""
+each command loads the modules the README's "Cold start" table lists,
+and `validate`, `levels` at equal masses (gamma_aniso = 1) and `sweep` at
+two-photon resonance run without numpy.  Each check starts its own
+interpreter, with no bytecode written, as the benchmark's cold launches
+do."""
 
 import os
 import subprocess
@@ -50,6 +52,56 @@ def test_command_at_equal_masses_loads_no_numpy(tmp_path, command):
     assert fresh("import sys; from exciton_eit.cli import main; "
                  f"code = main(['--out', {str(tmp_path)!r}, {command!r}]); "
                  "print(code, 'numpy' in sys.modules)") == "0 False"
+
+
+# Each kernel the CLI calls is wrapped to record numpy's overflow mode at
+# the call: None while numpy is not loaded, "raise" under the CLI's
+# errstate.  The wrapper resolves the kernel through the package root, as
+# the CLI does, so it loads nothing the command would not.
+CENSUS = """
+import sys
+from exciton_eit import cli
+
+seen = set()
+
+def spy(name):
+    def kernel(*args, **kwargs):
+        np = sys.modules.get("numpy")
+        seen.add(np.geterr()["over"] if np else None)
+        return getattr(sys.modules["exciton_eit"], name)(*args, **kwargs)
+    return kernel
+
+for name in cli._KERNELS:
+    setattr(cli, name, spy(name))
+code = cli.main(sys.argv[1:])
+print(code, sorted(m.partition(".")[2] for m in sys.modules if m.startswith("exciton_eit.")),
+      "numpy" in sys.modules, sorted(seen, key=str))
+"""
+VALIDATE = ["cli", "config", "constants", "medium", "output"]
+
+
+@pytest.mark.parametrize("command, text, modules, numpy, seen", [
+    ("validate", "", VALIDATE, False, []),
+    ("levels", "", sorted(VALIDATE + ["levels"]), False, [None]),
+    ("spectrum", "", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
+    ("sweep", "", sorted(VALIDATE + ["susceptibility"]), False, [None]),
+    # off two-photon resonance, or with Omega2 = 0 on the grid, the sweep
+    # takes the complex broadcast, under numpy's errstate
+    ("sweep", "delta2 = 1 Grad/s", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
+    ("sweep", "omega2_min = 0 rad/s", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
+    # the pulse itself runs with overflow ignored; a non-finite result raises after
+    ("propagate", "", sorted(VALIDATE + ["propagation", "susceptibility"]), True,
+     ["ignore", "raise"]),
+])
+def test_cold_command_census(tmp_path, command, text, modules, numpy, seen):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "\n")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", CENSUS, "--config", str(cfg),
+                           "--out", str(tmp_path / "run"), command],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == f"0 {modules} {numpy} {seen}"
 
 
 def test_every_former_root_name_resolves():

@@ -12,7 +12,8 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          window_metrics)
 from exciton_eit import susceptibility
 from exciton_eit.susceptibility import SpectrumTable, _real_roots, _response
-from oracles import group_index_fd, window_and_peaks_mp, window_center_np
+from oracles import (group_index_fd, sweep_broadcast, window_and_peaks_mp,
+                     window_center_np)
 
 
 def default_system(N=6.2422e25, gamma_bc=7.596e9):
@@ -553,6 +554,62 @@ def test_sweep_matches_pointwise_response(gamma_ab, gamma_bc, delta1, delta2, lo
         d = drv.with_control(v)
         assert ng == pytest.approx(group_index(center, sys_, d), rel=1e-14, abs=0.0)
         assert ab == pytest.approx(chi(center, sys_, d).imag, rel=1e-14, abs=0.0)
+
+
+# strictly increasing control grids, negative, zero, subnormal and tiny
+# Omega2 (whose square is subnormal) included
+control_grids = st.lists(st.one_of(st.floats(-2e11, 2e11), st.floats(-1e-150, 1e-150)),
+                         min_size=1, max_size=40, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma_ab=st.floats(1e9, 1e11),
+       gamma_bc=st.one_of(st.just(0.0), st.floats(1e7, 1e11)),
+       delta1=st.one_of(st.just(0.0), st.floats(-1e11, 1e11)),
+       grid=control_grids)
+# gamma_bc = 0, where Im chi is -0.0, with a tie for the maximum at +-Omega2
+@example(gamma_ab=1e9, gamma_bc=0.0, delta1=1e9, grid=[-2.5e10, 2.5e10])
+# the knife edge |Omega2|^2 = gamma_ab gamma_bc, and |Omega2| = gamma_bc, where chi' is 0
+@example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[1e7, 1e8])
+# an Omega2 that is 0, or subnormal, so its square is 0: the complex broadcast
+@example(gamma_ab=1e9, gamma_bc=1e7, delta1=-3e9, grid=[0.0, 2.5e10])
+@example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[-5e-324, 2.5e10])
+# a square that is subnormal: with gamma_bc = 0, P^2 underflows and n_g overflows
+@example(gamma_ab=1e9, gamma_bc=0.0, delta1=0.0, grid=[1e-160, 2.5e10])
+@example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[1e-160, 2.5e10])
+def test_resonant_sweep_has_the_complex_broadcast_bits(gamma_ab, gamma_bc, delta1, grid):
+    # at delta2 = 0, with no square 0, the sweep takes the real closed form,
+    # point by point on a list and as one real broadcast on an array; where
+    # the complex broadcast is finite both have its bits, and where it is
+    # not both raise.  A grid with a square 0 takes the complex broadcast
+    sys_ = medium(gamma_ab, gamma_bc)
+    drv = drive_for(sys_, delta1=delta1)
+    with np.errstate(all="ignore"):
+        absorption, ng = sweep_broadcast(sys_, drv, grid)
+    i = int(np.argmax(ng))
+    closed_form = all(v * v for v in grid)
+    for kind, made in ((list, list), (np.array, np.ndarray)):
+        if closed_form and not (np.isfinite(absorption).all() and np.isfinite(ng).all()):
+            with pytest.raises(EvaluationError, match="^overflow at the window center"):
+                sweep_control(sys_, drv, kind(grid))
+            continue
+        with np.errstate(all="ignore"):
+            sweep = sweep_control(sys_, drv, kind(grid))
+        assert isinstance(sweep.ng_center, made)
+        assert isinstance(sweep.chi_im_center, made)
+        assert np.array(sweep.ng_center).tobytes() == ng.tobytes()
+        assert np.array(sweep.chi_im_center).tobytes() == absorption.tobytes()
+        assert same_bits(sweep.argmax_omega2, grid[i]) and same_bits(sweep.ng_max, ng[i])
+
+
+def test_control_square_past_the_float_range_raises():
+    # a Python float square overflows silently; the list route raises as
+    # ** does, and the array route finds the center not finite
+    sys_ = default_system()
+    with pytest.raises(OverflowError):
+        sweep_control(sys_, drive_for(sys_), [1e9, 1e160])
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="= inf rad/s"):
+        sweep_control(sys_, drive_for(sys_), np.array([1e9, 1e160]))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -73,18 +73,15 @@ def _write(args, params: dict, files: dict) -> None:
 _LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1", "delta2")
 
 
-def _numerical(*keys: str, uses_numpy=lambda cfg: True):
+def _numerical(*keys: str):
     """The runner with numpy's overflow, invalid-value and divide-by-zero
     faults raised instead of warned, so no file holds what the fault left.
     Each is re-raised as an ArithmeticError (exit 3) whose message is
     numpy's, followed by ``keys``, the config keys the command's kernel
-    reads.  numpy is imported, and its faults armed, only for a config
-    on which ``uses_numpy`` says the kernel may reach numpy."""
+    reads."""
     def wrap(runner):
         @functools.wraps(runner)
         def strict(cfg: ScenarioConfig, args) -> int:
-            if not uses_numpy(cfg):
-                return runner(cfg, args)
             import numpy as np
 
             try:
@@ -157,17 +154,11 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _sweep_uses_numpy(cfg: ScenarioConfig) -> bool:
-    """Whether ``sweep_control`` may leave its Python-float closed form:
-    off two-photon resonance, or on a grid that may hold an Omega2 whose
-    square is 0.  A grid from omega2_min > 0 has every point at or above
-    it, and so every square at or above its square."""
-    return cfg.delta2 != 0 or not (cfg.omega2_min > 0 and cfg.omega2_min * cfg.omega2_min > 0)
+_SWEEP_KEYS = (*_LADDER_KEYS, "omega2_min", "omega2_max")
 
 
-@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max", uses_numpy=_sweep_uses_numpy)
 @_naming("omega2_min", "omega2_max")
-def run_sweep(cfg: ScenarioConfig, args) -> int:
+def _sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,
                  ("omega2_min", "omega2_max", "omega2_points"))
@@ -179,6 +170,24 @@ def run_sweep(cfg: ScenarioConfig, args) -> int:
     print(f"sweep: argmax Omega2 = {fmt(sweep.argmax_omega2)} rad/s, "
           f"max n_g(center) = {fmt(sweep.ng_max)}")
     return 0
+
+
+_strict_sweep = _numerical(*_SWEEP_KEYS)(_sweep)
+
+
+def run_sweep(cfg: ScenarioConfig, args) -> int:
+    """``sweep`` in Python floats where ``sweep_control`` takes them (see
+    ``sweep_in_floats``), and otherwise under numpy's errstate.  In floats
+    a window-center value out of range is re-raised, like numpy's faults,
+    naming the keys the kernel reads."""
+    from .susceptibility import EvaluationError, sweep_in_floats
+
+    if not sweep_in_floats(cfg.delta2, cfg.omega2_min, cfg.omega2_points):
+        return _strict_sweep(cfg, args)
+    try:
+        return _sweep(cfg, args)
+    except EvaluationError as exc:
+        raise ArithmeticError(f"{exc}: bring {', '.join(_SWEEP_KEYS)} back into range") from None
 
 
 @_naming("E_gap", "rydberg_energy", "bohr_radius", "gamma_aniso", "field_strength",

@@ -259,45 +259,32 @@ def _derivative(coef: np.ndarray) -> np.ndarray:
     return coef[1:] * np.arange(1, len(coef))
 
 
-def _center_values(pref: float, system: LadderSystem, drive: FieldDrive, om2_sq):
-    """(P, Im chi, n_g) at the window center for delta2 = 0 and Omega2 != 0,
-    on a float |Omega2|^2 or, element by element, on an array of them.
+def _resonant_center(pref: float, system: LadderSystem, drive: FieldDrive,
+                     om2_sq: float) -> tuple[float, float]:
+    """(Im chi, n_g) at the window center for delta2 = 0 and Omega2 != 0.
 
     There both resonance factors are imaginary, i gamma_ab and i gamma_bc,
     so P = -gamma_ab gamma_bc - |Omega2|^2 is real: Im chi = -pref gamma_bc / P
-    and chi' = pref (|Omega2|^2 - gamma_bc^2) / P^2.  numpy divides a
-    complex number by a real one by multiplying with its reciprocal, in
-    scalars and in arrays alike, and so does this, so the bits are those
-    of the complex route (``_response``); 0.0 - x gives its -0.0 for Im chi
-    at gamma_bc = 0.
+    and chi' = pref (|Omega2|^2 - gamma_bc^2) / P^2, in Python floats.
+    numpy divides a complex number by a real one by multiplying with its
+    reciprocal, and so does this, so the bits are those of the complex
+    route (``_response``); 0.0 - x gives its -0.0 for Im chi at
+    gamma_bc = 0.  Python floats overflow silently (and P^2 may underflow
+    to 0), so a P or a result that is not finite raises
+    :class:`EvaluationError`, where numpy's overflow would raise under the
+    CLI's ``errstate``.
     """
     gab, gbc = system.gamma_ab, system.gamma_bc
     p = -gab * gbc - om2_sq
-    return (p, (0.0 - pref * gbc) * (1.0 / p),
-            1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / (p * p))))
-
-
-def _center_overflow(system: LadderSystem, om2_sq) -> EvaluationError:
-    return EvaluationError(
-        f"overflow at the window center: gamma_ab = {system.gamma_ab:.6g}, gamma_bc = "
-        f"{system.gamma_bc:.6g} and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s leave "
-        "floating-point range")
-
-
-def _resonant_center(pref: float, system: LadderSystem, drive: FieldDrive,
-                     om2_sq: float) -> tuple[float, float]:
-    """(Im chi, n_g) of ``_center_values`` at one |Omega2|^2, in Python floats.
-
-    Python floats overflow silently (and P^2 may underflow to 0), so a P
-    or a result that is not finite raises :class:`EvaluationError`, where
-    numpy's overflow would raise under the CLI's ``errstate``.
-    """
-    try:
-        p, center_abs, ng_center = _center_values(pref, system, drive, om2_sq)
-    except ZeroDivisionError:
-        raise _center_overflow(system, om2_sq) from None
+    p_sq = p * p
+    center_abs = (0.0 - pref * gbc) * (1.0 / p)
+    ng_center = (1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / p_sq))
+                 if p_sq else math.inf)
     if not (math.isfinite(p) and math.isfinite(center_abs) and math.isfinite(ng_center)):
-        raise _center_overflow(system, om2_sq)
+        raise EvaluationError(
+            f"overflow at the window center: chi prefactor = {pref:.6g} rad/s, gamma_ab = "
+            f"{gab:.6g}, gamma_bc = {gbc:.6g} and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s "
+            "leave floating-point range")
     return float(center_abs), float(ng_center)
 
 
@@ -425,42 +412,50 @@ class ControlSweep:
     ng_max: float
 
 
+# The longest list grid ``sweep_control`` evaluates in Python floats.  On a
+# 2^20-point list the closed form took 0.78 us per point and the broadcast
+# 0.14 us, list conversions included (Intel Xeon, CPython 3.11), so past about
+# 2e5 points the broadcast gains back the 0.1-0.15 s that importing numpy
+# costs.
+FLOAT_SWEEP_POINTS = 200_000
+
+
+def sweep_in_floats(delta2: float, omega2_first: float, points: int) -> bool:
+    """Whether ``sweep_control`` evaluates a strictly increasing list of
+    ``points`` Omega2 from ``omega2_first`` in Python floats, without numpy.
+
+    It does at delta2 = 0, where each value is the window center's real
+    closed form (``_resonant_center``), when no Omega2 has a square of 0
+    (every point lies above ``omega2_first`` > 0, so every square is at
+    least its square), and for at most ``FLOAT_SWEEP_POINTS`` points.
+    """
+    return (delta2 == 0 and omega2_first > 0 and omega2_first * omega2_first > 0
+            and points <= FLOAT_SWEEP_POINTS)
+
+
 def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
                   threads: int = 1) -> ControlSweep:
     """Evaluate n_g and Im chi at the window center across an Omega2 grid.
 
-    At delta2 = 0, on a grid with no Omega2 whose square is 0, the values
-    are the real closed form of ``_center_values``: point by point in
-    Python floats for a list, which needs no numpy, and as one real
-    broadcast for an array.  Either has the bits of the complex response
-    (``_response``), which every other sweep evaluates in one broadcast.
-    A list in gives lists out.  On the closed form a value that is not
-    finite raises :class:`EvaluationError`, except that on a list an
-    Omega2 whose square overflows raises OverflowError, as squaring a
-    Python float with ``**`` does.  ``threads`` is accepted and has no
-    effect.
+    A list on which ``sweep_in_floats`` holds is evaluated point by point
+    in Python floats, by the closed form of ``_resonant_center``, which
+    needs no numpy and has the bits of the complex response; there a value
+    that is not finite raises :class:`EvaluationError`, and an Omega2 whose
+    square overflows raises OverflowError, as squaring a Python float with
+    ``**`` does.  Every other grid is one broadcast of the complex response
+    (``_response``).  A list in gives lists out.  ``threads`` is accepted
+    and has no effect.
     """
     listed = isinstance(omega2_grid, list)
-    if listed:
+    if listed and omega2_grid and sweep_in_floats(drive.delta2, omega2_grid[0],
+                                                  len(omega2_grid)):
         om2 = [float(v) for v in omega2_grid]
+        if not all(a < b for a, b in zip(om2, om2[1:])):
+            raise ValueError("omega2 grid must be strictly increasing")
         om2_sq = [v * v for v in om2]
-        increasing = all(a < b for a, b in zip(om2, om2[1:]))
-    else:
-        import numpy as np
-
-        om2 = np.asarray(omega2_grid, dtype=float)
-        om2_sq = om2 * om2
-        increasing = bool((om2[1:] > om2[:-1]).all())
-    if len(om2) == 0:
-        raise ValueError("omega2 grid must be non-empty")
-    if not increasing:
-        raise ValueError("omega2 grid must be strictly increasing")
-
-    pref = system.chi_prefactor
-    resonant = drive.delta2 == 0 and (all(om2_sq) if listed else bool(om2_sq.all()))
-    if resonant and listed:
         if math.inf in om2_sq:
             raise OverflowError("|Omega2|^2 leaves floating-point range")
+        pref = system.chi_prefactor
         columns = [_resonant_center(pref, system, drive, w) for w in om2_sq]
         absorption, ng = [c[0] for c in columns], [c[1] for c in columns]
         i = ng.index(max(ng))
@@ -468,16 +463,23 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
 
     import numpy as np
 
-    if resonant:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
-            p, absorption, ng = _center_values(pref, system, drive, om2_sq)
-        if not (np.isfinite(p).all() and np.isfinite(absorption).all()
-                and np.isfinite(ng).all()):
-            raise _center_overflow(system, float(np.max(om2_sq)))
-    else:
-        x, dx = _response(drive.delta1 - drive.delta2, np.asarray(om2_sq), system, drive)
-        absorption, ng = x.imag, _group_index(dx, drive)
+    om2 = np.asarray(omega2_grid, dtype=float)
+    if om2.size == 0:
+        raise ValueError("omega2 grid must be non-empty")
+    if om2.size > 1 and not np.all(np.diff(om2) > 0):
+        raise ValueError("omega2 grid must be strictly increasing")
+
+    center = drive.delta1 - drive.delta2
+    x, dx = _response(center, om2**2, system, drive)
+    ng = _group_index(dx, drive)
     i = int(np.argmax(ng))
     if listed:
-        absorption, ng = absorption.tolist(), ng.tolist()
-    return ControlSweep(om2, ng, absorption, float(om2[i]), float(ng[i]))
+        return ControlSweep(om2.tolist(), ng.tolist(), x.imag.tolist(), float(om2[i]),
+                            float(ng[i]))
+    return ControlSweep(
+        omega2_grid=om2,
+        ng_center=ng,
+        chi_im_center=x.imag,
+        argmax_omega2=float(om2[i]),
+        ng_max=float(ng[i]),
+    )

@@ -47,9 +47,9 @@ def sweep_broadcast(system: LadderSystem, drive: FieldDrive, omega2_grid):
     """(Im chi, n_g) at the window center over an array of Omega2, in numpy
     complex arrays.
 
-    The route ``sweep_control`` took at every delta2 before its real closed
-    form at delta2 = 0: one broadcast of the product form of chi and chi',
-    with the bare line (inner factor 1) where |Omega2|^2 is 0.
+    ``sweep_control``'s complex broadcast written out: one broadcast of the
+    product form of chi and chi', with the bare line (inner factor 1) where
+    |Omega2|^2 is 0.
     """
     pref = system.chi_prefactor
     center = drive.delta1 - drive.delta2

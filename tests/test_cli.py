@@ -496,6 +496,26 @@ def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "dipole_ab_sq = 1e270 C2m2",                   # the chi prefactor overflows
+    "N = 1e300 m^-3\ndipole_ab_sq = 1e-10 C2m2",   # and with it Im chi
+    "gamma_bc = 1.7e308 rad/s",                    # P overflows
+])
+def test_float_sweep_overflow_names_the_keys_the_kernel_reads(tmp_path, capsys, text):
+    # a sweep at delta2 = 0 runs in Python floats; a window-center value out
+    # of range exits 3 with one line naming every key the kernel reads, as
+    # numpy's faults do on the other routes, and writes no file
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: overflow at the window center")
+    assert err.endswith(": bring omega_ab, gamma_ab, gamma_bc, N, dipole_ab_sq, delta1, "
+                        "delta2, omega2_min, omega2_max back into range\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "propagate"])
 def test_numpy_overflow_names_the_keys_the_kernel_reads(command):
     code, err = run_config(command, "gamma_bc = 1.7e308 rad/s\n")

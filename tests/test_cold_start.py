@@ -89,6 +89,8 @@ VALIDATE = ["cli", "config", "constants", "medium", "output"]
     # takes the complex broadcast, under numpy's errstate
     ("sweep", "delta2 = 1 Grad/s", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
     ("sweep", "omega2_min = 0 rad/s", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
+    # past FLOAT_SWEEP_POINTS points the broadcast is the faster
+    ("sweep", "omega2_points = 200001", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
     # the pulse itself runs with overflow ignored; a non-finite result raises after
     ("propagate", "", sorted(VALIDATE + ["propagation", "susceptibility"]), True,
      ["ignore", "raise"]),

@@ -556,10 +556,14 @@ def test_sweep_matches_pointwise_response(gamma_ab, gamma_bc, delta1, delta2, lo
         assert ab == pytest.approx(chi(center, sys_, d).imag, rel=1e-14, abs=0.0)
 
 
-# strictly increasing control grids, negative, zero, subnormal and tiny
-# Omega2 (whose square is subnormal) included
-control_grids = st.lists(st.one_of(st.floats(-2e11, 2e11), st.floats(-1e-150, 1e-150)),
-                         min_size=1, max_size=40, unique=True).map(sorted)
+# strictly increasing control grids: of either sign, with zero, subnormal
+# and tiny Omega2 (whose square is subnormal), or of positive Omega2 only,
+# which a list sweep at delta2 = 0 evaluates in Python floats
+control_grids = st.one_of(
+    st.lists(st.one_of(st.floats(-2e11, 2e11), st.floats(-1e-150, 1e-150)),
+             min_size=1, max_size=40, unique=True),
+    st.lists(st.one_of(st.floats(5e-324, 2e11), st.floats(5e-324, 1e-150)),
+             min_size=1, max_size=40, unique=True)).map(sorted)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -569,32 +573,34 @@ control_grids = st.lists(st.one_of(st.floats(-2e11, 2e11), st.floats(-1e-150, 1e
        grid=control_grids)
 # gamma_bc = 0, where Im chi is -0.0, with a tie for the maximum at +-Omega2
 @example(gamma_ab=1e9, gamma_bc=0.0, delta1=1e9, grid=[-2.5e10, 2.5e10])
+@example(gamma_ab=1e9, gamma_bc=0.0, delta1=1e9, grid=[2.5e10, 5e10])
 # the knife edge |Omega2|^2 = gamma_ab gamma_bc, and |Omega2| = gamma_bc, where chi' is 0
 @example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[1e7, 1e8])
 # an Omega2 that is 0, or subnormal, so its square is 0: the complex broadcast
 @example(gamma_ab=1e9, gamma_bc=1e7, delta1=-3e9, grid=[0.0, 2.5e10])
-@example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[-5e-324, 2.5e10])
+@example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[5e-324, 2.5e10])
 # a square that is subnormal: with gamma_bc = 0, P^2 underflows and n_g overflows
 @example(gamma_ab=1e9, gamma_bc=0.0, delta1=0.0, grid=[1e-160, 2.5e10])
 @example(gamma_ab=1e9, gamma_bc=1e7, delta1=0.0, grid=[1e-160, 2.5e10])
 def test_resonant_sweep_has_the_complex_broadcast_bits(gamma_ab, gamma_bc, delta1, grid):
-    # at delta2 = 0, with no square 0, the sweep takes the real closed form,
-    # point by point on a list and as one real broadcast on an array; where
-    # the complex broadcast is finite both have its bits, and where it is
-    # not both raise.  A grid with a square 0 takes the complex broadcast
+    # at delta2 = 0 an array takes the complex broadcast, and so does a list
+    # unless sweep_in_floats holds; then the list takes the real closed form
+    # point by point, which has the broadcast's bits where the broadcast is
+    # finite and raises where it is not.  Lists give lists out
     sys_ = medium(gamma_ab, gamma_bc)
     drv = drive_for(sys_, delta1=delta1)
     with np.errstate(all="ignore"):
         absorption, ng = sweep_broadcast(sys_, drv, grid)
-    i = int(np.argmax(ng))
-    closed_form = all(v * v for v in grid)
-    for kind, made in ((list, list), (np.array, np.ndarray)):
-        if closed_form and not (np.isfinite(absorption).all() and np.isfinite(ng).all()):
-            with pytest.raises(EvaluationError, match="^overflow at the window center"):
-                sweep_control(sys_, drv, kind(grid))
-            continue
+        sweeps = [(sweep_control(sys_, drv, np.array(grid)), np.ndarray)]
+    finite = np.isfinite(absorption).all() and np.isfinite(ng).all()
+    if susceptibility.sweep_in_floats(0.0, grid[0], len(grid)) and not finite:
+        with pytest.raises(EvaluationError, match="^overflow at the window center"):
+            sweep_control(sys_, drv, grid)
+    else:
         with np.errstate(all="ignore"):
-            sweep = sweep_control(sys_, drv, kind(grid))
+            sweeps.append((sweep_control(sys_, drv, grid), list))
+    i = int(np.argmax(ng))
+    for sweep, made in sweeps:
         assert isinstance(sweep.ng_center, made)
         assert isinstance(sweep.chi_im_center, made)
         assert np.array(sweep.ng_center).tobytes() == ng.tobytes()
@@ -602,13 +608,30 @@ def test_resonant_sweep_has_the_complex_broadcast_bits(gamma_ab, gamma_bc, delta
         assert same_bits(sweep.argmax_omega2, grid[i]) and same_bits(sweep.ng_max, ng[i])
 
 
+def test_long_list_sweep_takes_the_broadcast(monkeypatch):
+    # past FLOAT_SWEEP_POINTS points a list takes the complex broadcast,
+    # which gives the same lists as the closed form
+    n = susceptibility.FLOAT_SWEEP_POINTS
+    assert susceptibility.sweep_in_floats(0.0, 1e9, n)
+    assert not susceptibility.sweep_in_floats(0.0, 1e9, n + 1)
+    sys_ = default_system()
+    drv = drive_for(sys_)
+    grid = np.linspace(1e9, 1e11, 199).tolist()
+    in_floats = sweep_control(sys_, drv, grid)
+    monkeypatch.setattr(susceptibility, "FLOAT_SWEEP_POINTS", len(grid) - 1)
+    broadcast = sweep_control(sys_, drv, grid)
+    assert isinstance(broadcast.ng_center, list)
+    assert broadcast == in_floats
+
+
 def test_control_square_past_the_float_range_raises():
     # a Python float square overflows silently; the list route raises as
-    # ** does, and the array route finds the center not finite
+    # ** does, and the array route, the complex broadcast, leaves numpy's
+    # overflow to the caller's errstate
     sys_ = default_system()
     with pytest.raises(OverflowError):
         sweep_control(sys_, drive_for(sys_), [1e9, 1e160])
-    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="= inf rad/s"):
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         sweep_control(sys_, drive_for(sys_), np.array([1e9, 1e160]))
 
 

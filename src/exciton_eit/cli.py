@@ -73,23 +73,32 @@ def _write(args, params: dict, files: dict) -> None:
 _LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1", "delta2")
 
 
-def _numerical(*keys: str):
-    """The runner with numpy's overflow, invalid-value and divide-by-zero
-    faults raised instead of warned, so no file holds what the fault left.
-    Each is re-raised as an ArithmeticError (exit 3) whose message is
-    numpy's, followed by ``keys``, the config keys the command's kernel
-    reads."""
+def _numerical(*keys: str, route=None):
+    """The runner with its numerical faults re-raised as an ArithmeticError
+    (exit 3) whose message is the fault's, followed by ``keys``, the config
+    keys the command's kernel reads.  Where ``route(cfg)`` is a point count
+    (and options) on which ``susceptibility.in_floats`` holds, the kernel
+    runs in Python floats, and the fault is its EvaluationError.  Otherwise
+    it is numpy's overflow, invalid value or division by zero, raised
+    instead of warned, so no file holds what the fault left."""
     def wrap(runner):
         @functools.wraps(runner)
         def strict(cfg: ScenarioConfig, args) -> int:
+            from .susceptibility import EvaluationError, in_floats
+
+            bring = f": bring {', '.join(keys)} back into range"
+            if route is not None and in_floats(*route(cfg)):
+                try:
+                    return runner(cfg, args)
+                except EvaluationError as exc:
+                    raise ArithmeticError(f"{exc}{bring}") from None
             import numpy as np
 
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     return runner(cfg, args)
             except FloatingPointError as exc:
-                raise ArithmeticError(
-                    f"{exc}: bring {', '.join(keys)} back into range") from None
+                raise ArithmeticError(f"{exc}{bring}") from None
         return strict
     return wrap
 
@@ -135,13 +144,24 @@ def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]) -> list[floa
     return grid
 
 
-@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2")
+def _spectrum_points(cfg: ScenarioConfig) -> tuple[int]:
+    """The values `spectrum` evaluates: one grid per control field."""
+    return (cfg.omega_points * len(cfg.spectrum_omega2),)
+
+
+@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2", route=_spectrum_points)
 @_naming("spectrum_omega2")
 def run_spectrum(cfg: ScenarioConfig, args) -> int:
+    from .susceptibility import in_floats
+
     system = cfg.build_system()
     center = cfg.delta1 - cfg.delta2   # the two-photon resonance, for every Omega2
     grid = _grid(center - cfg.omega_half_span, center + cfg.omega_half_span,
                  cfg.omega_points, ("delta1", "delta2", "omega_half_span", "omega_points"))
+    if not in_floats(*_spectrum_points(cfg)):   # every table in numpy, as `_numerical` runs it
+        import numpy as np
+
+        grid = np.asarray(grid)
     tables = [(om2, _cli.compute_spectrum(system, cfg.build_drive(system, Omega2=om2), grid))
               for om2 in cfg.spectrum_omega2]
     for om2, table in tables:
@@ -154,11 +174,10 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-_SWEEP_KEYS = (*_LADDER_KEYS, "omega2_min", "omega2_max")
-
-
+@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max",
+            route=lambda cfg: (cfg.omega2_points, cfg.delta2, cfg.omega2_min))
 @_naming("omega2_min", "omega2_max")
-def _sweep(cfg: ScenarioConfig, args) -> int:
+def run_sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,
                  ("omega2_min", "omega2_max", "omega2_points"))
@@ -170,24 +189,6 @@ def _sweep(cfg: ScenarioConfig, args) -> int:
     print(f"sweep: argmax Omega2 = {fmt(sweep.argmax_omega2)} rad/s, "
           f"max n_g(center) = {fmt(sweep.ng_max)}")
     return 0
-
-
-_strict_sweep = _numerical(*_SWEEP_KEYS)(_sweep)
-
-
-def run_sweep(cfg: ScenarioConfig, args) -> int:
-    """``sweep`` in Python floats where ``sweep_control`` takes them (see
-    ``sweep_in_floats``), and otherwise under numpy's errstate.  In floats
-    a window-center value out of range is re-raised, like numpy's faults,
-    naming the keys the kernel reads."""
-    from .susceptibility import EvaluationError, sweep_in_floats
-
-    if not sweep_in_floats(cfg.delta2, cfg.omega2_min, cfg.omega2_points):
-        return _strict_sweep(cfg, args)
-    try:
-        return _sweep(cfg, args)
-    except EvaluationError as exc:
-        raise ArithmeticError(f"{exc}: bring {', '.join(_SWEEP_KEYS)} back into range") from None
 
 
 @_naming("E_gap", "rydberg_energy", "bohr_radius", "gamma_aniso", "field_strength",

@@ -16,8 +16,9 @@ against is in tests/oracles.py.
 
 numpy is imported by the functions that use it, on first call: the
 closed forms at two-photon resonance (the window center, width and
-peaks, and a control sweep over a list) run in Python floats, so a
-resonant ``sweep`` loads no numpy.
+peaks, and a control sweep over a list) and the spectrum's real closed
+form over a list run in Python floats, so ``spectrum`` and a resonant
+``sweep`` load no numpy.
 """
 
 from __future__ import annotations
@@ -66,12 +67,103 @@ def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
     return x, system.chi_prefactor * (inner * inner + om2_sq) / (p * p)
 
 
-def _evaluate(omega, system: LadderSystem, drive: FieldDrive):
-    """(chi, chi') at a scalar (as complex numbers) or an array of offsets."""
-    import numpy as np
+def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
+    """(Re chi, Im chi, n_g) at x = omega - delta1 and y = x + delta2, with
+    real arithmetic only, on Python floats (``xp`` = math) or numpy arrays
+    (``xp`` = numpy).
 
-    x, dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)
-    return (complex(x), complex(dx)) if x.ndim == 0 else (x, dx)
+    With a = gamma_ab, b = gamma_bc and w = |Omega2|^2, the product form's
+    P = (x + ia)(y + ib) - w has P_r = xy - k0, with k0 = ab + w, and
+    P_i = xb + ya.  With D = P_r^2 + P_i^2,
+
+        Re chi  = -pref (y P_r + b P_i) / D
+        Im chi  =  pref (b k0 + a y^2) / D
+        Re chi' =  pref Re(Q conj(P)^2) / D^2,  Q = (y^2 - b^2 + w) + 2iyb,
+
+    so Im chi is a ratio of non-negative terms and never negative.  The
+    bare line (w = 0) takes the inner factor 1: y = 1 and b = 0.  P is
+    scaled by 1/s, with s the power of two at or below |P_r| + |P_i|,
+    which is exact and puts D/s^2 in [1/2, 4); each product is then bounded
+    by one the complex product form also forms (pref times the inner
+    factor or Q, the inner factor squared, P), so no value that form gives
+    finitely overflows here.  Every step is one correctly rounded +, -, *
+    or /, with no fused multiply-add, so both carriers give the same bits
+    on every CPU.  P = 0 raises :class:`EvaluationError` before any
+    division by D.  The steps run in place, which on an array saves a
+    fifth of the time; on a float each rebinds.  In expressions, with
+    p = P/s, d = |p|^2 and r = 1/d:
+
+        Re chi  = ((-pref) ((y p_r + b p_i) r)) / s
+        Im chi  = (pref (((a y) y + b k0) / s) r) / s
+        Re chi' = (pref ((y^2 + (w - b^2)) (p_r^2 - p_i^2) r
+                         + ((b + b) y) (p_r p_i (r + r))) r) / s / s
+    """
+    pr = x * y
+    pr -= k0
+    pi = x * b
+    pi += y * a
+    s = abs(pr)
+    s += abs(pi)
+    inv = 1.0 / xp.ldexp(0.5, xp.frexp(s)[1])
+    pr *= inv
+    pi *= inv
+    pr2, pi2 = pr * pr, pi * pi
+    d = pr2 + pi2
+    pole = d == 0
+    if pole if xp is math else pole.any():
+        raise EvaluationError("susceptibility evaluated exactly on a pole")
+    r = 1.0 / d
+    re = y * pr
+    re += b * pi
+    re *= r
+    re *= -pref
+    re *= inv
+    im = (a * y) * y
+    im += b * k0
+    im *= inv
+    im *= r
+    im *= pref
+    im *= inv
+    pr2 -= pi2
+    pr2 *= r
+    ng = y * y
+    ng += w - b * b
+    ng *= pr2
+    pr *= pi
+    pr *= r + r
+    pr *= (b + b) * y
+    ng += pr
+    ng *= pref
+    ng *= r
+    ng *= inv
+    ng *= inv
+    ng *= half_omega1
+    ng += 1.0
+    return re, im, ng
+
+
+def _columns(omega, system: LadderSystem, drive: FieldDrive):
+    """(Re chi, Im chi, n_g) by ``_real_response``: at a number, as floats;
+    over a list, point by point in Python floats, as three lists; over an
+    array, as one broadcast, as three arrays."""
+    w = abs(drive.Omega2) ** 2
+    a, b = system.gamma_ab, system.gamma_bc if w else 0.0
+    k0, pref, half_omega1 = a * b + w, system.chi_prefactor, 0.5 * drive.omega1
+    d1, d2 = drive.delta1, drive.delta2
+    if not isinstance(omega, (list, float)):
+        import numpy as np
+
+        x = np.asarray(omega, dtype=float)
+        if x.ndim:
+            x = x - d1
+            return _real_response(x, x + d2 if w else 1.0, a, b, k0, w, pref, half_omega1, np)
+        omega = float(x)
+    if isinstance(omega, float):
+        x = omega - d1
+        return _real_response(x, x + d2 if w else 1.0, a, b, k0, w, pref, half_omega1, math)
+    rows = [_real_response(x, x + d2 if w else 1.0, a, b, k0, w, pref, half_omega1, math)
+            for x in [v - d1 for v in omega]]
+    return tuple(map(list, zip(*rows))) if rows else ([], [], [])
 
 
 def _group_index(dchi, drive: FieldDrive):
@@ -96,60 +188,86 @@ def chi(omega, system: LadderSystem, drive: FieldDrive):
 
 
 def chi_derivative(omega, system: LadderSystem, drive: FieldDrive):
-    """Analytic d chi / d omega at probe offset ``omega`` (units s)."""
-    return _evaluate(omega, system, drive)[1]
+    """Analytic d chi / d omega at probe offset ``omega`` (units s), in the
+    complex product form (see ``_response``)."""
+    import numpy as np
+
+    dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)[1]
+    return complex(dx) if dx.ndim == 0 else dx
 
 
 def group_index(omega, system: LadderSystem, drive: FieldDrive):
-    """Group index n_g = 1 + (omega1/2) d Re(chi)/d omega."""
-    return _group_index(chi_derivative(omega, system, drive), drive)
+    """Group index n_g = 1 + (omega1/2) d Re(chi)/d omega, from the real
+    closed form ``compute_spectrum`` takes: a float at a number, an array
+    otherwise."""
+    return _columns(omega, system, drive)[2]
 
 
 def group_velocity(omega, system: LadderSystem, drive: FieldDrive):
-    """Group velocity c / (1 + Re(chi)/2 + (omega1/2) d Re(chi)/d omega).
+    """Group velocity c / (n_g + Re(chi)/2), from the real closed form
+    ``compute_spectrum`` takes: a float at a number, an array otherwise.
 
     Negative values (anomalous dispersion) are returned as-is.
     """
-    import numpy as np
-
-    x, dx = _evaluate(omega, system, drive)
-    denom = 1.0 + 0.5 * x.real + 0.5 * drive.omega1 * dx.real
-    if np.any(np.asarray(denom) == 0):
+    re, _, ng = _columns(omega, system, drive)
+    denom = ng + 0.5 * re
+    if not (denom != 0 if isinstance(denom, float) else denom.all()):
         raise EvaluationError("group velocity denominator vanished")
     return CONST.c / denom
 
 
+def _increasing(values) -> bool:
+    """Whether a list (or any sequence) or an array is strictly increasing."""
+    if hasattr(values, "ndim"):
+        return bool((values[1:] > values[:-1]).all())
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 @dataclass
 class SpectrumTable:
-    """Sampled (omega, chi', chi'', n_g) records."""
+    """Sampled (omega, chi', chi'', n_g) records: four lists, or four arrays."""
 
-    omega_grid: np.ndarray
-    chi_re: np.ndarray
-    chi_im: np.ndarray
-    n_g: np.ndarray
+    omega_grid: list[float] | np.ndarray
+    chi_re: list[float] | np.ndarray
+    chi_im: list[float] | np.ndarray
+    n_g: list[float] | np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         n = len(self.omega_grid)
         if not (len(self.chi_re) == len(self.chi_im) == len(self.n_g) == n):
             raise ValueError("spectrum arrays must share one length")
-        if n > 1 and not np.all(np.diff(self.omega_grid) > 0):
+        if not _increasing(self.omega_grid):
             raise ValueError("omega grid must be strictly increasing")
-        if n and np.max(np.abs(self.chi_im)) > 0:
-            floor = -1e-12 * np.max(np.abs(self.chi_im))
-            if np.min(self.chi_im) < floor:
-                raise ValueError("spectrum shows spurious gain (Im chi < 0)")
+        im = self.chi_im
+        if n and (im.min() if hasattr(im, "ndim") else min(im)) < 0:
+            raise ValueError("spectrum shows spurious gain (Im chi < 0)")
 
 
 def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> SpectrumTable:
-    """Evaluate chi and n_g over a strictly increasing offset grid."""
-    import numpy as np
+    """Evaluate chi and n_g over a strictly increasing offset grid.
 
-    w = np.asarray(omega_grid, dtype=float)
-    x, dx = _evaluate(w, system, drive)
-    return SpectrumTable(omega_grid=w, chi_re=x.real, chi_im=x.imag,
-                         n_g=_group_index(dx, drive))
+    Every value comes from one real closed form (``_real_response``), in
+    which Im chi >= 0 holds exactly.  A list on which ``in_floats`` holds is
+    evaluated point by point in Python floats, without numpy, and gives
+    lists; any other grid is one numpy broadcast and gives arrays, with the
+    same bits.  On either, a value that is not finite raises
+    :class:`EvaluationError`.
+    """
+    if isinstance(omega_grid, list) and in_floats(len(omega_grid)):
+        w = [float(v) for v in omega_grid]
+        columns = _columns(w, system, drive)
+        finite = all(all(map(math.isfinite, c)) for c in columns)
+    else:
+        import numpy as np
+
+        w = np.asarray(omega_grid, dtype=float)
+        columns = _columns(w, system, drive)
+        finite = np.isfinite(columns).all()
+    if not finite:
+        raise EvaluationError(
+            f"overflow in the spectrum at |Omega2| = {abs(drive.Omega2):.6g} rad/s: a value "
+            "of chi or n_g leaves floating-point range")
+    return SpectrumTable(w, *columns)
 
 
 @dataclass(frozen=True)
@@ -412,32 +530,39 @@ class ControlSweep:
     ng_max: float
 
 
-# The longest list grid ``sweep_control`` evaluates in Python floats.  On a
-# 2^20-point list the closed form took 0.78 us per point and the broadcast
-# 0.14 us, list conversions included (Intel Xeon, CPython 3.11), so past about
-# 2e5 points the broadcast gains back the 0.1-0.15 s that importing numpy
-# costs.
-FLOAT_SWEEP_POINTS = 200_000
+# The most values a list, or one CLI run, is evaluated in Python floats,
+# without numpy, whose import costs a cold launch 0.1-0.15 s.  On an Intel
+# Xeon with CPython 3.11 a sweep's closed form took 0.78 us per point against
+# 0.14 us for its broadcast (list conversions included), so numpy gains its
+# import back from about 2e5 points; the spectrum's real form takes about
+# 1.5 us per point against 0.3 us, and a cold `spectrum` gained it back from
+# about 7e4 values (+50 ms in floats at 1e5, +0.2 s at 2e5).  One limit
+# between the two crossovers keeps either command within about 0.06 s of
+# the faster route.
+FLOAT_POINTS = 100_000
 
 
-def sweep_in_floats(delta2: float, omega2_first: float, points: int) -> bool:
-    """Whether ``sweep_control`` evaluates a strictly increasing list of
-    ``points`` Omega2 from ``omega2_first`` in Python floats, without numpy.
+def in_floats(points: int, delta2: float = 0.0, omega2_first: float = math.inf) -> bool:
+    """Whether a kernel evaluates a list of ``points`` values in Python
+    floats, without numpy; the CLI asks it too, with the values one run
+    evaluates, to choose between that route and numpy's errstate.
 
-    It does at delta2 = 0, where each value is the window center's real
-    closed form (``_resonant_center``), when no Omega2 has a square of 0
-    (every point lies above ``omega2_first`` > 0, so every square is at
-    least its square), and for at most ``FLOAT_SWEEP_POINTS`` points.
+    ``compute_spectrum`` does for at most ``FLOAT_POINTS`` offsets.
+    ``sweep_control`` does for as many Omega2 at ``delta2`` = 0, where each
+    value is the window center's real closed form (``_resonant_center``),
+    when no Omega2 has a square of 0: every point of its strictly
+    increasing list lies above ``omega2_first`` > 0, so every square is at
+    least its square.
     """
-    return (delta2 == 0 and omega2_first > 0 and omega2_first * omega2_first > 0
-            and points <= FLOAT_SWEEP_POINTS)
+    return (points <= FLOAT_POINTS and delta2 == 0 and omega2_first > 0
+            and omega2_first * omega2_first > 0)
 
 
 def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
                   threads: int = 1) -> ControlSweep:
     """Evaluate n_g and Im chi at the window center across an Omega2 grid.
 
-    A list on which ``sweep_in_floats`` holds is evaluated point by point
+    A list on which ``in_floats`` holds is evaluated point by point
     in Python floats, by the closed form of ``_resonant_center``, which
     needs no numpy and has the bits of the complex response; there a value
     that is not finite raises :class:`EvaluationError`, and an Omega2 whose
@@ -447,10 +572,9 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
     and has no effect.
     """
     listed = isinstance(omega2_grid, list)
-    if listed and omega2_grid and sweep_in_floats(drive.delta2, omega2_grid[0],
-                                                  len(omega2_grid)):
+    if listed and omega2_grid and in_floats(len(omega2_grid), drive.delta2, omega2_grid[0]):
         om2 = [float(v) for v in omega2_grid]
-        if not all(a < b for a, b in zip(om2, om2[1:])):
+        if not _increasing(om2):
             raise ValueError("omega2 grid must be strictly increasing")
         om2_sq = [v * v for v in om2]
         if math.inf in om2_sq:

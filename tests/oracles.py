@@ -62,6 +62,43 @@ def sweep_broadcast(system: LadderSystem, drive: FieldDrive, omega2_grid):
     return (-pref * inner / p).imag, 1.0 + 0.5 * drive.omega1 * dchi.real
 
 
+def spectrum_complex(system: LadderSystem, drive: FieldDrive, omega):
+    """(Re chi, Im chi, n_g) over an array of offsets, in numpy complex arrays.
+
+    The route ``compute_spectrum`` took before its real closed form: one
+    broadcast of the product form, chi = -pref inner / P and
+    chi' = pref (inner^2 + |Omega2|^2) / P^2, with the inner factor 1 where
+    |Omega2|^2 is 0, and a pole raising ZeroDivisionError.
+    """
+    om2_sq = abs(drive.Omega2) ** 2
+    w = np.asarray(omega, dtype=float)
+    one = w - drive.delta1 + 1j * system.gamma_ab
+    inner = np.where(om2_sq == 0, 1.0, w - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
+    p = one * inner - om2_sq
+    if np.any(p == 0):
+        raise ZeroDivisionError("susceptibility evaluated exactly on a pole")
+    x = -system.chi_prefactor * inner / p
+    dx = system.chi_prefactor * (inner * inner + om2_sq) / (p * p)
+    return x.real, x.imag, 1.0 + 0.5 * drive.omega1 * dx.real
+
+
+def response_mp(system: LadderSystem, drive: FieldDrive, omega: float):
+    """(chi, chi') at 40 digits, as mpmath numbers, at the offset ``omega``.
+
+    The inputs are the float offsets the package forms first,
+    x = omega - delta1 and y = x + delta2, taken as exact, so the error
+    measured is that of the response's evaluation alone.
+    """
+    with mpmath.workdps(40):
+        x = omega - drive.delta1
+        om2_sq = mpmath.mpf(abs(drive.Omega2)) ** 2
+        inner = (mpmath.mpc(x + drive.delta2, system.gamma_bc) if om2_sq
+                 else mpmath.mpf(1))
+        p = mpmath.mpc(x, system.gamma_ab) * inner - om2_sq
+        pref = mpmath.mpf(system.chi_prefactor)
+        return -pref * inner / p, pref * (inner * inner + om2_sq) / (p * p)
+
+
 def bloch_samples_stepwise(initial, drive: FieldDrive, system: LadderSystem, T: float,
                            n: int, decay_mode: str):
     """(step, z, y) of the Bloch samples at np.linspace(0, T, n), one step at a time.

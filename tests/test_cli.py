@@ -87,21 +87,22 @@ def test_reruns_are_byte_identical(tmp_path):
 # before the CSV/JSON writers were rewritten around column mappings.
 # `propagate` is left out: its default observables sit at the FFT roundoff
 # floor, where the last printed digits are not stable under any reordering.
-# The spectrum digests also pin numpy's complex multiply on a CPU with FMA
-# (an Intel Xeon with AVX-512 here), whose loop rounds the real part as
-# fma(ar, br, -ai bi): it matched that form on 3000 of 3000 random products
-# and the plain product on 1726.  A CPU whose numpy loop takes the plain
-# product can give other last bits in chi, and so other spectrum digests.
+# The spectrum files were re-pinned when chi and n_g moved to one real
+# closed form: every value comes from IEEE basic operations only (+, -, *,
+# /, each correctly rounded, with no fused multiply-add), so these digests
+# hold on any CPU, and on the list and the array route alike.  Against the
+# complex product form they replace, each chi moved by at most 6.4e-16 of
+# |chi| and each n_g by at most 6.2e-16 of max |n_g - 1|.
 DEFAULT_DIGESTS = {
     "spectrum": {
-        "spectrum_om2_0Grads.csv": "8f83a23315854d167f2d17f6854c713271c5abc85dc5ca2de61132080ca0e9cc",
-        "spectrum_om2_0Grads.json": "9681cb64c949d4a86455d6b65d8d39b53a3aed4c78bde3ef1ddb65834bf78b0b",
-        "spectrum_om2_10Grads.csv": "7c3d64c4412274e9c058b5efeab02d39dbe700c9a14d1aaed7df82ac289908ef",
-        "spectrum_om2_10Grads.json": "752a4b2066aca10a03bb25e3bd85eb80b2e2620f4cefbdb4eac682ef87d36eaf",
-        "spectrum_om2_25Grads.csv": "0532fc8c45558e6d07668cd70a9b36f59712b26cb8d54756ed13ec286f514a0c",
-        "spectrum_om2_25Grads.json": "68026d4d47832af23dd2ea5ce2bee1315dee8c0e4913eba900d45b599c4a1575",
-        "spectrum_om2_50Grads.csv": "65eff1be8cd5b417e90bb92df535afe3c6e14de8cc0f868b882b776ec55a4fa5",
-        "spectrum_om2_50Grads.json": "7fb51d0ef9b12cc26931c298bc8f46069ed4245ab872a62d10d7c7eca659d305",
+        "spectrum_om2_0Grads.csv": "8f06b4b517058f5f63df876bce3af2802fb9a0fdcb91c3161287c687b9a62833",
+        "spectrum_om2_0Grads.json": "e0b6f403859b86585078a84cf8b4c43222a8812e7c1f8eb3ff42c5b6d1c992cb",
+        "spectrum_om2_10Grads.csv": "a06f4110826decf93c2d03ceb654976647d8f7f896a6da17fea21922399d51d0",
+        "spectrum_om2_10Grads.json": "585d7b94f6aca3209813cacfd20505a17a4227f717a130fd2fcc16398339615d",
+        "spectrum_om2_25Grads.csv": "008ebc4060ad8c7a60a1a3447325037bc905e85a16be0b20a90ddd7aded7a7a9",
+        "spectrum_om2_25Grads.json": "1b63bbb7f21fb718dce7bd01035c1874059b392f1dac84e7fd31667876edd3d1",
+        "spectrum_om2_50Grads.csv": "9ec3d7f467956de6f3f253a8985589aedada4f096350ccddb6e6a3935365900b",
+        "spectrum_om2_50Grads.json": "bf6e7cae7e17a72f9440dac6e31c63b751871de1f97b27c0c454cfe183c998a8",
         "stdout": "b459efb0c5fe2c0d7919a24b5091de11d1c02457f1bdcee8cb1f8fa168e409b4",
     },
     "sweep": {
@@ -496,23 +497,34 @@ def test_out_of_range_result_names_its_keys(tmp_path, capsys, text, command, key
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("text", [
+FLOAT_OVERFLOWS = [
     "dipole_ab_sq = 1e270 C2m2",                   # the chi prefactor overflows
     "N = 1e300 m^-3\ndipole_ab_sq = 1e-10 C2m2",   # and with it Im chi
     "gamma_bc = 1.7e308 rad/s",                    # P overflows
-])
-def test_float_sweep_overflow_names_the_keys_the_kernel_reads(tmp_path, capsys, text):
-    # a sweep at delta2 = 0 runs in Python floats; a window-center value out
-    # of range exits 3 with one line naming every key the kernel reads, as
-    # numpy's faults do on the other routes, and writes no file
+]
+FLOAT_ROUTES = {
+    "sweep": ("overflow at the window center", "omega2_min, omega2_max"),
+    "spectrum": ("overflow in the spectrum", "omega_half_span, spectrum_omega2"),
+}
+
+
+# the sweep's cases keep their bare ids
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, text, id=text if command == "sweep" else f"{command}-{text}")
+    for command in FLOAT_ROUTES for text in FLOAT_OVERFLOWS])
+def test_float_sweep_overflow_names_the_keys_the_kernel_reads(tmp_path, capsys, command, text):
+    # a sweep at delta2 = 0 and a spectrum run in Python floats; a value
+    # out of range exits 3 with one line naming every key the kernel reads,
+    # as numpy's faults do on the other routes, and writes no file
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text + "\n")
     out = tmp_path / "run"
-    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 3
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: overflow at the window center")
+    start, keys = FLOAT_ROUTES[command]
+    assert err.startswith(f"numerical failure: {start}")
     assert err.endswith(": bring omega_ab, gamma_ab, gamma_bc, N, dipole_ab_sq, delta1, "
-                        "delta2, omega2_min, omega2_max back into range\n")
+                        f"delta2, {keys} back into range\n")
     assert err.count("\n") == 1 and not out.exists()
 
 

@@ -76,11 +76,12 @@ _LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1
 def _numerical(*keys: str, route=None):
     """The runner with its numerical faults re-raised as an ArithmeticError
     (exit 3) whose message is the fault's, followed by ``keys``, the config
-    keys the command's kernel reads.  Where ``route(cfg)`` is a point count
-    (and options) on which ``susceptibility.in_floats`` holds, the kernel
-    runs in Python floats, and the fault is its EvaluationError.  Otherwise
-    it is numpy's overflow, invalid value or division by zero, raised
-    instead of warned, so no file holds what the fault left."""
+    keys the command's kernel reads.  Where ``susceptibility.in_floats``
+    holds for the arguments ``route(cfg)`` gives (the values the run
+    evaluates, and for a sweep its delta2 and first Omega2), the kernel runs
+    in Python floats, and the fault is its EvaluationError.  Otherwise it
+    is numpy's overflow, invalid value or division by zero, raised instead
+    of warned, so no file holds what the fault left."""
     def wrap(runner):
         @functools.wraps(runner)
         def strict(cfg: ScenarioConfig, args) -> int:

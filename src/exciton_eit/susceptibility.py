@@ -81,22 +81,19 @@ def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
         Re chi' =  pref Re(Q conj(P)^2) / D^2,  Q = (y^2 - b^2 + w) + 2iyb,
 
     so Im chi is a ratio of non-negative terms and never negative.  The
-    bare line (w = 0) takes the inner factor 1: y = 1 and b = 0.  P is
-    scaled by 1/s, with s the power of two at or below |P_r| + |P_i|,
-    which is exact and puts D/s^2 in [1/2, 4); each product is then bounded
-    by one the complex product form also forms (pref times the inner
-    factor or Q, the inner factor squared, P), so no value that form gives
-    finitely overflows here.  Every step is one correctly rounded +, -, *
-    or /, with no fused multiply-add, so both carriers give the same bits
-    on every CPU.  P = 0 raises :class:`EvaluationError` before any
-    division by D.  The steps run in place, which on an array saves a
-    fifth of the time; on a float each rebinds.  In expressions, with
-    p = P/s, d = |p|^2 and r = 1/d:
+    bare line (w = 0) takes the inner factor 1: y = 1 and b = 0.
 
-        Re chi  = ((-pref) ((y p_r + b p_i) r)) / s
-        Im chi  = (pref (((a y) y + b k0) / s) r) / s
-        Re chi' = (pref ((y^2 + (w - b^2)) (p_r^2 - p_i^2) r
-                         + ((b + b) y) (p_r p_i (r + r))) r) / s / s
+    P is scaled by 1/s, with s the power of two at or below |P_r| + |P_i|,
+    which is exact and puts d = D/s^2 in [1/2, 4).  D^2 is never formed:
+    each ratio is multiplied by r = 1/d, and by pref before its last
+    factors 1/s, so every intermediate is bounded by a value the complex
+    product form also forms (pref times the inner factor or Q, the inner
+    factor squared, P), and no medium that form evaluates finitely
+    overflows here.  Every step is one correctly rounded +, -, * or /, with
+    no fused multiply-add, so both carriers give the same bits on every
+    CPU.  P = 0 raises :class:`EvaluationError` before any division.  The
+    steps run in place, which on an array saves a fifth of the time; on a
+    float each rebinds.
     """
     pr = x * y
     pr -= k0

@@ -656,10 +656,11 @@ def conditioning(system, drive, omega):
 
 
 # The spectrum's real closed form against 40-digit chi and chi': over 1200
-# random media and 3000 random draws of the test below, chi came within 6.5e-16 kappa |chi| and n_g - 1
-# within 2.6e-16 (omega1/2) (2 kappa |chi'| + scale), and the complex
-# product form within 6.7e-16 kappa |chi| of the real one; 1e-15 bounds
-# all three.
+# random media and 6000 random draws of the test below, chi came within
+# 6.5e-16 kappa |chi| and n_g - 1 within 2.9e-16 (omega1/2)
+# (2 kappa |chi'| + scale), and the complex product form's chi and chi'
+# within 6.7e-16 and 2.2e-16 of the real form's, in the same measures;
+# 1e-15 bounds all four.
 FORM_BOUND = 1e-15
 
 
@@ -673,17 +674,21 @@ def test_fused_kernel_is_bit_identical_to_the_pointwise_calls(gamma_ab, gamma_bc
                                                               delta1, delta2, points):
     # compute_spectrum, group_index and group_velocity take chi and n_g from
     # one real closed form, at an array and at a number: n_g and v_g have
-    # the table's very bits; chi, the complex product form, agrees within
-    # the bound the form's accuracy test measures
+    # the table's very bits; chi and chi_derivative, the complex product
+    # form, agree within the bounds the form's accuracy test measures
     sys_ = medium(gamma_ab, gamma_bc)
     drv = drive_for(sys_, Omega2=omega2, delta1=delta1, delta2=delta2)
     center = delta1 - delta2
     w = center + gamma_ab * np.linspace(-5.0, 5.0, points)
     table = compute_spectrum(sys_, drv, w)
-    x = chi(w, sys_, drv)
-    kappa = np.array([conditioning(sys_, drv, v)[0] for v in w])
+    x, dx = chi(w, sys_, drv), chi_derivative(w, sys_, drv)
+    kappa, scale = np.array([conditioning(sys_, drv, v) for v in w]).T
+    half = 0.5 * drv.omega1
     assert np.all(np.abs(table.chi_re + 1j * table.chi_im - x)
                   <= FORM_BOUND * kappa * np.abs(x))
+    assert np.all(np.abs(table.n_g - 1 - half * dx.real)
+                  <= FORM_BOUND * half * (2 * kappa * np.abs(dx) + scale)
+                  + 2**-52 * np.abs(table.n_g))
     assert np.array_equal(table.n_g, group_index(w, sys_, drv))
     assert np.array_equal(group_velocity(w, sys_, drv),
                           CONST.c / (table.n_g + 0.5 * table.chi_re))
@@ -739,29 +744,38 @@ def _scaled(lo, hi):
     return st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(lo, hi))
 
 
+def extreme(gamma_ab, gamma_bc, omega2, delta1, delta2, N, w):
+    """(system, drive, offsets) of a medium whose chi prefactor is about N."""
+    system = LadderSystem.from_frequencies(
+        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=gamma_ab, gamma_bc=gamma_bc,
+        N=N, dipole_ab_sq=CONST.hbar * CONST.eps0)
+    drive = drive_for(system, Omega2=omega2, Omega1=1.0, delta1=delta1, delta2=delta2)
+    return system, drive, sorted(v for v in w if math.isfinite(v))
+
+
 @st.composite
 def extreme_media(draw):
-    """(system, drive, offsets): rates a common binade 2^e0 apart by up to
-    2^120 either way, some 0; a chi prefactor anywhere in range; offsets at
-    the window center, the dressed lines and as far out as the rates."""
+    """``extreme``: rates a common binade 2^e0 apart by up to 2^120 either
+    way, some 0; a chi prefactor anywhere in range; offsets at the window
+    center, the dressed lines and as far out as the rates."""
     e0 = draw(st.integers(-540, 500))
     rate = st.one_of(st.just(0.0), _scaled(e0 - 120, e0 + 120))
     signed = st.tuples(rate, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
     gamma_ab, gamma_bc, omega2, delta1, delta2 = (draw(r) for r in (rate, rate, rate,
                                                                     signed, signed))
-    system = LadderSystem.from_frequencies(
-        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=gamma_ab, gamma_bc=gamma_bc,
-        N=draw(_scaled(-900, 1000)), dipole_ab_sq=CONST.hbar * CONST.eps0)
-    drive = drive_for(system, Omega2=omega2, Omega1=1.0, delta1=delta1, delta2=delta2)
     center = delta1 - delta2
     w = {center + v for v in draw(st.lists(signed, min_size=1, max_size=6))}
     if draw(st.booleans()):
         w |= {center, delta1 - omega2, delta1 + omega2}
-    return system, drive, sorted(v for v in w if math.isfinite(v))
+    return extreme(gamma_ab, gamma_bc, omega2, delta1, delta2, draw(_scaled(-900, 1000)), w)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(medium_=extreme_media())
+# Q is about -1.1e308, so Q (P_r^2 - P_i^2) / |P|^2 taken in that order
+# would overflow
+@example(medium_=extreme(0.0, 1.0661523349247684e154, 1.5398147735190135e-156, 0.0,
+                         -7.874366604284653e-224, 1e-295, [7.874217883707892e-224]))
 def test_spectrum_is_finite_wherever_the_complex_form_is(medium_):
     # the real form scales P by a power of two, so each medium that the
     # complex product form (the former route) evaluates finitely under
@@ -779,6 +793,30 @@ def test_spectrum_is_finite_wherever_the_complex_form_is(medium_):
         table = compute_spectrum(system, drive, np.array(w))
     for name in ("chi_re", "chi_im", "n_g"):
         assert np.array(getattr(listed, name)).tobytes() == getattr(table, name).tobytes()
+
+
+@pytest.mark.parametrize("k", [-360, -300, 230, 300])
+def test_spectrum_keeps_its_bits_under_a_power_of_two_change_of_units(k):
+    # scaling every rate, offset and the chi prefactor by 2^k is exact, and
+    # the real form scales P by the power of two that |P| picks, so chi and
+    # n_g keep their very bits; at these k the complex product form's P^2
+    # leaves the float range, so this range is the real form's own
+    def spectrum(u):
+        sys_ = LadderSystem.from_frequencies(
+            omega_ab=3.266576e15 * u, omega_ac=3.1402e13 * u, gamma_ab=4.5573e10 * u,
+            gamma_bc=7.596e9 * u, N=6.2422e25 * u, dipole_ab_sq=0.334e-60)
+        drv = drive_for(sys_, Omega2=2.5e10 * u, delta1=1e9 * u, delta2=-3e9 * u)
+        grid = [v * u for v in np.linspace(-2e11, 2e11, 41).tolist()]
+        return sys_, drv, grid
+
+    base = compute_spectrum(*spectrum(1.0))
+    sys_, drv, grid = spectrum(math.ldexp(1.0, k))
+    scaled = compute_spectrum(sys_, drv, grid)
+    for name in ("chi_re", "chi_im", "n_g"):
+        assert getattr(scaled, name) == getattr(base, name)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError):
+            spectrum_complex(sys_, drv, grid)
 
 
 def test_exact_pole_raises_on_both_carriers():

@@ -10,6 +10,7 @@ error, 3 numerical failure (no file written), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import functools
 import math
@@ -75,31 +76,28 @@ _LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1
 
 def _numerical(*keys: str, route=None):
     """The runner with its numerical faults re-raised as an ArithmeticError
-    (exit 3) whose message is the fault's, followed by ``keys``, the config
-    keys the command's kernel reads.  Where ``susceptibility.in_floats``
-    holds for the arguments ``route(cfg)`` gives (the values the run
-    evaluates, and for a sweep its delta2 and first Omega2), the kernel runs
-    in Python floats, and the fault is its EvaluationError.  Otherwise it
-    is numpy's overflow, invalid value or division by zero, raised instead
-    of warned, so no file holds what the fault left."""
+    (exit 3).  Where ``route(cfg)`` holds, the kernel runs in Python
+    floats; otherwise under numpy's errstate, where an overflow, invalid
+    value or division by zero raises instead of warning, so no file holds
+    what the fault left.  A value out of range, numpy's fault or the float
+    route's ``OutOfRangeError``, gives the fault's message followed by
+    ``keys``, the config keys the command's kernel reads; any other
+    ``EvaluationError`` (an exact pole, say) gives its own message, the
+    same on either route."""
     def wrap(runner):
         @functools.wraps(runner)
         def strict(cfg: ScenarioConfig, args) -> int:
-            from .susceptibility import EvaluationError, in_floats
-
-            bring = f": bring {', '.join(keys)} back into range"
-            if route is not None and in_floats(*route(cfg)):
-                try:
-                    return runner(cfg, args)
-                except EvaluationError as exc:
-                    raise ArithmeticError(f"{exc}{bring}") from None
-            import numpy as np
+            from .susceptibility import OutOfRangeError
 
             try:
+                if route is not None and route(cfg):
+                    return runner(cfg, args)
+                import numpy as np
+
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     return runner(cfg, args)
-            except FloatingPointError as exc:
-                raise ArithmeticError(f"{exc}{bring}") from None
+            except (FloatingPointError, OutOfRangeError) as exc:
+                raise ArithmeticError(f"{exc}: bring {', '.join(keys)} back into range") from None
         return strict
     return wrap
 
@@ -132,37 +130,61 @@ def _linspace(lo: float, hi: float, points: int) -> list[float]:
     return [lo + i * step for i in range(div)] + [hi]
 
 
-def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...]) -> list[float]:
-    """``_linspace(lo, hi, points)``; a span that overflows is a numerical
-    failure, and a grid that rounding leaves with repeated points a
-    configuration error, each naming ``keys``."""
+def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...], floats: bool):
+    """``points`` evenly spaced values from ``lo`` to ``hi``: a list by
+    ``_linspace`` if ``floats``, else ``np.linspace``'s array, with the same
+    bits.  A span that overflows is a numerical failure, and a grid that
+    rounding leaves with repeated points a configuration error, each
+    naming ``keys``."""
     if not math.isfinite(hi - lo):
         raise _out_of_range(keys)
-    grid = _linspace(lo, hi, points)
-    if not all(a < b for a, b in zip(grid, grid[1:])):
+    if floats:
+        grid = _linspace(lo, hi, points)
+        distinct = all(a < b for a, b in zip(grid, grid[1:]))
+    else:
+        import numpy as np
+
+        grid = np.linspace(lo, hi, points)
+        distinct = bool((grid[1:] > grid[:-1]).all())
+    if not distinct:
         raise ConfigError(f"{', '.join(keys)} give {points} grid points from {fmt(lo)} "
                           f"to {fmt(hi)} rad/s that rounding does not keep distinct", keys=keys)
     return grid
 
 
-def _spectrum_points(cfg: ScenarioConfig) -> tuple[int]:
-    """The values `spectrum` evaluates: one grid per control field."""
-    return (cfg.omega_points * len(cfg.spectrum_omega2),)
-
-
-@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2", route=_spectrum_points)
-@_naming("spectrum_omega2")
-def run_spectrum(cfg: ScenarioConfig, args) -> int:
+def _spectrum_in_floats(cfg: ScenarioConfig) -> bool:
+    """Whether `spectrum` runs in Python floats: asked for its values in
+    all, one grid per control field."""
     from .susceptibility import in_floats
 
+    return in_floats(cfg.omega_points * len(cfg.spectrum_omega2))
+
+
+def _sweep_in_floats(cfg: ScenarioConfig) -> bool:
+    """Whether `sweep` runs in Python floats: asked for its points, its
+    delta2 and its first Omega2."""
+    from .susceptibility import in_floats
+
+    return in_floats(cfg.omega2_points, cfg.delta2, cfg.omega2_min)
+
+
+def _propagate_in_floats(cfg: ScenarioConfig) -> bool:
+    """Whether `propagate` runs in Python floats: at delta2 = 0, where the
+    window metrics are closed forms in floats (off it their quartic loads
+    numpy anyway), on a time grid whose padded FFT is within the limit."""
+    from .propagation import in_floats
+
+    return cfg.delta2 == 0 and in_floats(cfg.t_steps)
+
+
+@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2", route=_spectrum_in_floats)
+@_naming("spectrum_omega2")
+def run_spectrum(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     center = cfg.delta1 - cfg.delta2   # the two-photon resonance, for every Omega2
     grid = _grid(center - cfg.omega_half_span, center + cfg.omega_half_span,
-                 cfg.omega_points, ("delta1", "delta2", "omega_half_span", "omega_points"))
-    if not in_floats(*_spectrum_points(cfg)):   # every table in numpy, as `_numerical` runs it
-        import numpy as np
-
-        grid = np.asarray(grid)
+                 cfg.omega_points, ("delta1", "delta2", "omega_half_span", "omega_points"),
+                 _spectrum_in_floats(cfg))
     tables = [(om2, _cli.compute_spectrum(system, cfg.build_drive(system, Omega2=om2), grid))
               for om2 in cfg.spectrum_omega2]
     for om2, table in tables:
@@ -175,13 +197,12 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max",
-            route=lambda cfg: (cfg.omega2_points, cfg.delta2, cfg.omega2_min))
+@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max", route=_sweep_in_floats)
 @_naming("omega2_min", "omega2_max")
 def run_sweep(cfg: ScenarioConfig, args) -> int:
     system = cfg.build_system()
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,
-                 ("omega2_min", "omega2_max", "omega2_points"))
+                 ("omega2_min", "omega2_max", "omega2_points"), _sweep_in_floats(cfg))
     sweep = _cli.sweep_control(system, cfg.build_drive(system), grid)
     columns = render({"omega2_rad_s": sweep.omega2_grid, "ng_center": sweep.ng_center,
                       "chi_im_center": sweep.chi_im_center})
@@ -231,11 +252,9 @@ def _propagation_setup(cfg: ScenarioConfig, system: LadderSystem, drive: FieldDr
 
 
 @_numerical(*_LADDER_KEYS, "Omega1", "Omega2", "slab_length", "t_steps", "t_span",
-            "pulse_sigma")
-@_naming("Omega2", "pulse_sigma")
+            "pulse_sigma", route=_propagate_in_floats)
+@_naming("Omega2")
 def run_propagate(cfg: ScenarioConfig, args) -> int:
-    import numpy as np
-
     from .propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, PropagationParams,
                               gaussian_envelope)
     from .susceptibility import EvaluationError
@@ -245,12 +264,23 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
     sigma, center, span = _propagation_setup(cfg, system, drive)
     params_prop = PropagationParams.from_system(
         system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
-        env_in = gaussian_envelope(params_prop.t_grid, center, sigma,
-                                   amplitude=complex(drive.Omega1))
-        record = _cli.propagate_pulse(env_in, params_prop, drive, system)
-    if not np.isfinite([record.measured_delay, record.measured_attenuation,
-                        record.measured_phase]).all():
+    floats = _propagate_in_floats(cfg)
+    if floats:   # on lists, so the pulse runs in Python floats
+        grid, faults = params_prop.t_list, contextlib.nullcontext()
+    else:
+        import numpy as np
+
+        # overflow is ignored in the pulse: a non-finite result raises below
+        grid, faults = params_prop.t_grid, np.errstate(over="ignore", invalid="ignore")
+    try:
+        with faults:
+            env_in = gaussian_envelope(grid, center, sigma, amplitude=complex(drive.Omega1))
+            record = _cli.propagate_pulse(env_in, params_prop, drive, system)
+        observables = (record.measured_delay, record.measured_attenuation,
+                       record.measured_phase)
+    except (OverflowError, ZeroDivisionError):   # Python floats' range faults
+        observables = (math.nan,)
+    if not all(map(math.isfinite, observables)):
         raise EvaluationError(
             f"the pulse is not finite at slab_length = {fmt(cfg.slab_length)} m: the "
             "slab or its time grid leaves floating-point range; lower slab_length, "
@@ -272,24 +302,24 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
 
     params = {**resolved_params_dict(cfg), **params_prop.params_dict(),
               "pulse_sigma_s": sigma, "pulse_center_s": center, "t_span_s": span}
-    env_in, env_out = record.envelope_in, record.envelope_out
     summary = {
         "delay_s": record.measured_delay,
         "attenuation": record.measured_attenuation,
         "phase_rad": record.measured_phase,
         "slowdown_factor": slowdown,
-        "vg_over_c": 1.0 / (1.0 + slowdown) if slowdown != -1.0 else np.inf,
+        "vg_over_c": 1.0 / (1.0 + slowdown) if slowdown != -1.0 else math.inf,
         "grid": {"z_steps": params_prop.z_steps, "t_steps": params_prop.t_steps,
                  "dt_s": params_prop.dt},
         "converged": bool(record.converged),
         "convergence_delta": record.convergence_delta,
         **({"warning": warning} if warning else {}),
     }
-    _write(args, params, {
-        "pulse.csv": {"t_s": record.t_grid,
-                      "env_in_abs": np.abs(env_in), "env_in_arg": np.angle(env_in),
-                      "env_out_abs": np.abs(env_out), "env_out_arg": np.angle(env_out)},
-        "pulse_summary.json": summary})
+    columns = {"t_s": record.t_grid}
+    for name, envelope in (("env_in", record.envelope_in), ("env_out", record.envelope_out)):
+        columns[f"{name}_abs"], columns[f"{name}_arg"] = (
+            (list(map(abs, envelope)), list(map(cmath.phase, envelope))) if floats
+            else (np.abs(envelope), np.angle(envelope)))
+    _write(args, params, {"pulse.csv": columns, "pulse_summary.json": summary})
     print(f"propagate: delay = {fmt(record.measured_delay)} s, "
           f"attenuation = {fmt(record.measured_attenuation)}, "
           f"slowdown factor = {fmt(slowdown)}")

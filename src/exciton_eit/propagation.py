@@ -46,19 +46,36 @@ Very thick slabs are not resolvable: the ~1e-16 roundoff of the sampled
 input (about e^-34 of its peak) passes the transparent wings of chi and
 swamps the transmitted pulse, so a measured attenuation below
 ``ATTENUATION_FLOOR`` (about e^-32) marks the record unconverged too.
+
+The route has two carriers.  A list envelope whose padded length N is at
+most ``susceptibility._FLOAT_FFT_LENGTH`` (32400, t_steps up to 8099)
+runs it in Python floats, without numpy: the rfft and irfft are a
+self-sorting radix-4/2/3/5 FFT on lists of Python complex numbers, with
+an even N's real input packed into one complex pass of length N/2, and
+the transfer, the filter split, the shares and the measurements take the
+array route's steps in its order.  Any other envelope runs in numpy,
+where numpy is imported on first use.  The two agree within roundoff,
+not bit for bit; a list run's bits depend only on IEEE basic operations
+and the platform libm's exp, cos and sin.  In Python floats a value out
+of range raises OverflowError or ZeroDivisionError, where numpy returns
+inf or nan.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
-from .susceptibility import chi
+from .susceptibility import _FLOAT_FFT_LENGTH, EvaluationError, chi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # below this peak attenuation the output is the input's roundoff, not the pulse
 ATTENUATION_FLOOR = 1e-14
@@ -94,7 +111,15 @@ class PropagationParams:
 
     @property
     def t_grid(self) -> np.ndarray:
+        import numpy as np
+
         return np.arange(self.t_steps + 1) * self.dt
+
+    @property
+    def t_list(self) -> list[float]:
+        """``t_grid`` as a list of floats, with its bits."""
+        dt = self.dt
+        return [k * dt for k in range(self.t_steps + 1)]
 
     def params_dict(self) -> dict:
         return {
@@ -107,11 +132,18 @@ class PropagationParams:
 
 
 def gaussian_envelope(t_grid, center: float, sigma: float,
-                      amplitude: complex = 1.0) -> np.ndarray:
-    """Gaussian amplitude envelope on a time grid."""
+                      amplitude: complex = 1.0) -> list[complex] | np.ndarray:
+    """Gaussian amplitude envelope on a time grid: a list of complex on a
+    list, in Python floats, and a complex array otherwise."""
     # both squares are scaled by the same power of two, which is exact, so
     # sigma^2 cannot underflow to 0 and normal-range results keep their bits
     scale = 2.0 ** -math.frexp(sigma)[1]
+    if isinstance(t_grid, list):
+        amp, den = complex(amplitude), 2.0 * (sigma * scale) ** 2
+        shifted = [(v - center) * scale for v in t_grid]
+        return [amp * math.exp(-(u * u) / den) for u in shifted]
+    import numpy as np
+
     t = (np.asarray(t_grid, dtype=float) - center) * scale
     return amplitude * np.exp(-(t**2) / (2.0 * (sigma * scale) ** 2)).astype(complex)
 
@@ -128,11 +160,13 @@ class PulseRecord:
     input's and the output's share of spectral energy above half the
     Nyquist frequency, and ``spill_share`` the share of the padded
     output's energy past the window's end; both are 0 for an empty medium.
+    The grid and the envelopes are lists on the list route of
+    ``propagate_pulse`` and arrays otherwise.
     """
 
-    t_grid: np.ndarray
-    envelope_in: np.ndarray
-    envelope_out: np.ndarray
+    t_grid: list[float] | np.ndarray
+    envelope_in: list[complex] | np.ndarray
+    envelope_out: list[complex] | np.ndarray
     measured_delay: float
     measured_attenuation: float
     measured_phase: float
@@ -158,23 +192,41 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     exact transfer function exp(i w1 chi(w) L / 2c) on the zero-padded
     spectrum, in one rfft per nonzero part of the envelope and one irfft
     per nonzero part of the output, so ``params.z_steps`` does not change
-    the result.  The record is flagged unconverged when its
+    the result.  A list on which ``in_floats`` holds runs that route in
+    Python floats and gives a record of lists; any other envelope runs it
+    in numpy and gives arrays.  The record is flagged unconverged when its
     ``band_share`` or ``spill_share``, both read off that one pass,
     exceeds ``LEAK_LIMIT``, or when its measured attenuation is below
     ``ATTENUATION_FLOOR``.
     """
-    env0 = np.asarray(envelope_in, dtype=complex)
-    if env0.shape != (params.t_steps + 1,):
+    if isinstance(envelope_in, list) and in_floats(params.t_steps):
+        env0 = [complex(v) for v in envelope_in]
+        measure, propagate, copy = _measure_list, _propagate_list, list
+        shape, t = (len(env0),), params.t_list
+    else:
+        import numpy as np
+
+        env0 = np.asarray(envelope_in, dtype=complex)
+        measure, propagate, copy = _measure, _propagate, np.copy
+        shape, t = env0.shape, params.t_grid
+    if shape != (params.t_steps + 1,):
         raise ValueError("envelope length must match the time grid")
 
     if params.kappa1_sq == 0.0:
-        record = _measure(params.t_grid, env0, env0.copy())
+        record = measure(t, env0, copy(env0))
     else:
-        record = _propagate(env0, params, drive, system)
+        record = propagate(env0, t, params, drive, system)
     if (record.convergence_delta > LEAK_LIMIT
             or record.measured_attenuation < ATTENUATION_FLOOR):
         record.converged = False
     return record
+
+
+def in_floats(t_steps: int) -> bool:
+    """Whether ``propagate_pulse`` runs a list envelope on ``t_steps``
+    steps in Python floats: while its padded FFT length is at most
+    ``susceptibility._FLOAT_FFT_LENGTH``."""
+    return _padded_length(t_steps) <= _FLOAT_FFT_LENGTH
 
 
 @functools.lru_cache(maxsize=1024)
@@ -194,18 +246,22 @@ def _padded_length(t_steps: int) -> int:
 def _transfer(freq: np.ndarray, params: PropagationParams, drive: FieldDrive,
               system: LadderSystem) -> np.ndarray:
     """exp(i w1 chi(w) L / 2c) on the FFT frequencies ``freq``."""
+    import numpy as np
+
     # numpy's inverse FFT builds e^{+i W t}; the envelope component is e^{-i w t}
-    response = chi(-2.0 * np.pi * freq, system, drive)
+    response = chi(-2.0 * math.pi * freq, system, drive)
     # kappa1^2 chi / chi_prefactor = w1 chi / 2 for params built by from_system
     response /= system.chi_prefactor
     response *= 1j * params.kappa1_sq * params.L / CONST.c
     return np.exp(response, out=response)
 
 
-def _propagate(env0: np.ndarray, params: PropagationParams, drive: FieldDrive,
-               system: LadderSystem) -> PulseRecord:
+def _propagate(env0: np.ndarray, t: np.ndarray, params: PropagationParams,
+               drive: FieldDrive, system: LadderSystem) -> PulseRecord:
     """The one FFT route of the module docstring, without the terms of a
     part that is all zero or, at resonant drive, of h_o."""
+    import numpy as np
+
     n_pad = _padded_length(params.t_steps)
     freq = np.fft.rfftfreq(n_pad, params.dt)
     even = _transfer(freq, params, drive, system)
@@ -231,7 +287,7 @@ def _propagate(env0: np.ndarray, params: PropagationParams, drive: FieldDrive,
             out[:] = padded[:n]
             padded_energy += padded @ padded
             spill_energy += padded[n:] @ padded[n:]
-    record = _measure(params.t_grid, env0, env_out)
+    record = _measure(t, env0, env_out)
     record.band_share = max(_ratio(band, total) for total, band in
                             (_total_and_band(re, im, n_pad),
                              _total_and_band(*out_spectra, n_pad)))
@@ -243,6 +299,8 @@ def _total_and_band(re, im, n_pad: int) -> tuple[float, float]:
     """The energy of the two-sided spectrum of x_r + i x_i, whole and in
     the bins [N//4, N - N//4), from its parts' one-sided spectra (None
     for a part that is all zero)."""
+    import numpy as np
+
     def two_sided(s):
         # every bin has a twin but the first (DC; or bin N//4, whose twin
         # -N/4 is outside the band) and, for even N, the Nyquist bin
@@ -261,6 +319,8 @@ def _ratio(part: float, whole: float) -> float:
 
 
 def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRecord:
+    import numpy as np
+
     dt = np.diff(t)
 
     def trapezoid(y):
@@ -291,3 +351,286 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRec
         # can make np.angle read -pi; the phase is wrapped to (-pi, pi]
         measured_phase=math.pi if phase == -math.pi else phase,
     )
+
+
+# ---- the list route: the same steps in Python floats ----
+
+def _propagate_list(env0: list[complex], t: list[float], params: PropagationParams,
+                    drive: FieldDrive, system: LadderSystem) -> PulseRecord:
+    """``_propagate`` on lists: each step in Python floats, in the order
+    and with the rules of the array route."""
+    n_pad = _padded_length(params.t_steps)
+    val = 1.0 / (n_pad * params.dt)
+    # rfftfreq's k * val, scaled as _transfer scales it
+    omega = [-2.0 * math.pi * (k * val) for k in range(n_pad // 2 + 1)]
+    even = _transfer_list(omega, params, drive, system)
+    odd = None
+    if drive.delta1 != 0.0 or drive.delta2 != 0.0:
+        twin = _transfer_list([-w for w in omega], params, drive, system)
+        if n_pad % 2 == 0:
+            even[-1] = twin[-1]   # the Nyquist bin is its own twin, at -fs/2 as in fft
+        twin = [h.conjugate() for h in twin]
+        even, odd = ([(e + h) / 2.0 for e, h in zip(even, twin)],
+                     [(e - h) / 2j for e, h in zip(even, twin)])
+    parts = [z.real for z in env0], [z.imag for z in env0]
+    re, im = (_rfft(part, n_pad) if any(part) else None for part in parts)
+    out_spectra = []   # of h_e x_r - h_o x_i and of h_o x_r + h_e x_i
+    for terms in ((re, even), (im, None if odd is None else [-h for h in odd])), \
+            ((re, odd), (im, even)):
+        products = [list(map(mul, s, h)) for s, h in terms if s is not None and h is not None]
+        out_spectra.append([u + v for u, v in zip(*products)] if len(products) == 2
+                           else products[0] if products else None)
+    n = len(env0)
+    zeros = [0.0] * n
+    out = []
+    padded_energy = spill_energy = 0.0
+    for spectrum in out_spectra:
+        if spectrum is None:
+            out.append(zeros)
+            continue
+        padded = _irfft(spectrum, n_pad)
+        head, tail = padded[:n], padded[n:]
+        spill = math.fsum(map(mul, tail, tail))
+        padded_energy += math.fsum(map(mul, head, head)) + spill
+        spill_energy += spill
+        out.append(head)
+    record = _measure_list(t, env0, list(map(complex, *out)))
+    record.band_share = max(_ratio(band, total) for total, band in
+                            (_total_and_band_list(re, im, n_pad),
+                             _total_and_band_list(*out_spectra, n_pad)))
+    record.spill_share = _ratio(spill_energy, padded_energy)
+    return record
+
+
+def _transfer_list(omega: list[float], params: PropagationParams, drive: FieldDrive,
+                   system: LadderSystem) -> list[complex]:
+    """exp(i w1 chi(w) L / 2c) at the offsets ``omega``, from chi's product
+    form (``susceptibility._product_form``) in Python complex numbers."""
+    gain = -1j * params.kappa1_sq * params.L / CONST.c   # chi / pref = -inner / P
+    d1, d2, a, b = drive.delta1, drive.delta2, system.gamma_ab, system.gamma_bc
+    w = abs(drive.Omega2) ** 2
+    try:
+        if w == 0:   # the bare line: inner = 1
+            return [cmath.exp(gain / complex(x - d1, a)) for x in omega]
+        return [cmath.exp(gain * (inner := complex(x - d1 + d2, b))
+                          / (complex(x - d1, a) * inner - w)) for x in omega]
+    except ZeroDivisionError:
+        raise EvaluationError("susceptibility evaluated exactly on a pole") from None
+    except ValueError:   # cmath.exp of an infinite phase
+        raise OverflowError("the slab's phase leaves floating-point range") from None
+
+
+def _total_and_band_list(re, im, n_pad: int) -> tuple[float, float]:
+    """``_total_and_band`` on one-sided spectra that are lists."""
+    def two_sided(s):
+        squares = [z.real * z.real + z.imag * z.imag for z in s]
+        energy = 2.0 * math.fsum(squares) - squares[0]
+        return energy - squares[-1] if n_pad % 2 == 0 else energy
+
+    parts = [s for s in (re, im) if s is not None]
+    band = sum(two_sided(s[n_pad // 4:]) for s in parts)
+    if len(parts) == 2:   # the cross term of bin N//4
+        band += 2.0 * (re[n_pad // 4] * im[n_pad // 4].conjugate()).imag
+    return sum(two_sided(s) for s in parts), band
+
+
+def _measure_list(t: list[float], env_in: list[complex],
+                  env_out: list[complex]) -> PulseRecord:
+    """``_measure`` on lists, its trapezoid sums exactly rounded."""
+    dt = [b - a for a, b in zip(t, t[1:])]
+
+    def trapezoid(y):
+        return math.fsum([d * (u + v) / 2.0 for d, u, v in zip(dt, y[1:], y)])
+
+    def centroid(magnitude):
+        w = list(map(mul, magnitude, magnitude))
+        total = trapezoid(w)
+        if total == 0:
+            return 0.0
+        return trapezoid(list(map(mul, w, t))) / total
+
+    mag_in, mag_out = list(map(abs, env_in)), list(map(abs, env_out))
+    peak_in, peak_out = max(mag_in), max(mag_out)
+    z = env_out[mag_out.index(peak_out)] * env_in[mag_in.index(peak_in)].conjugate()
+    phase = math.atan2(z.imag, z.real)
+    return PulseRecord(
+        t_grid=t,
+        envelope_in=env_in,
+        envelope_out=env_out,
+        measured_delay=centroid(mag_out) - centroid(mag_in),
+        measured_attenuation=peak_out / peak_in if peak_in else 0.0,
+        measured_phase=math.pi if phase == -math.pi else phase,
+    )
+
+
+# ---- a self-sorting mixed-radix FFT on lists of Python complex numbers ----
+#
+# Stockham's autosort form (Temperton, J. Comput. Phys. 52, 1 (1983)):
+# each pass of radix r reads the r chunks of length n/r of its input and
+# writes every output in order, so no bit reversal is needed.  A real
+# input of even length n is packed into one complex sequence of length n/2
+# (Sorensen et al., IEEE Trans. ASSP 35, 849 (1987)); an odd n takes one
+# full-length complex pass.  The inverse transforms conjugate, so every
+# pass is a forward one.
+
+_ROOT3 = -1j * math.sqrt(0.75)                     # -i sin(2 pi/3)
+_COS5 = math.cos(math.tau / 5), math.cos(2 * math.tau / 5)
+_SIN5 = math.sin(math.tau / 5), math.sin(2 * math.tau / 5)
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(n: int) -> list[complex]:
+    """exp(-2 pi i k / n) for k < n.  Where 4 divides n, each is the sine
+    and cosine of an angle within pi/4, turned by exact quarter turns;
+    otherwise the second half mirrors the first as conjugates."""
+    if n % 4:
+        head = [complex(math.cos(a), -math.sin(a))
+                for a in [math.tau * k / n for k in range(n // 2 + 1)]]
+        return head + [head[n - k].conjugate() for k in range(n // 2 + 1, n)]
+    q = n // 4
+    # within pi/4 an angle is k's own; past it, the complement of q - k's
+    own = [2 * k <= q for k in range(q)]
+    angles = [math.tau * (k if mine else q - k) / n for k, mine in zip(range(q), own)]
+    sines, cosines = list(map(math.sin, angles)), list(map(math.cos, angles))
+    c = [x if mine else y for x, y, mine in zip(cosines, sines, own)]
+    s = [y if mine else x for x, y, mine in zip(cosines, sines, own)]
+    return ([complex(x, -y) for x, y in zip(c, s)] + [complex(-y, -x) for x, y in zip(c, s)]
+            + [complex(-x, y) for x, y in zip(c, s)] + [complex(y, x) for x, y in zip(c, s)])
+
+
+def _radices(n: int) -> list[int]:
+    """The pass radices of a 5-smooth n: fours, a two, threes, fives."""
+    out = []
+    for r in (4, 2, 3, 5):
+        while n % r == 0:
+            out.append(r)
+            n //= r
+    return out
+
+
+def _butterfly(a: list, tw: list) -> list:
+    """The radix-len(a) DFT of the chunks ``a``, output j times ``tw[j-1]``."""
+    if len(a) == 2:
+        a0, a1 = a
+        return [[u + v for u, v in zip(a0, a1)],
+                [(u - v) * t for u, v, t in zip(a0, a1, tw[0])]]
+    if len(a) == 3:
+        a0, a1, a2 = a
+        s = [u + v for u, v in zip(a1, a2)]
+        d = [(u - v) * _ROOT3 for u, v in zip(a1, a2)]
+        m = [u - 0.5 * v for u, v in zip(a0, s)]
+        return [[u + v for u, v in zip(a0, s)],
+                [(u + v) * t for u, v, t in zip(m, d, tw[0])],
+                [(u - v) * t for u, v, t in zip(m, d, tw[1])]]
+    if len(a) == 4:
+        a0, a1, a2, a3 = a
+        s02 = [u + v for u, v in zip(a0, a2)]
+        d02 = [u - v for u, v in zip(a0, a2)]
+        s13 = [u + v for u, v in zip(a1, a3)]
+        d13 = [(u - v) * -1j for u, v in zip(a1, a3)]
+        return [[u + v for u, v in zip(s02, s13)],
+                [(u + v) * t for u, v, t in zip(d02, d13, tw[0])],
+                [(u - v) * t for u, v, t in zip(s02, s13, tw[1])],
+                [(u - v) * t for u, v, t in zip(d02, d13, tw[2])]]
+    a0, a1, a2, a3, a4 = a
+    (c1, c2), (s1, s2) = _COS5, _SIN5
+    t1 = [u + v for u, v in zip(a1, a4)]
+    t2 = [u + v for u, v in zip(a2, a3)]
+    t3 = [(u - v) * -1j for u, v in zip(a1, a4)]
+    t4 = [(u - v) * -1j for u, v in zip(a2, a3)]
+    b1 = [z + c1 * u + c2 * v for z, u, v in zip(a0, t1, t2)]
+    b2 = [z + c2 * u + c1 * v for z, u, v in zip(a0, t1, t2)]
+    d1 = [s1 * u + s2 * v for u, v in zip(t3, t4)]
+    d2 = [s2 * u - s1 * v for u, v in zip(t3, t4)]
+    return [[z + u + v for z, u, v in zip(a0, t1, t2)],
+            [(u + v) * t for u, v, t in zip(b1, d1, tw[0])],
+            [(u + v) * t for u, v, t in zip(b2, d2, tw[1])],
+            [(u - v) * t for u, v, t in zip(b2, d2, tw[2])],
+            [(u - v) * t for u, v, t in zip(b1, d1, tw[3])]]
+
+
+def _fft(x: list[complex], n: int, roots: list[complex]) -> list[complex]:
+    """The forward DFT of ``x`` zero-padded to the 5-smooth length ``n``,
+    with ``roots`` the list of ``_roots(m)`` for a multiple m of n.
+
+    A pass of radix r over sub-transforms of length l = r m, s of them
+    side by side, maps x[q + s (p + k m)] to y[q + s (r p + j)] with
+    twiddle exp(-2 pi i j p / l).  It runs as one butterfly per q over
+    strided slices of length m while s <= m, and as one per p over
+    contiguous slices of length s after.  While the input is no longer
+    than one chunk (the first pass of a zero-padded input), every chunk
+    but the first is zero and the butterfly is the twiddles alone.
+    """
+    step, s, l = len(roots) // n, 1, n
+    for r in _radices(n):
+        m = l // r
+        g = step * (n // l)   # roots[g k] = exp(-2 pi i k / l)
+        y = [0j] * n
+        if len(x) <= s * m:   # only the first chunk is nonzero; here s = 1
+            y[0:r * len(x):r] = x
+            for j in range(1, r):
+                y[j:r * len(x):r] = list(map(mul, x, roots[0:j * m * g:j * g]))
+        elif s <= m:
+            x = x + [0j] * (n - len(x))
+            tw = [roots[0:j * m * g:j * g] for j in range(1, r)]
+            for q in range(s):
+                chunks = [x[k * s * m + q:(k + 1) * s * m:s] for k in range(r)]
+                for j, out in enumerate(_butterfly(chunks, tw)):
+                    y[q + s * j::s * r] = out
+        else:
+            for p in range(m):
+                chunks = [x[s * (p + k * m):s * (p + k * m + 1)] for k in range(r)]
+                tw = [[roots[j * p * g]] * s for j in range(1, r)]
+                for j, out in enumerate(_butterfly(chunks, tw)):
+                    y[s * (r * p + j):s * (r * p + j + 1)] = out
+        x, s, l = y, s * r, m
+    return x
+
+
+def _rfft(x: list[float], n: int) -> list[complex]:
+    """``np.fft.rfft(x, n)`` of a list of floats: n // 2 + 1 bins."""
+    roots = _roots(n)
+    if n % 2:
+        return _fft([complex(v) for v in x], n, roots)[:n // 2 + 1]
+    half = n // 2
+    z = list(map(complex, x[0::2], x[1::2]))
+    if len(x) % 2:
+        z.append(complex(x[-1]))
+    z = _fft(z, half, roots)
+    # X[k] = E[k] + w^k O[k] with E, O the even and odd samples' spectra:
+    # E = (Z[k] + conj Z[M-k]) / 2, O = (Z[k] - conj Z[M-k]) / 2i
+    mirror = [v.conjugate() for v in z[:1] + z[:0:-1]]
+    turn = _quarter_turned(roots, half)   # -i w^k
+    spectrum = [0.5 * ((u + v) + (u - v) * t) for u, v, t in zip(z, mirror, turn)]
+    spectrum[0] = complex(z[0].real + z[0].imag)
+    spectrum.append(complex(z[0].real - z[0].imag))
+    return spectrum
+
+
+def _irfft(spectrum: list[complex], n: int) -> list[float]:
+    """``np.fft.irfft(spectrum, n)``: n floats, the imaginary parts of bin
+    0 and, for even n, of bin n/2 dropped."""
+    roots = _roots(n)
+    half = n // 2
+    if n % 2:   # the conjugate of the full Hermitian spectrum
+        full = ([complex(spectrum[0].real)] + [v.conjugate() for v in spectrum[1:half + 1]]
+                + spectrum[half:0:-1])
+        return [v.real / n for v in _fft(full, n, roots)]
+    x = [complex(spectrum[0].real)] + spectrum[1:half] + [complex(spectrum[half].real)]
+    # conj Z[k] = conj(E[k] + i O[k]), whose transform is conj(z) M
+    conj = [v.conjugate() for v in x[:half]]
+    turn = _quarter_turned(roots, half)
+    packed = [0.5 * ((u + v) + (u - v) * t) for u, v, t in zip(conj, x[half:0:-1], turn)]
+    z = _fft(packed, half, roots)
+    out = [0.0] * n
+    out[0::2] = [v.real / half for v in z]
+    out[1::2] = [-v.imag / half for v in z]
+    return out
+
+
+def _quarter_turned(roots: list[complex], count: int) -> list[complex]:
+    """-i exp(-2 pi i k / n) for k < ``count``, with ``roots`` = _roots(n)."""
+    n = len(roots)
+    if n % 4 == 0:
+        return (roots + roots)[n // 4:n // 4 + count]
+    return [w * -1j for w in roots[:count]]

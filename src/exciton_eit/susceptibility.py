@@ -39,6 +39,12 @@ class EvaluationError(ArithmeticError):
     exactly on a pole, or a time evolution that overflows."""
 
 
+class OutOfRangeError(EvaluationError):
+    """An ``EvaluationError`` for a value that leaves floating-point range,
+    which a change of the inputs' size can mend; the CLI names the config
+    keys to bring back into range.  An exact pole is not one."""
+
+
 def _product_form(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
     """(chi, inner, P) at offsets ``omega`` broadcast against |Omega2|^2.
 
@@ -261,7 +267,7 @@ def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> Spe
         columns = _columns(w, system, drive)
         finite = np.isfinite(columns).all()
     if not finite:
-        raise EvaluationError(
+        raise OutOfRangeError(
             f"overflow in the spectrum at |Omega2| = {abs(drive.Omega2):.6g} rad/s: a value "
             "of chi or n_g leaves floating-point range")
     return SpectrumTable(w, *columns)
@@ -396,7 +402,7 @@ def _resonant_center(pref: float, system: LadderSystem, drive: FieldDrive,
     ng_center = (1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / p_sq))
                  if p_sq else math.inf)
     if not (math.isfinite(p) and math.isfinite(center_abs) and math.isfinite(ng_center)):
-        raise EvaluationError(
+        raise OutOfRangeError(
             f"overflow at the window center: chi prefactor = {pref:.6g} rad/s, gamma_ab = "
             f"{gab:.6g}, gamma_bc = {gbc:.6g} and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s "
             "leave floating-point range")
@@ -537,6 +543,16 @@ class ControlSweep:
 # between the two crossovers keeps either command within about 0.06 s of
 # the faster route.
 FLOAT_POINTS = 100_000
+
+# The longest padded FFT (``propagation._padded_length``) on which a list
+# envelope is propagated in Python floats, without numpy.  On the same
+# Xeon a `propagate` run in process (no import, best of five) took 35, 97,
+# 125 and 221 ms in floats at t_steps 2400, 6000, 8000 and 9000 (N = 9720,
+# 24300, 32400 and 36450) against 14, 34, 44 and 50 ms with numpy, whose
+# import costs a cold launch 0.06-0.16 s; so numpy gains its import back
+# from about N = 3.5e4.  An odd N (28125 at t_steps 7000: 160 ms) takes a
+# full-length complex pass and costs about twice an even one.
+_FLOAT_FFT_LENGTH = 32_400
 
 
 def in_floats(points: int, delta2: float = 0.0, omega2_first: float = math.inf) -> bool:

@@ -4,6 +4,7 @@ None of these run in the package itself: each recomputes a quantity the
 package gets in closed form, by a different method.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -414,3 +415,57 @@ def anisotropy_eta_panelwise(l: int, m: int, gamma: float) -> float:
         u = (np.sin(phi) if k > 0 else np.sinh(phi)) / root
         total += float(np.dot(weights, _ylm_sq(l, m, u)))
     return 2.0 * math.pi * width / root * total
+
+
+def plain_transfer_list(omega, params, drive: FieldDrive, system: LadderSystem) -> list:
+    """``propagation._transfer_list``'s operations in their order, one
+    offset at a time, with chi's product form written out step by step."""
+    gain = -1j * params.kappa1_sq * params.L / CONST.c
+    om2_sq = abs(drive.Omega2) ** 2
+    out = []
+    for x in omega:
+        one = complex(x - drive.delta1, system.gamma_ab)
+        if om2_sq == 0:
+            out.append(cmath.exp(gain / one))
+            continue
+        inner = complex(x - drive.delta1 + drive.delta2, system.gamma_bc)
+        p = one * inner - om2_sq
+        out.append(cmath.exp(gain * inner / p))
+    return out
+
+
+def measure_list_loops(t, env_in, env_out):
+    """``propagation._measure_list``'s observables by explicit loops over
+    the samples: each trapezoid the exactly rounded sum of its terms, each
+    peak the first sample of largest modulus."""
+    from exciton_eit.propagation import PulseRecord
+
+    def trapezoid(y):
+        return math.fsum([(t[k + 1] - t[k]) * (y[k + 1] + y[k]) / 2.0
+                          for k in range(len(t) - 1)])
+
+    def centroid(env):
+        weight = [abs(z) * abs(z) for z in env]
+        total = trapezoid(weight)
+        if total == 0:
+            return 0.0
+        return trapezoid([w * s for w, s in zip(weight, t)]) / total
+
+    def peak(env):
+        best = 0
+        for k, z in enumerate(env):
+            if abs(z) > abs(env[best]):
+                best = k
+        return best
+
+    i_in, i_out = peak(env_in), peak(env_out)
+    z = env_out[i_out] * env_in[i_in].conjugate()
+    phase = math.atan2(z.imag, z.real)
+    return PulseRecord(
+        t_grid=t,
+        envelope_in=env_in,
+        envelope_out=env_out,
+        measured_delay=centroid(env_out) - centroid(env_in),
+        measured_attenuation=abs(env_out[i_out]) / abs(env_in[i_in]) if env_in[i_in] else 0.0,
+        measured_phase=math.pi if phase == -math.pi else phase,
+    )

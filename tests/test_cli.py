@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from exciton_eit import ScenarioConfig, cli, config, propagation
 from exciton_eit.cli import main
-from oracles import measure_trapezoid, plain_transfer
+from oracles import (measure_list_loops, measure_trapezoid, plain_transfer,
+                     plain_transfer_list)
 
 
 def read_csv(path):
@@ -85,9 +86,13 @@ def test_reruns_are_byte_identical(tmp_path):
 
 # sha256 of every file and of stdout for the default configuration, taken
 # before the CSV/JSON writers were rewritten around column mappings.
-# `propagate` is left out: its default observables sit at the FFT roundoff
-# floor, where the last printed digits are not stable under any reordering.
-# The spectrum files were re-pinned when chi and n_g moved to one real
+# `propagate` was pinned when its default run moved to Python floats: its
+# bits depend only on IEEE basic operations (each correctly rounded) and
+# the platform libm's exp, cos and sin, so these digests hold wherever
+# those agree.  Its observables sit at the FFT roundoff floor, where the
+# last printed digits move under any reordering of the route's steps:
+# against numpy's route `attenuation` moved by 2.3e-5 and `delay_s` by
+# 1.3e-8 relative.  The spectrum files were re-pinned when chi and n_g moved to one real
 # closed form: every value comes from IEEE basic operations only (+, -, *,
 # /, each correctly rounded, with no fused multiply-add), so these digests
 # hold on any CPU, and on the list and the array route alike.  Against the
@@ -109,6 +114,11 @@ DEFAULT_DIGESTS = {
         "sweep.csv": "43e702870fa80f5b32c27b94b66705ea3af0376d0acb99409b3bb372f035fa67",
         "sweep.json": "547dac36fac989650ff5a975787eff990d55e52e094a79dfe5b2487a9f6303eb",
         "stdout": "ad6a4aec9726f5a058bdcc8898e33d114ec2721df785d779e180c39b40a0a346",
+    },
+    "propagate": {
+        "pulse.csv": "c7fcf8624476e4da7bbdda11702e38457a5a19dcb66facde8a43ce2339a714e7",
+        "pulse_summary.json": "56e61c322ea50045e1892cfd64332362f79f6e7cd6726f785f29ba1d49537d01",
+        "stdout": "6a539ddc418f1753a3af9635cc491ad1875a1a2824468791b29a2c246a7e5936",
     },
     "levels": {
         "levels.csv": "9da207d57acde5d292a3baacfe2528ea7944aed6f76832d0a8a8be8a6349c3f4",
@@ -154,15 +164,33 @@ def propagate_outputs(text):
 
 @pytest.mark.parametrize("case", PROPAGATE_CONFIGS)
 def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
-    # `propagate` has no stored digest (see above), so its bytes are held to
-    # the transfer formed out of place on the one-sided frequencies (of
-    # both signs off resonant drive; t_steps 10 pads to the odd length 45)
-    # and to np.trapezoid, on whatever machine the test runs
-    fast = propagate_outputs(PROPAGATE_CONFIGS[case])
-    monkeypatch.setattr(propagation, "_transfer", plain_transfer)
-    monkeypatch.setattr(propagation, "_measure", measure_trapezoid)
-    assert propagate_outputs(PROPAGATE_CONFIGS[case]) == fast
+    # `propagate`'s bytes are held to out-of-place forms of the steps its
+    # route takes, on whatever machine the test runs: in Python floats (at
+    # delta2 = 0), the transfer one offset at a time and the observables
+    # by explicit loops; in numpy (the "detuned" case), the transfer formed
+    # out of place on the one-sided frequencies and np.trapezoid.  Off
+    # resonant drive the transfer is taken at both signs; t_steps 10 pads
+    # to the odd length 45.  Each run must call its route's oracles
+    text = PROPAGATE_CONFIGS[case]
+    fast = propagate_outputs(text)
+    called = set()
+
+    def counted(oracle):
+        def run(*args):
+            called.add(oracle.__name__)
+            return oracle(*args)
+        return run
+
+    for name, oracle in (("_transfer", plain_transfer), ("_measure", measure_trapezoid),
+                         ("_transfer_list", plain_transfer_list),
+                         ("_measure_list", measure_list_loops)):
+        monkeypatch.setattr(propagation, name, counted(oracle))
+    assert propagate_outputs(text) == fast
     assert fast[0] == 0 and sorted(fast[3]) == ["pulse.csv", "pulse_summary.json"]
+    floats = cli._propagate_in_floats(config.parse_config(text))
+    assert floats == (case != "detuned")
+    assert called == ({"plain_transfer_list", "measure_list_loops"} if floats
+                      else {"plain_transfer", "measure_trapezoid"})
 
 
 def pulse_run(tmp_path, text=""):
@@ -426,6 +454,11 @@ def test_out_of_range_values_exit_code(tmp_path, capsys, text, key, command):
 @pytest.mark.parametrize("text, command", [
     ("delta1 = 1e10 rad/s\nomega_half_span = 1e-10 rad/s\n", "spectrum"),
     ("omega2_min = 1e10 rad/s\nomega2_max = 1.000000000000001e10 rad/s\n", "sweep"),
+    # past FLOAT_POINTS values the grid is np.linspace's array, checked there
+    ("delta1 = 1e10 rad/s\nomega_half_span = 1e-10 rad/s\nomega_points = 25001\n",
+     "spectrum"),
+    ("omega2_min = 1e10 rad/s\nomega2_max = 1.000000000000001e10 rad/s\n"
+     "omega2_points = 100001\n", "sweep"),
 ])
 def test_grid_that_rounding_collapses_is_a_config_error(text, command):
     code, err = run_config(command, text)
@@ -526,6 +559,17 @@ def test_float_sweep_overflow_names_the_keys_the_kernel_reads(tmp_path, capsys, 
     assert err.endswith(": bring omega_ab, gamma_ab, gamma_bc, N, dipole_ab_sq, delta1, "
                         f"delta2, {keys} back into range\n")
     assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("points", [2001, 25001])
+def test_an_exact_pole_gives_one_message_on_either_route(points):
+    # gamma_ab = gamma_bc = 0: the bare line's pole sits on the centre of
+    # the grid.  Four tables of 2001 points run in Python floats, of 25001
+    # in numpy; a pole is no value out of range, so neither route asks to
+    # bring keys back into range
+    code, err = run_config("spectrum", "gamma_ab = 0 rad/s\ngamma_bc = 0 rad/s\n"
+                                       f"omega_points = {points}\n")
+    assert (code, err) == (3, "numerical failure: susceptibility evaluated exactly on a pole\n")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "propagate"])

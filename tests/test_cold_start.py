@@ -1,7 +1,7 @@
 """What a fresh process loads: the package root loads none of its modules,
 each command loads the modules the README's "Cold start" table lists,
-and `validate`, `levels` at equal masses (gamma_aniso = 1), `spectrum`
-and `sweep` at two-photon resonance run without numpy.  Each check starts its own
+and `validate`, `levels` at equal masses (gamma_aniso = 1), `spectrum`,
+and `sweep` and `propagate` at two-photon resonance run without numpy.  Each check starts its own
 interpreter, with no bytecode written, as the benchmark's cold launches
 do."""
 
@@ -91,13 +91,18 @@ VALIDATE = ["cli", "config", "constants", "medium", "output"]
     ("sweep", "omega2_min = 0 rad/s", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
     # past FLOAT_POINTS points the broadcast is the faster
     ("sweep", "omega2_points = 200001", sorted(VALIDATE + ["susceptibility"]), True, ["raise"]),
-    # the pulse itself runs with overflow ignored; a non-finite result raises after
-    ("propagate", "", sorted(VALIDATE + ["propagation", "susceptibility"]), True,
-     ["ignore", "raise"]),
+    ("propagate", "", sorted(VALIDATE + ["propagation", "susceptibility"]), False, [None]),
     # a spectrum of more than FLOAT_POINTS values in all (four tables of
     # 25001 here) takes numpy, as a longer sweep does
     ("spectrum", "omega_points = 25001", sorted(VALIDATE + ["susceptibility"]), True,
      ["raise"]),
+    # past the FFT limit (t_steps 8100 pads to 32768) the pulse takes numpy,
+    # with overflow ignored; a non-finite result raises after
+    ("propagate", "t_steps = 8100", sorted(VALIDATE + ["propagation", "susceptibility"]),
+     True, ["ignore", "raise"]),
+    # so it does off two-photon resonance, where the window's quartic loads numpy
+    ("propagate", "delta2 = 1 Grad/s", sorted(VALIDATE + ["propagation", "susceptibility"]),
+     True, ["ignore", "raise"]),
 ])
 def test_cold_command_census(tmp_path, command, text, modules, numpy, seen):
     cfg = tmp_path / "cfg.txt"

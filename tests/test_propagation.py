@@ -1,5 +1,6 @@
 """Slab pulse propagation against the analytic envelope oracles."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -12,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exciton_eit
-from exciton_eit import (CONST, FieldDrive, LadderSystem, PropagationParams,
-                         ScenarioConfig, chi, gaussian_envelope, group_velocity,
-                         propagate_pulse, propagation, window_metrics)
+from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
+                         PropagationParams, ScenarioConfig, chi, gaussian_envelope,
+                         group_velocity, propagate_pulse, propagation, susceptibility,
+                         window_metrics)
 from exciton_eit.cli import _propagation_setup
-from exciton_eit.propagation import ATTENUATION_FLOOR, LEAK_LIMIT, _measure, _padded_length
+from exciton_eit.propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, _irfft, _measure,
+                                     _padded_length, _rfft, _transfer_list, in_floats)
 from oracles import analytic_envelope, grid_shares, rerun_delay_shift, slab_transmission
 
 
@@ -549,6 +552,142 @@ def test_pulse_invariants(omega2, length, gamma_scale):
     # transparent wings swamps the pulse, and the record says so
     if record.converged:
         assert record.measured_delay == pytest.approx(expected, rel=0.10)
+
+
+# ---- the list carrier: the same route in Python floats ----
+
+def five_smooth(lo, hi):
+    return [n for n in range(lo, hi + 1) if smooth_part(n) == 1]
+
+
+# The Python FFT pair against numpy's, as the route calls them: a real
+# input a quarter of N long (the zero-padded pulse) or N long, and a
+# one-sided spectrum whose bin 0 and, for even N, bin N/2 carry imaginary
+# parts that both inverses drop.  The bound is eps log2 N of the largest
+# value; the worst seen over three seeds was 0.44 of it (irfft, N = 54),
+# and 0.36 for the rfft.
+def test_list_fft_pair_matches_numpy():
+    rng = np.random.default_rng(25)
+    lengths = five_smooth(40, 12000)
+    assert lengths[-1] == 12000 and sum(n % 2 for n in lengths) > 10
+    for n in lengths:
+        bound = np.finfo(float).eps * math.log2(n)
+        for size in (n // 4, n):
+            x = rng.standard_normal(size)
+            ref = np.fft.rfft(x, n)
+            got = _rfft(x.tolist(), n)
+            assert len(got) == n // 2 + 1
+            assert np.max(np.abs(np.array(got) - ref)) <= bound * np.max(np.abs(ref)), (n, size)
+        spectrum = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        ref = np.fft.irfft(spectrum, n)
+        got = _irfft(spectrum.tolist(), n)
+        assert len(got) == n and {type(v) for v in got} == {float}
+        assert np.max(np.abs(np.array(got) - ref)) <= bound * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("sigma", [5.421896305467617e-10, 2.9e-10, 1e-100, 1e100])
+def test_gaussian_on_a_list(sigma):
+    # the same steps in Python floats: math.exp and numpy's may round apart
+    t = np.linspace(0.0, 18.0 * sigma, 2401)
+    array = gaussian_envelope(t, 9.0 * sigma, sigma, amplitude=2.0)
+    listed = gaussian_envelope(t.tolist(), 9.0 * sigma, sigma, amplitude=2.0)
+    assert type(listed) is list and {type(z) for z in listed} == {complex}
+    np.testing.assert_allclose(listed, array, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+LIST_CASES = {**GRID_CASES, "t_steps 10": dict(t_steps=10)}
+
+
+# Bounds are a few times the worst seen over these cases, with the real
+# input and with it turned by exp(0.5i): envelope 2.8e-16 of the input
+# peak; on the default e^-28.5 window (the conditioning of FOUND line 13)
+# delay 1.7e-8, attenuation 6.0e-5 and phase 3.7e-5 rad apart, elsewhere
+# 2.7e-11 relative at most; shares 2.4e-8 apart.  The phase is compared
+# modulo 2 pi, since a peak phase near pi may wrap either way.
+@pytest.mark.parametrize("turn", [1.0, np.exp(0.5j)], ids=["real", "turned"])
+@pytest.mark.parametrize("case", LIST_CASES)
+def test_list_route_matches_the_array_route(case, turn):
+    env, params, drive, system = cli_pulse(**LIST_CASES[case])
+    env = env * turn
+    array = propagate_pulse(env, params, drive, system)
+    listed = propagate_pulse(env.tolist(), params, drive, system)
+    assert type(listed.envelope_out) is list and type(listed.t_grid) is list
+    assert listed.t_grid == params.t_grid.tolist()
+    assert (np.max(np.abs(np.array(listed.envelope_out) - array.envelope_out))
+            <= 1e-15 * np.max(np.abs(env)))
+    assert listed.measured_delay == pytest.approx(array.measured_delay, rel=1e-7, abs=0.0)
+    assert listed.measured_attenuation == pytest.approx(array.measured_attenuation,
+                                                        rel=3e-4, abs=0.0)
+    assert abs(math.remainder(listed.measured_phase - array.measured_phase, math.tau)) <= 2e-4
+    assert listed.band_share == pytest.approx(array.band_share, rel=0.0, abs=1e-7)
+    assert listed.spill_share == pytest.approx(array.spill_share, rel=0.0, abs=1e-7)
+    assert listed.converged == array.converged
+
+
+# the draws of test_real_input_leaves_the_slab_real, on lists
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_gamma_ab=st.floats(-3.0, 25.0),
+       bc_ratio=st.just(0.0) | st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+       control=st.just(0.0) | st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+       length=st.floats(-7.0, -3.0).map(lambda e: 10.0**e),
+       span_scale=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+       t_steps=st.sampled_from([10, 2400]))
+@example(log_gamma_ab=10.66, bc_ratio=0.0, control=0.5, length=3e-5, span_scale=1e3,
+         t_steps=10)     # gamma_bc = 0
+def test_real_input_leaves_the_slab_real_on_lists(log_gamma_ab, bc_ratio, control, length,
+                                                  span_scale, t_steps):
+    # at delta1 = delta2 = 0 every output sample is real, with an imaginary
+    # part of +0.0, so its phase and the measured phase are exactly 0 or pi
+    gamma_ab = 10.0**log_gamma_ab
+    sys_ = LadderSystem.from_frequencies(
+        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=gamma_ab,
+        gamma_bc=bc_ratio * gamma_ab, N=6.2422e25, dipole_ab_sq=0.334e-60)
+    drv = drive_for(sys_, Omega2=control * gamma_ab)
+    params = PropagationParams.from_system(sys_, drv, length, 1, t_steps,
+                                           span_scale / gamma_ab)
+    sigma = params.t_list[-1] / 18.0
+    env = gaussian_envelope(params.t_list, 9.0 * sigma, sigma, amplitude=complex(drv.Omega1))
+    record = propagate_pulse(env, params, drv, sys_)
+    assert type(record.envelope_out) is list
+    assert all(math.copysign(1.0, z.imag) == 1.0 and z.imag == 0.0
+               for z in record.envelope_out)
+    assert set(map(cmath.phase, record.envelope_out)) <= {0.0, math.pi}
+    assert record.measured_phase in (0.0, math.pi)
+
+
+def test_lists_past_the_limit_take_numpy():
+    # t_steps 8099 pads to 32400, the limit; 8100 pads to 32768
+    assert _padded_length(8099) == susceptibility._FLOAT_FFT_LENGTH == 32400
+    assert in_floats(8099) and not in_floats(8100)
+    env, params, drive, system = cli_pulse(t_steps=8100)
+    record = propagate_pulse(env.tolist(), params, drive, system)
+    assert isinstance(record.envelope_out, np.ndarray) and record.converged
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["array", "list"])
+def test_a_pole_on_the_grid_raises_on_either_carrier(listed):
+    # with gamma_ab = 0 and no control the bare line's pole is the DC bin
+    sys_ = LadderSystem.from_frequencies(
+        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=0.0, gamma_bc=0.0,
+        N=6.2422e25, dipole_ab_sq=0.334e-60)
+    drv = drive_for(sys_, Omega2=0.0)
+    params = PropagationParams.from_system(sys_, drv, SLAB, 1, 64, SPAN)
+    env = gaussian_envelope(params.t_list if listed else params.t_grid, SPAN / 2, SIGMA)
+    with pytest.raises(EvaluationError, match="exactly on a pole"):
+        propagate_pulse(env, params, drv, sys_)
+
+
+def test_an_infinite_phase_is_an_overflow_on_lists():
+    # K Re(chi) past the float range while K Im(chi) is not: cmath.exp
+    # raises ValueError on the infinite phase, which the list route reports
+    # as the overflow it is (numpy's exp gives nan there)
+    sys_ = LadderSystem.from_frequencies(
+        omega_ab=3.266576e15, omega_ac=3.1402e13, gamma_ab=1e-320, gamma_bc=0.0,
+        N=6.2422e25, dipole_ab_sq=0.334e-60)
+    drv = drive_for(sys_, Omega2=0.0)
+    params = PropagationParams(kappa1_sq=1e300, L=1e5, z_steps=1, t_steps=8, dt=1.0)
+    with pytest.raises(OverflowError, match="phase"):
+        _transfer_list([1e-13], params, drv, sys_)
 
 
 def fresh_import_prints(expression):

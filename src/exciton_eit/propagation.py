@@ -488,12 +488,11 @@ def _roots(n: int) -> list[complex]:
                 for a in [math.tau * k / n for k in range(n // 2 + 1)]]
         return head + [head[n - k].conjugate() for k in range(n // 2 + 1, n)]
     q = n // 4
-    # within pi/4 an angle is k's own; past it, the complement of q - k's
-    own = [2 * k <= q for k in range(q)]
-    angles = [math.tau * (k if mine else q - k) / n for k, mine in zip(range(q), own)]
+    # the angles up to pi/4; past it, k's angle is the complement of q - k's
+    angles = [math.tau * k / n for k in range(q // 2 + 1)]
     sines, cosines = list(map(math.sin, angles)), list(map(math.cos, angles))
-    c = [x if mine else y for x, y, mine in zip(cosines, sines, own)]
-    s = [y if mine else x for x, y, mine in zip(cosines, sines, own)]
+    c = cosines + sines[(q + 1) // 2 - 1:0:-1]
+    s = sines + cosines[(q + 1) // 2 - 1:0:-1]
     return ([complex(x, -y) for x, y in zip(c, s)] + [complex(-y, -x) for x, y in zip(c, s)]
             + [complex(-x, y) for x, y in zip(c, s)] + [complex(y, x) for x, y in zip(c, s)])
 

@@ -48,8 +48,8 @@ swamps the transmitted pulse, so a measured attenuation below
 ``ATTENUATION_FLOOR`` (about e^-32) marks the record unconverged too.
 
 The route has two carriers.  A list envelope whose padded length N is at
-most ``susceptibility._FLOAT_FFT_LENGTH`` (32400, t_steps up to 8099)
-runs it in Python floats, without numpy: the rfft and irfft are a
+most ``susceptibility._FLOAT_FFT_LENGTH`` (18000; 9720 at the default
+2400 steps), an odd N counting twice, runs it in Python floats, without numpy: the rfft and irfft are a
 self-sorting radix-4/2/3/5 FFT on lists of Python complex numbers, with
 an even N's real input packed into one complex pass of length N/2, and
 the transfer, the filter split, the shares and the measurements take the
@@ -224,9 +224,12 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
 
 def in_floats(t_steps: int) -> bool:
     """Whether ``propagate_pulse`` runs a list envelope on ``t_steps``
-    steps in Python floats: while its padded FFT length is at most
-    ``susceptibility._FLOAT_FFT_LENGTH``."""
-    return _padded_length(t_steps) <= _FLOAT_FFT_LENGTH
+    steps in Python floats: while its padded FFT length N, counted twice
+    when odd, is at most ``susceptibility._FLOAT_FFT_LENGTH``.  An odd N
+    takes a full-length complex pass where an even one takes a pass of
+    N/2, so it costs about twice as much."""
+    n_pad = _padded_length(t_steps)
+    return n_pad * (1 + n_pad % 2) <= _FLOAT_FFT_LENGTH
 
 
 @functools.lru_cache(maxsize=1024)

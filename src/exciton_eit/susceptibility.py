@@ -545,14 +545,16 @@ class ControlSweep:
 FLOAT_POINTS = 100_000
 
 # The longest padded FFT (``propagation._padded_length``) on which a list
-# envelope is propagated in Python floats, without numpy.  On the same
-# Xeon a `propagate` run in process (no import, best of five) took 35, 97,
-# 125 and 221 ms in floats at t_steps 2400, 6000, 8000 and 9000 (N = 9720,
-# 24300, 32400 and 36450) against 14, 34, 44 and 50 ms with numpy, whose
-# import costs a cold launch 0.06-0.16 s; so numpy gains its import back
-# from about N = 3.5e4.  An odd N (28125 at t_steps 7000: 160 ms) takes a
-# full-length complex pass and costs about twice an even one.
-_FLOAT_FFT_LENGTH = 32_400
+# envelope is propagated in Python floats, without numpy, with an odd
+# length counted twice: an even N's real input takes one complex pass of
+# N/2, an odd N's one of N.  On the same Xeon, paired cold `propagate`
+# launches (13-15 alternations; medians of the float run minus the numpy
+# run) gave -90 ms at t_steps 2400 (N = 9720), -17 ms at 4000 (16200),
+# -3 and +7 ms at 5000 (20250), +13 ms at 6000 (24300) and +68 ms at 8000
+# (32400), and +17 and +41 ms at the odd 18225 and 19683: with numpy's
+# files in the page cache its import costs a launch only about 0.06-0.1 s,
+# which the float pulse spends by about N = 1.9e4.
+_FLOAT_FFT_LENGTH = 18_000
 
 
 def in_floats(points: int, delta2: float = 0.0, omega2_first: float = math.inf) -> bool:

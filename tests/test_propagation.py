@@ -655,13 +655,19 @@ def test_real_input_leaves_the_slab_real_on_lists(log_gamma_ab, bc_ratio, contro
     assert record.measured_phase in (0.0, math.pi)
 
 
-def test_lists_past_the_limit_take_numpy():
-    # t_steps 8099 pads to 32400, the limit; 8100 pads to 32768
-    assert _padded_length(8099) == susceptibility._FLOAT_FFT_LENGTH == 32400
-    assert in_floats(8099) and not in_floats(8100)
-    env, params, drive, system = cli_pulse(t_steps=8100)
+@pytest.mark.parametrize("t_steps, n_pad, listed", [
+    (4499, 18000, True),    # the limit
+    (4500, 18225, False),   # odd: counted as 36450
+    (4600, 18432, False),
+    (2500, 10125, False),   # odd: counted as 20250
+    (2000, 8100, True),
+])
+def test_lists_past_the_limit_take_numpy(t_steps, n_pad, listed):
+    assert susceptibility._FLOAT_FFT_LENGTH == 18000
+    assert _padded_length(t_steps) == n_pad and in_floats(t_steps) == listed
+    env, params, drive, system = cli_pulse(t_steps=t_steps)
     record = propagate_pulse(env.tolist(), params, drive, system)
-    assert isinstance(record.envelope_out, np.ndarray) and record.converged
+    assert isinstance(record.envelope_out, list) == listed and record.converged
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["array", "list"])

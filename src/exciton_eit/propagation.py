@@ -49,16 +49,16 @@ swamps the transmitted pulse, so a measured attenuation below
 
 The route has two carriers.  A list envelope whose padded length N is at
 most ``susceptibility._FLOAT_FFT_LENGTH`` (18000; 9720 at the default
-2400 steps), an odd N counting twice, runs it in Python floats, without numpy: the rfft and irfft are a
-self-sorting radix-4/2/3/5 FFT on lists of Python complex numbers, with
-an even N's real input packed into one complex pass of length N/2, and
-the transfer, the filter split, the shares and the measurements take the
-array route's steps in its order.  Any other envelope runs in numpy,
-where numpy is imported on first use.  The two agree within roundoff,
-not bit for bit; a list run's bits depend only on IEEE basic operations
-and the platform libm's exp, cos and sin.  In Python floats a value out
-of range raises OverflowError or ZeroDivisionError, where numpy returns
-inf or nan.
+2400 steps), an odd N counting twice, runs it in Python floats, without
+numpy: the rfft and irfft are a self-sorting radix-4/2/3/5 FFT on lists
+of Python complex numbers, with an even N's real input packed into one
+complex pass of length N/2, and the transfer, the filter split, the
+shares and the measurements take the array route's steps in its order.
+Any other envelope runs in numpy, where numpy is imported on first use.
+The two agree within roundoff, not bit for bit; a list run's bits depend
+only on IEEE basic operations and the platform libm's exp, cos and sin.
+In Python floats a value out of range raises OverflowError or
+ZeroDivisionError, where numpy returns inf or nan.
 """
 
 from __future__ import annotations

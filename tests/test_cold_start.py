@@ -1,9 +1,9 @@
 """What a fresh process loads: the package root loads none of its modules,
 each command loads the modules the README's "Cold start" table lists,
 and `validate`, `levels` at equal masses (gamma_aniso = 1), `spectrum`,
-and `sweep` and `propagate` at two-photon resonance run without numpy.  Each check starts its own
-interpreter, with no bytecode written, as the benchmark's cold launches
-do."""
+and `sweep` and `propagate` at two-photon resonance run without numpy.
+Each check starts its own interpreter, with no bytecode written, as the
+benchmark's cold launches do."""
 
 import os
 import subprocess

@@ -12,22 +12,31 @@ reduces to exp(i w1 chi'(0) z / 2c - w1 chi''(0) z / 2c) *
 input(t - z/v_g), the steady-dispersion limit that the analytic-envelope
 oracle in tests/oracles.py gives.
 
-The padded length N is the smallest 2^a 3^b 5^c >= 4 (t_steps + 1).  It
-is at least four times the grid, so the slab's response tail cannot wrap
-round onto the start of the window, and the FFT factors it into
-radix-2/3/5 passes instead of falling back to Bluestein's algorithm on a
-large prime factor.
+The padded length N is the smallest multiple of 4 that is 2^a 3^b 5^c
+and at least 2 (t_steps + 1).  The FFT factors it into radix-2/3/5
+passes instead of falling back to Bluestein's algorithm on a large prime
+factor, and the band edge N/4 below sits at exactly a quarter of the
+sampling rate.  One pass of length N is a circular convolution: the exact
+output's samples past N wrap round onto the window (Oppenheim & Schafer,
+Discrete-Time Signal Processing, on the DFT).  The M = t_steps + 1
+samples of the window are followed by at least M of zero padding, which
+take the output's tail first, and the spill share below measures them.
+When the exact output has no more energy past N than in the padding
+[M, N), as a tail that decays past the window's end has, the energy that
+wraps onto the window is at most the padding's: the spill share bounds it.
 
 The transfer H splits into the Hermitian filters H_e(w) = (H(w) +
 H(-w)*)/2 and H_o(w) = (H(w) - H(-w)*)/2i, whose impulse responses are
 real, so x_r + i x_i leaves as (h_e x_r - h_o x_i) + i (h_o x_r + h_e x_i):
 one rfft of length N per nonzero input part and one irfft per nonzero
-output part, with H on the one-sided frequencies of both signs.  An even
-N's Nyquist bin is its own twin and takes H at -fs/2, as fft does: its
-real part is even, its imaginary part odd.  At delta1 = delta2 = 0,
-chi(-w) = -chi(w)* exactly, so H is Hermitian and evaluated once, and H_o
-is dropped (with the Nyquist bin's imaginary part, as irfft drops it): a
-real envelope leaves exactly real, its phase exactly 0 or pi.
+output part, with H on the one-sided frequencies of both signs.  The
+Nyquist bin is its own twin, at +fs/2 and -fs/2 at once, and takes the
+mean of H at the two: the mean's real part goes to H_e, its imaginary
+part to H_o.  At delta1 = delta2 = 0, chi(-w) = -chi(w)* exactly, so H
+is Hermitian and evaluated once, its mean at the Nyquist bin is the real
+part that irfft keeps, and H_o is dropped: a real envelope leaves exactly
+real, its phase exactly 0 or pi, and a detuning of 1e-300 rad/s gives the
+same envelope to roundoff.
 
 There is no z discretisation: ``PropagationParams.z_steps`` is kept and
 reported, but does not change the envelope.  The time grid is the only
@@ -36,24 +45,24 @@ spectral energy above half the Nyquist frequency, of the input or of the
 output (a step too coarse for the pulse, or for the far wings the slab
 passes while it absorbs the line centre), and the output energy past the
 window's end, in the zero padding (a window too short for the delayed
-pulse).  The band is the FFT bins [N//4, N - N//4), which holds bin +N/4
-but not -N/4; on a one-sided spectrum every bin counts twice, for its
-negative-frequency twin, except DC, bin N//4 and, for even N, the Nyquist
-bin, which count once.  A bin of x_r + i x_i holds |a|^2 + |b|^2 +
-2 Im(a b*), a and b its parts' spectra; the cross terms of twins cancel
-but for bin N//4.  A share above ``LEAK_LIMIT`` marks it unconverged.
+pulse).  The band is the FFT bins [N/4, 3N/4), which holds bin +N/4 but
+not -N/4; on a one-sided spectrum every bin counts twice, for its
+negative-frequency twin, except DC, bin N/4 and the Nyquist bin, which
+count once.  A bin of x_r + i x_i holds |a|^2 + |b|^2 + 2 Im(a b*), a
+and b its parts' spectra; the cross terms of twins cancel but for bin
+N/4.  A share above ``LEAK_LIMIT`` marks it unconverged.
 Very thick slabs are not resolvable: the ~1e-16 roundoff of the sampled
 input (about e^-34 of its peak) passes the transparent wings of chi and
 swamps the transmitted pulse, so a measured attenuation below
 ``ATTENUATION_FLOOR`` (about e^-32) marks the record unconverged too.
 
 The route has two carriers.  A list envelope whose padded length N is at
-most ``susceptibility._FLOAT_FFT_LENGTH`` (18000; 9720 at the default
-2400 steps), an odd N counting twice, runs it in Python floats, without
+most ``susceptibility._FLOAT_FFT_LENGTH`` (18000, reached at t_steps
+8999; 4860 at the default 2400 steps) runs it in Python floats, without
 numpy: the rfft and irfft are a self-sorting radix-4/2/3/5 FFT on lists
-of Python complex numbers, with an even N's real input packed into one
-complex pass of length N/2, and the transfer, the filter split, the
-shares and the measurements take the array route's steps in its order.
+of Python complex numbers, with the real input packed into one complex
+pass of length N/2, and the transfer, the filter split, the shares and
+the measurements take the array route's steps in its order.
 Any other envelope runs in numpy, where numpy is imported on first use.
 The two agree within roundoff, not bit for bit; a list run's bits depend
 only on IEEE basic operations and the platform libm's exp, cos and sin.
@@ -224,26 +233,25 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
 
 def in_floats(t_steps: int) -> bool:
     """Whether ``propagate_pulse`` runs a list envelope on ``t_steps``
-    steps in Python floats: while its padded FFT length N, counted twice
-    when odd, is at most ``susceptibility._FLOAT_FFT_LENGTH``.  An odd N
-    takes a full-length complex pass where an even one takes a pass of
-    N/2, so it costs about twice as much."""
-    n_pad = _padded_length(t_steps)
-    return n_pad * (1 + n_pad % 2) <= _FLOAT_FFT_LENGTH
+    steps in Python floats: while its padded FFT length N is at most
+    ``susceptibility._FLOAT_FFT_LENGTH``."""
+    return _padded_length(t_steps) <= _FLOAT_FFT_LENGTH
 
 
 @functools.lru_cache(maxsize=1024)
 def _padded_length(t_steps: int) -> int:
-    """FFT length: the smallest 2^a 3^b 5^c >= 4 (t_steps + 1)."""
-    n = 4 * (t_steps + 1)
+    """FFT length: the smallest multiple of 4 that is 2^a 3^b 5^c and at
+    least 2 (t_steps + 1), that is 4 m for the smallest 5-smooth
+    m >= (t_steps + 1) / 2."""
+    m = (t_steps + 2) // 2
     while True:
-        rest = n
+        rest = m
         for p in (2, 3, 5):
             while rest % p == 0:
                 rest //= p
         if rest == 1:
-            return n
-        n += 1
+            return 4 * m
+        m += 1
 
 
 def _transfer(freq: np.ndarray, params: PropagationParams, drive: FieldDrive,
@@ -271,8 +279,7 @@ def _propagate(env0: np.ndarray, t: np.ndarray, params: PropagationParams,
     odd = None
     if drive.delta1 != 0.0 or drive.delta2 != 0.0:
         twin = _transfer(-freq, params, drive, system)
-        if n_pad % 2 == 0:
-            even[-1] = twin[-1]   # the Nyquist bin is its own twin, at -fs/2 as in fft
+        even[-1] = twin[-1] = (even[-1] + twin[-1]) / 2.0   # the Nyquist bin's mean
         twin = np.conjugate(twin, out=twin)
         even, odd = (even + twin) / 2.0, (even - twin) / 2j
     re, im = (np.fft.rfft(part, n_pad) if part.any() else None
@@ -300,19 +307,18 @@ def _propagate(env0: np.ndarray, t: np.ndarray, params: PropagationParams,
 
 def _total_and_band(re, im, n_pad: int) -> tuple[float, float]:
     """The energy of the two-sided spectrum of x_r + i x_i, whole and in
-    the bins [N//4, N - N//4), from its parts' one-sided spectra (None
+    the bins [N/4, 3N/4), from its parts' one-sided spectra (None
     for a part that is all zero)."""
     import numpy as np
 
     def two_sided(s):
-        # every bin has a twin but the first (DC; or bin N//4, whose twin
-        # -N/4 is outside the band) and, for even N, the Nyquist bin
-        energy = 2.0 * np.vdot(s, s).real - abs(s[0]) ** 2
-        return energy - abs(s[-1]) ** 2 if n_pad % 2 == 0 else energy
+        # every bin has a twin but the first (DC; or bin N/4, whose twin
+        # -N/4 is outside the band) and the Nyquist bin
+        return 2.0 * np.vdot(s, s).real - abs(s[0]) ** 2 - abs(s[-1]) ** 2
 
     parts = [s for s in (re, im) if s is not None]
     band = sum(two_sided(s[n_pad // 4:]) for s in parts)
-    if len(parts) == 2:   # the cross term of bin N//4
+    if len(parts) == 2:   # the cross term of bin N/4
         band += 2.0 * (re[n_pad // 4] * im[n_pad // 4].conjugate()).imag
     return sum(two_sided(s) for s in parts), band
 
@@ -370,8 +376,7 @@ def _propagate_list(env0: list[complex], t: list[float], params: PropagationPara
     odd = None
     if drive.delta1 != 0.0 or drive.delta2 != 0.0:
         twin = _transfer_list([-w for w in omega], params, drive, system)
-        if n_pad % 2 == 0:
-            even[-1] = twin[-1]   # the Nyquist bin is its own twin, at -fs/2 as in fft
+        even[-1] = twin[-1] = (even[-1] + twin[-1]) / 2.0   # the Nyquist bin's mean
         twin = [h.conjugate() for h in twin]
         even, odd = ([(e + h) / 2.0 for e, h in zip(even, twin)],
                      [(e - h) / 2j for e, h in zip(even, twin)])
@@ -427,12 +432,11 @@ def _total_and_band_list(re, im, n_pad: int) -> tuple[float, float]:
     """``_total_and_band`` on one-sided spectra that are lists."""
     def two_sided(s):
         squares = [z.real * z.real + z.imag * z.imag for z in s]
-        energy = 2.0 * math.fsum(squares) - squares[0]
-        return energy - squares[-1] if n_pad % 2 == 0 else energy
+        return 2.0 * math.fsum(squares) - squares[0] - squares[-1]
 
     parts = [s for s in (re, im) if s is not None]
     band = sum(two_sided(s[n_pad // 4:]) for s in parts)
-    if len(parts) == 2:   # the cross term of bin N//4
+    if len(parts) == 2:   # the cross term of bin N/4
         band += 2.0 * (re[n_pad // 4] * im[n_pad // 4].conjugate()).imag
     return sum(two_sided(s) for s in parts), band
 
@@ -471,10 +475,9 @@ def _measure_list(t: list[float], env_in: list[complex],
 # Stockham's autosort form (Temperton, J. Comput. Phys. 52, 1 (1983)):
 # each pass of radix r reads the r chunks of length n/r of its input and
 # writes every output in order, so no bit reversal is needed.  A real
-# input of even length n is packed into one complex sequence of length n/2
-# (Sorensen et al., IEEE Trans. ASSP 35, 849 (1987)); an odd n takes one
-# full-length complex pass.  The inverse transforms conjugate, so every
-# pass is a forward one.
+# input of length n, a multiple of 4, is packed into one complex sequence
+# of length n/2 (Sorensen et al., IEEE Trans. ASSP 35, 849 (1987)).  The
+# inverse transforms conjugate, so every pass is a forward one.
 
 _ROOT3 = -1j * math.sqrt(0.75)                     # -i sin(2 pi/3)
 _COS5 = math.cos(math.tau / 5), math.cos(2 * math.tau / 5)
@@ -483,13 +486,8 @@ _SIN5 = math.sin(math.tau / 5), math.sin(2 * math.tau / 5)
 
 @functools.lru_cache(maxsize=8)
 def _roots(n: int) -> list[complex]:
-    """exp(-2 pi i k / n) for k < n.  Where 4 divides n, each is the sine
-    and cosine of an angle within pi/4, turned by exact quarter turns;
-    otherwise the second half mirrors the first as conjugates."""
-    if n % 4:
-        head = [complex(math.cos(a), -math.sin(a))
-                for a in [math.tau * k / n for k in range(n // 2 + 1)]]
-        return head + [head[n - k].conjugate() for k in range(n // 2 + 1, n)]
+    """exp(-2 pi i k / n) for k < n, n a multiple of 4: each is the sine
+    and cosine of an angle within pi/4, turned by exact quarter turns."""
     q = n // 4
     # the angles up to pi/4; past it, k's angle is the complement of q - k's
     angles = [math.tau * k / n for k in range(q // 2 + 1)]
@@ -590,10 +588,9 @@ def _fft(x: list[complex], n: int, roots: list[complex]) -> list[complex]:
 
 
 def _rfft(x: list[float], n: int) -> list[complex]:
-    """``np.fft.rfft(x, n)`` of a list of floats: n // 2 + 1 bins."""
+    """``np.fft.rfft(x, n)`` of a list of floats, n a multiple of 4:
+    n // 2 + 1 bins."""
     roots = _roots(n)
-    if n % 2:
-        return _fft([complex(v) for v in x], n, roots)[:n // 2 + 1]
     half = n // 2
     z = list(map(complex, x[0::2], x[1::2]))
     if len(x) % 2:
@@ -602,7 +599,7 @@ def _rfft(x: list[float], n: int) -> list[complex]:
     # X[k] = E[k] + w^k O[k] with E, O the even and odd samples' spectra:
     # E = (Z[k] + conj Z[M-k]) / 2, O = (Z[k] - conj Z[M-k]) / 2i
     mirror = [v.conjugate() for v in z[:1] + z[:0:-1]]
-    turn = _quarter_turned(roots, half)   # -i w^k
+    turn = roots[n // 4:n // 4 + half]   # -i w^k, the roots a quarter turn on
     spectrum = [0.5 * ((u + v) + (u - v) * t) for u, v, t in zip(z, mirror, turn)]
     spectrum[0] = complex(z[0].real + z[0].imag)
     spectrum.append(complex(z[0].real - z[0].imag))
@@ -610,18 +607,14 @@ def _rfft(x: list[float], n: int) -> list[complex]:
 
 
 def _irfft(spectrum: list[complex], n: int) -> list[float]:
-    """``np.fft.irfft(spectrum, n)``: n floats, the imaginary parts of bin
-    0 and, for even n, of bin n/2 dropped."""
+    """``np.fft.irfft(spectrum, n)``, n a multiple of 4: n floats, the
+    imaginary parts of bins 0 and n/2 dropped."""
     roots = _roots(n)
     half = n // 2
-    if n % 2:   # the conjugate of the full Hermitian spectrum
-        full = ([complex(spectrum[0].real)] + [v.conjugate() for v in spectrum[1:half + 1]]
-                + spectrum[half:0:-1])
-        return [v.real / n for v in _fft(full, n, roots)]
     x = [complex(spectrum[0].real)] + spectrum[1:half] + [complex(spectrum[half].real)]
     # conj Z[k] = conj(E[k] + i O[k]), whose transform is conj(z) M
     conj = [v.conjugate() for v in x[:half]]
-    turn = _quarter_turned(roots, half)
+    turn = roots[n // 4:n // 4 + half]
     packed = [0.5 * ((u + v) + (u - v) * t) for u, v, t in zip(conj, x[half:0:-1], turn)]
     z = _fft(packed, half, roots)
     out = [0.0] * n
@@ -629,10 +622,3 @@ def _irfft(spectrum: list[complex], n: int) -> list[float]:
     out[1::2] = [-v.imag / half for v in z]
     return out
 
-
-def _quarter_turned(roots: list[complex], count: int) -> list[complex]:
-    """-i exp(-2 pi i k / n) for k < ``count``, with ``roots`` = _roots(n)."""
-    n = len(roots)
-    if n % 4 == 0:
-        return (roots + roots)[n // 4:n // 4 + count]
-    return [w * -1j for w in roots[:count]]

@@ -544,16 +544,16 @@ class ControlSweep:
 # the faster route.
 FLOAT_POINTS = 100_000
 
-# The longest padded FFT (``propagation._padded_length``) on which a list
-# envelope is propagated in Python floats, without numpy, with an odd
-# length counted twice: an even N's real input takes one complex pass of
-# N/2, an odd N's one of N.  On the same Xeon, paired cold `propagate`
-# launches (13-15 alternations; medians of the float run minus the numpy
-# run) gave -90 ms at t_steps 2400 (N = 9720), -17 ms at 4000 (16200),
-# -3 and +7 ms at 5000 (20250), +13 ms at 6000 (24300) and +68 ms at 8000
-# (32400), and +17 and +41 ms at the odd 18225 and 19683: with numpy's
-# files in the page cache its import costs a launch only about 0.06-0.1 s,
-# which the float pulse spends by about N = 1.9e4.
+# The longest padded FFT (``propagation._padded_length``, a multiple of 4)
+# on which a list envelope is propagated in Python floats, without numpy:
+# 4860 at the default 2400 steps, 18000 at 8999.  On the same Xeon, paired
+# cold `propagate` launches (13-15 alternations; medians of the float run
+# minus the numpy run), taken while N was 4x the grid, gave -90 ms at
+# N = 9720, -17 ms at 16200, -3 and +7 ms at 20250, +13 ms at 24300 and
+# +68 ms at 32400: with numpy's files in the page cache its import costs a
+# launch only about 0.06-0.1 s, which the float pulse spends by about
+# N = 1.9e4.  At 2x the grid (13 alternations) 18000 gave -66 and -148 ms
+# and 20480 +2 and 0 ms.
 _FLOAT_FFT_LENGTH = 18_000
 
 

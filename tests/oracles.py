@@ -193,12 +193,28 @@ def slab_transmission(envelope_in, params, drive: FieldDrive, system: LadderSyst
     return _complex_pass(env, params, drive, system, n_pad)[2][:len(env)]
 
 
+def converged_output(envelope_in, params, drive: FieldDrive, system: LadderSystem) -> np.ndarray:
+    """The slab's output by one complex pass padded to 32 times the grid,
+    whole: the window and the tail past it.  So little of a decaying
+    response wraps round that far that this stands for the linear
+    convolution of the input with the slab's response."""
+    env = np.asarray(envelope_in, dtype=complex)
+    return _complex_pass(env, params, drive, system, 32 * len(env))[2]
+
+
 def _complex_pass(env, params, drive, system, n_pad):
     """The input spectrum, the output spectrum and the padded output of one
-    complex FFT pass of length ``n_pad``."""
-    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
-    transfer = np.exp(1j * drive.omega1 * chi(omega, system, drive) * params.L
+    complex FFT pass of length ``n_pad``.  An even length's Nyquist bin
+    takes the mean of the transfer at +fs/2 and -fs/2."""
+    def slab(omega):
+        return np.exp(1j * drive.omega1 * chi(omega, system, drive) * params.L
                       / (2.0 * CONST.c))
+
+    omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
+    transfer = slab(omega)
+    if n_pad % 2 == 0:
+        nyquist = n_pad // 2
+        transfer[nyquist] = (transfer[nyquist] + slab(-omega[nyquist])) / 2.0
     spectrum = np.fft.fft(env, n_pad)
     spectrum_out = spectrum * transfer
     return spectrum, spectrum_out, np.fft.ifft(spectrum_out)

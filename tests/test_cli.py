@@ -92,12 +92,15 @@ def test_reruns_are_byte_identical(tmp_path):
 # those agree.  Its observables sit at the FFT roundoff floor, where the
 # last printed digits move under any reordering of the route's steps:
 # against numpy's route `attenuation` moved by 2.3e-5 and `delay_s` by
-# 1.3e-8 relative.  The spectrum files were re-pinned when chi and n_g moved to one real
-# closed form: every value comes from IEEE basic operations only (+, -, *,
-# /, each correctly rounded, with no fused multiply-add), so these digests
-# hold on any CPU, and on the list and the array route alike.  Against the
-# complex product form they replace, each chi moved by at most 6.4e-16 of
-# |chi| and each n_g by at most 6.2e-16 of max |n_g - 1|.
+# 1.3e-8 relative.  It was re-pinned when the FFT's padding went from 4x
+# to 2x the grid, which moved `attenuation` by 5.5e-5 and `delay_s` by
+# 3.5e-9 relative.  The spectrum files were re-pinned when chi and n_g
+# moved to one real closed form: every value comes from IEEE basic
+# operations only (+, -, *, /, each correctly rounded, with no fused
+# multiply-add), so these digests hold on any CPU, and on the list and the
+# array route alike.  Against the complex product form they replace, each
+# chi moved by at most 6.4e-16 of |chi| and each n_g by at most 6.2e-16 of
+# max |n_g - 1|.
 DEFAULT_DIGESTS = {
     "spectrum": {
         "spectrum_om2_0Grads.csv": "8f06b4b517058f5f63df876bce3af2802fb9a0fdcb91c3161287c687b9a62833",
@@ -116,9 +119,9 @@ DEFAULT_DIGESTS = {
         "stdout": "ad6a4aec9726f5a058bdcc8898e33d114ec2721df785d779e180c39b40a0a346",
     },
     "propagate": {
-        "pulse.csv": "c7fcf8624476e4da7bbdda11702e38457a5a19dcb66facde8a43ce2339a714e7",
-        "pulse_summary.json": "56e61c322ea50045e1892cfd64332362f79f6e7cd6726f785f29ba1d49537d01",
-        "stdout": "6a539ddc418f1753a3af9635cc491ad1875a1a2824468791b29a2c246a7e5936",
+        "pulse.csv": "e5bd772f67494d7892e8d16e8dbafad358f9e561394beb9d9beedc04d167173e",
+        "pulse_summary.json": "50942361b2976ba5fe6e35d44189427310b5dba9a2656a70adf7ed6571d30b84",
+        "stdout": "ca5edb7694e9ae5b895fc0080aa2a0792a0cb8e0ee0a9e6df412dd2e76a0ae83",
     },
     "levels": {
         "levels.csv": "9da207d57acde5d292a3baacfe2528ea7944aed6f76832d0a8a8be8a6349c3f4",
@@ -170,7 +173,7 @@ def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     # by explicit loops; in numpy (the "detuned" case), the transfer formed
     # out of place on the one-sided frequencies and np.trapezoid.  Off
     # resonant drive the transfer is taken at both signs; t_steps 10 pads
-    # to the odd length 45.  Each run must call its route's oracles
+    # to 24.  Each run must call its route's oracles
     text = PROPAGATE_CONFIGS[case]
     fast = propagate_outputs(text)
     called = set()

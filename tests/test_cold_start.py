@@ -96,9 +96,9 @@ VALIDATE = ["cli", "config", "constants", "medium", "output"]
     # 25001 here) takes numpy, as a longer sweep does
     ("spectrum", "omega_points = 25001", sorted(VALIDATE + ["susceptibility"]), True,
      ["raise"]),
-    # past the FFT limit (t_steps 4600 pads to 18432) the pulse takes numpy,
+    # past the FFT limit (t_steps 9000 pads to 18432) the pulse takes numpy,
     # with overflow ignored; a non-finite result raises after
-    ("propagate", "t_steps = 4600", sorted(VALIDATE + ["propagation", "susceptibility"]),
+    ("propagate", "t_steps = 9000", sorted(VALIDATE + ["propagation", "susceptibility"]),
      True, ["ignore", "raise"]),
     # so it does off two-photon resonance, where the window's quartic loads numpy
     ("propagate", "delta2 = 1 Grad/s", sorted(VALIDATE + ["propagation", "susceptibility"]),

@@ -187,9 +187,10 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
                  _spectrum_in_floats(cfg))
     tables = [(om2, _cli.compute_spectrum(system, cfg.build_drive(system, Omega2=om2), grid))
               for om2 in cfg.spectrum_omega2]
+    omega = render({"omega_rad_s": grid})   # every table's grid, rendered once
     for om2, table in tables:
-        columns = render({"omega_rad_s": table.omega_grid, "chi_re": table.chi_re,
-                          "chi_im": table.chi_im, "n_g": table.n_g})
+        columns = {**omega, **render({"chi_re": table.chi_re, "chi_im": table.chi_im,
+                                      "n_g": table.n_g})}
         stem = spectrum_stem(om2)
         _write(args, {**resolved_params_dict(cfg), "Omega2_this_run": om2},
                {f"{stem}.csv": columns, f"{stem}.json": columns})

@@ -17,8 +17,7 @@ working Cu2O parameter set exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import ev_to_angular_frequency
 from .medium import FieldDrive, LadderSystem
@@ -89,15 +88,19 @@ def _convert(value: float, unit: str, dimension: str) -> float:
     raise KeyError(unit)
 
 
+# (dimension, config-file name) of each key, in declaration order
+_DECLARED: list[tuple[str | None, str | None]] = []
+
+
 def _key(default, dimension: str | None = None, name: str | None = None):
-    """A config key: its default in canonical units, the dimension its
+    """A config key's default in canonical units.  Records the dimension its
     unit must measure (None for unit-less integer counts) and, when it
     differs from the attribute, its name in config files."""
-    return field(default=default, metadata={"dimension": dimension, "name": name})
+    _DECLARED.append((dimension, name))
+    return default
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Fully resolved scenario parameters in canonical units.
 
     The field order is the key order of ``serialize_config`` and of the
@@ -250,10 +253,10 @@ def spectrum_stem(omega2: float) -> str:
 
 # config key -> (dimension, attribute), in field order
 _KEYS: dict[str, tuple[str | None, str]] = {
-    f.metadata["name"] or f.name: (f.metadata["dimension"], f.name)
-    for f in fields(ScenarioConfig)}
-_LIST_KEYS = {f.metadata["name"] or f.name
-              for f in fields(ScenarioConfig) if isinstance(f.default, tuple)}
+    name or attr: (dimension, attr)
+    for attr, (dimension, name) in zip(ScenarioConfig._fields, _DECLARED, strict=True)}
+_LIST_KEYS = {key for key, (_, attr) in _KEYS.items()
+              if isinstance(ScenarioConfig._field_defaults[attr], tuple)}
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -7,11 +7,10 @@ never mix unit systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """CODATA-style constants, immutable after construction."""
 
     hbar: float = 1.054571817e-34      # J s

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CONST
 
@@ -125,8 +125,7 @@ def stark_coupling(n: int) -> float:
             * math.comb(n, n - 2) * math.comb(n + 1, n - 1))
 
 
-@dataclass(frozen=True)
-class SecularRoots:
+class SecularRoots(NamedTuple):
     """Both roots of the 2x2 mixing quadratic, ordered by real part."""
 
     E_plus: complex
@@ -159,17 +158,8 @@ def solve_secular(E_T1: complex, E_T2: complex, V: float) -> SecularRoots:
     return SecularRoots(E_plus=hi, E_minus=lo)
 
 
-@dataclass(frozen=True)
-class LevelModelParams:
-    """Inputs for the level model.
-
-    The material constants here (gap, effective Rydberg, Bohr radius,
-    background dielectric constant, longitudinal-transverse splitting,
-    coherence radius) are config inputs whose Cu2O defaults live in
-    ``ScenarioConfig``; only the applied field and the anisotropy ratio
-    change the mixing structure.  ``damping_ev`` holds per-state
-    linewidths keyed by (n, l, m); missing states are treated as undamped.
-    """
+class _LevelFields(NamedTuple):
+    """The fields of :class:`LevelModelParams`, which checks them."""
 
     E_gap: float          # eV
     rydberg: float        # eV
@@ -181,11 +171,27 @@ class LevelModelParams:
     F: float              # V/m
     damping_ev: dict
 
-    def __post_init__(self):
+
+class LevelModelParams(_LevelFields):
+    """Inputs for the level model.
+
+    The material constants here (gap, effective Rydberg, Bohr radius,
+    background dielectric constant, longitudinal-transverse splitting,
+    coherence radius) are config inputs whose Cu2O defaults live in
+    ``ScenarioConfig``; only the applied field and the anisotropy ratio
+    change the mixing structure.  ``damping_ev`` holds per-state
+    linewidths keyed by (n, l, m); missing states are treated as undamped.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.gamma_aniso <= 0:
             raise ValueError("gamma_aniso must be positive")
         if self.bohr_radius <= 0 or self.rydberg <= 0 or self.r0 <= 0:
             raise ValueError("bohr_radius, rydberg and r0 must be positive")
+        return self
 
     def damping(self, n: int, l: int, m: int) -> float:
         return self.damping_ev.get((n, l, m), 0.0)
@@ -234,8 +240,7 @@ def dipole_moment_squared(params: LevelModelParams, eta_11: float) -> float:
             / (math.pi * (params.r0 / a) ** 2 * eta_11**5))
 
 
-@dataclass(frozen=True)
-class LevelRow:
+class LevelRow(NamedTuple):
     """One row of the exported level table."""
 
     n: int

@@ -2,26 +2,19 @@
 
 The ladder is b (crystal ground state) -> a (upper exciton state) probed on
 b-a, with the control beam coupling a-c.  Level ordering is E_a > E_c > E_b.
-Both objects are frozen dataclasses; every operation elsewhere treats them
-as immutable values, which makes concurrent sweeps safe.
+Both objects are named tuples, immutable values to every operation
+elsewhere, which makes concurrent sweeps safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CONST
 
 
-@dataclass(frozen=True)
-class LadderSystem:
-    """Medium parameters, held as configured.
-
-    Transition frequencies and all rates are in rad/s, the probe dipole
-    as |d_ab|^2 in C^2 m^2, the exciton density N in m^-3.  Population
-    dampings are twice the coherence rates when built through
-    :meth:`from_frequencies`.
-    """
+class _LadderFields(NamedTuple):
+    """The fields of :class:`LadderSystem`, which checks them."""
 
     omega_ab: float       # probe transition (E_a - E_b)/hbar
     omega_ac: float       # control transition (E_a - E_c)/hbar
@@ -33,7 +26,20 @@ class LadderSystem:
     gamma_ac: float
     N: float
 
-    def __post_init__(self):
+
+class LadderSystem(_LadderFields):
+    """Medium parameters, held as configured.
+
+    Transition frequencies and all rates are in rad/s, the probe dipole
+    as |d_ab|^2 in C^2 m^2, the exciton density N in m^-3.  Population
+    dampings are twice the coherence rates when built through
+    :meth:`from_frequencies`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.omega_ac < self.omega_ab:
             raise ValueError(
                 f"ladder ordering requires 0 < omega_ac < omega_ab, got "
@@ -46,6 +52,7 @@ class LadderSystem:
         # N = 0 is the vacuum limit used by the propagation identity checks
         if self.N < 0:
             raise ValueError("exciton density N must be non-negative")
+        return self
 
     @classmethod
     def from_frequencies(
@@ -81,8 +88,7 @@ class LadderSystem:
         return self.N * self.dipole_ab_sq / (CONST.hbar * CONST.eps0)
 
 
-@dataclass(frozen=True)
-class FieldDrive:
+class FieldDrive(NamedTuple):
     """Probe/control field configuration.
 
     Detunings follow delta = (transition frequency) - (field frequency),
@@ -116,6 +122,6 @@ class FieldDrive:
 
     def with_control(self, Omega2: complex) -> "FieldDrive":
         """Copy of this drive with a different control Rabi frequency."""
-        # the constructor, not dataclasses.replace: studies call this per
-        # control value, and replace costs about three times as much
+        # the constructor, not _replace: studies call this per control
+        # value, and _replace costs about 2.5 times as much
         return FieldDrive(self.omega1, self.Omega1, Omega2, self.delta1, self.delta2)

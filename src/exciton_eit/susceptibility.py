@@ -24,8 +24,7 @@ form over a list run in Python floats, so ``spectrum`` and a resonant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
@@ -226,16 +225,22 @@ def _increasing(values) -> bool:
     return all(a < b for a, b in zip(values, values[1:]))
 
 
-@dataclass
-class SpectrumTable:
-    """Sampled (omega, chi', chi'', n_g) records: four lists, or four arrays."""
+class _SpectrumFields(NamedTuple):
+    """The columns of :class:`SpectrumTable`, which checks them."""
 
     omega_grid: list[float] | np.ndarray
     chi_re: list[float] | np.ndarray
     chi_im: list[float] | np.ndarray
     n_g: list[float] | np.ndarray
 
-    def __post_init__(self):
+
+class SpectrumTable(_SpectrumFields):
+    """Sampled (omega, chi', chi'', n_g) records: four lists, or four arrays."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.omega_grid)
         if not (len(self.chi_re) == len(self.chi_im) == len(self.n_g) == n):
             raise ValueError("spectrum arrays must share one length")
@@ -244,6 +249,7 @@ class SpectrumTable:
         im = self.chi_im
         if n and (im.min() if hasattr(im, "ndim") else min(im)) < 0:
             raise ValueError("spectrum shows spurious gain (Im chi < 0)")
+        return self
 
 
 def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> SpectrumTable:
@@ -273,8 +279,7 @@ def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> Spe
     return SpectrumTable(w, *columns)
 
 
-@dataclass(frozen=True)
-class WindowMetrics:
+class WindowMetrics(NamedTuple):
     """Transparency-window figures of merit at two-photon resonance."""
 
     center_abs: float       # Im chi at the window center
@@ -518,8 +523,7 @@ def locate_absorption_peaks(system: LadderSystem,
     return tuple(float(center + s * v) for v in maxima)
 
 
-@dataclass
-class ControlSweep:
+class ControlSweep(NamedTuple):
     """Window-center response across a control-field grid.
 
     The three columns are lists when the grid came in as a list, and

@@ -57,7 +57,10 @@ def test_command_at_equal_masses_loads_no_numpy(tmp_path, command):
 # Each kernel the CLI calls is wrapped to record numpy's overflow mode at
 # the call: None while numpy is not loaded, "raise" under the CLI's
 # errstate.  The wrapper resolves the kernel through the package root, as
-# the CLI does, so it loads nothing the command would not.
+# the CLI does, so it loads nothing the command would not.  The last column
+# is whether `dataclasses` was loaded: of the CLI's modules only
+# `propagation` keeps dataclass records, so only `propagate` loads it,
+# numpy or not (numpy loads `inspect` but not `dataclasses`).
 CENSUS = """
 import sys
 from exciton_eit import cli
@@ -75,7 +78,7 @@ for name in cli._KERNELS:
     setattr(cli, name, spy(name))
 code = cli.main(sys.argv[1:])
 print(code, sorted(m.partition(".")[2] for m in sys.modules if m.startswith("exciton_eit.")),
-      "numpy" in sys.modules, sorted(seen, key=str))
+      "numpy" in sys.modules, sorted(seen, key=str), "dataclasses" in sys.modules)
 """
 VALIDATE = ["cli", "config", "constants", "medium", "output"]
 
@@ -112,7 +115,8 @@ def test_cold_command_census(tmp_path, command, text, modules, numpy, seen):
                            "--out", str(tmp_path / "run"), command],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == f"0 {modules} {numpy} {seen}"
+    dataclasses = command == "propagate"   # for `propagation`'s records alone
+    assert proc.stdout.strip().splitlines()[-1] == f"0 {modules} {numpy} {seen} {dataclasses}"
 
 
 def test_every_former_root_name_resolves():

@@ -1,7 +1,6 @@
 """Level-model algebra: angular averages, couplings, secular roots."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +14,10 @@ from oracles import anisotropy_eta_mp, anisotropy_eta_panelwise, stark_coupling_
 
 
 def level_params(**kw):
-    """The configured Cu2O level parameters, with ``kw`` replaced."""
-    return replace(ScenarioConfig().build_level_params(), **kw)
+    """The configured Cu2O level parameters, with ``kw`` replaced; built
+    through the constructor, so its checks run (``_replace`` skips them)."""
+    p = ScenarioConfig().build_level_params()
+    return type(p)(**{**p._asdict(), **kw})
 
 
 def eta00_closed_form(gamma):

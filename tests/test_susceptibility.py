@@ -726,8 +726,8 @@ def test_spectrum_carriers_have_the_same_bits(gamma_ab, gamma_bc, omega2, delta1
                | {center, delta1 - omega2, delta1 + omega2})
     listed = compute_spectrum(sys_, drv, w)
     table = compute_spectrum(sys_, drv, np.array(w))
-    assert all(isinstance(c, list) for c in vars(listed).values())
-    for name, column in vars(table).items():
+    assert all(isinstance(c, list) for c in listed)
+    for name, column in table._asdict().items():
         assert isinstance(column, np.ndarray)
         assert np.array(getattr(listed, name)).tobytes() == column.tobytes(), name
     half = 0.5 * drv.omega1

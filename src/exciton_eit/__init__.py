@@ -13,17 +13,15 @@ import importlib
 
 # module -> the public names it defines
 _MODULES = {
-    "constants": ("CONST", "PhysicalConstants", "angular_frequency_to_energy",
-                  "energy_to_angular_frequency", "ev_to_angular_frequency",
-                  "rabi_frequency"),
+    "constants": ("CONST", "PhysicalConstants", "energy_to_angular_frequency",
+                  "ev_to_angular_frequency"),
     "medium": ("FieldDrive", "LadderSystem"),
     "susceptibility": ("ControlSweep", "EvaluationError", "SpectrumTable",
-                       "WindowMetrics", "chi", "chi_derivative", "compute_spectrum",
-                       "dressed_peaks", "group_index", "group_velocity",
-                       "locate_absorption_peaks", "sweep_control", "window_metrics"),
+                       "WindowMetrics", "chi", "compute_spectrum", "dressed_peaks",
+                       "group_index", "group_velocity", "locate_absorption_peaks",
+                       "sweep_control", "window_metrics"),
     "bloch": ("BlochTrajectory", "DensityMatrixState", "SingularSteadyStateError",
-              "bloch_rhs", "integrate_bloch", "integrate_linearized",
-              "steady_state_linearized"),
+              "integrate_bloch", "integrate_linearized", "steady_state_linearized"),
     "propagation": ("PropagationParams", "PulseRecord", "gaussian_envelope",
                     "propagate_pulse"),
     "levels": ("LevelModelParams", "LevelRow", "SecularRoots", "anisotropy_eta",

@@ -119,13 +119,6 @@ def _rhs_vector(y: np.ndarray, drive: FieldDrive, system: LadderSystem,
     ])
 
 
-def bloch_rhs(state: DensityMatrixState, drive: FieldDrive, system: LadderSystem,
-              decay_mode: str = "literal") -> DensityMatrixState:
-    """Time derivative of the six density-matrix components."""
-    return DensityMatrixState.from_vector(
-        _rhs_vector(state.to_vector(), drive, system, decay_mode))
-
-
 @dataclass
 class BlochTrajectory:
     """Sampled solution of the time integration."""

@@ -161,11 +161,10 @@ def _spectrum_in_floats(cfg: ScenarioConfig) -> bool:
 
 
 def _sweep_in_floats(cfg: ScenarioConfig) -> bool:
-    """Whether `sweep` runs in Python floats: asked for its points, its
-    delta2 and its first Omega2."""
+    """Whether `sweep` runs in Python floats: asked for its points."""
     from .susceptibility import in_floats
 
-    return in_floats(cfg.omega2_points, cfg.delta2, cfg.omega2_min)
+    return in_floats(cfg.omega2_points)
 
 
 def _propagate_in_floats(cfg: ScenarioConfig) -> bool:

@@ -30,26 +30,7 @@ def energy_to_angular_frequency(energy_mev: float) -> float:
     return energy_mev * _RADS_PER_MEV
 
 
-def angular_frequency_to_energy(omega: float) -> float:
-    """Inverse of :func:`energy_to_angular_frequency`; rad/s to meV."""
-    return omega / _RADS_PER_MEV
-
-
 def ev_to_angular_frequency(energy_ev: float) -> float:
     """Convert an energy in eV to an angular frequency in rad/s."""
     return energy_ev * (1e3 * _RADS_PER_MEV)
 
-
-def rabi_frequency(dipole_moment: float, field_amplitude: float) -> float:
-    """Rabi rate d*eps/hbar in rad/s.
-
-    Parameters
-    ----------
-    dipole_moment : float
-        Transition dipole moment in C m, must be >= 0.
-    field_amplitude : float
-        Electric field amplitude in V/m.
-    """
-    if dipole_moment < 0:
-        raise ValueError("dipole moment must be non-negative")
-    return dipole_moment * field_amplitude / CONST.hbar

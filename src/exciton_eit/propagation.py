@@ -64,10 +64,15 @@ of Python complex numbers, with the real input packed into one complex
 pass of length N/2, and the transfer, the filter split, the shares and
 the measurements take the array route's steps in its order.
 Any other envelope runs in numpy, where numpy is imported on first use.
-The two agree within roundoff, not bit for bit; a list run's bits depend
-only on IEEE basic operations and the platform libm's exp, cos and sin.
-In Python floats a value out of range raises OverflowError or
-ZeroDivisionError, where numpy returns inf or nan.
+The transfer H = exp(i w1 chi L / 2c) is one complex exp of (-K Im chi) +
+i (K Re chi), K = kappa1^2 L / (c pref), with chi from susceptibility's
+real closed form, on either carrier; cmath.exp point by point and numpy's
+exp on the array give the same bits, so the two carriers' transfers are
+one.  Only the FFT and the sums differ, so the outputs agree within
+roundoff, not bit for bit; a list run's bits depend only on IEEE basic
+operations and the platform libm's exp, cos and sin.  In Python floats a
+value out of range raises OverflowError or ZeroDivisionError, where
+numpy returns inf or nan.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from typing import TYPE_CHECKING
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
-from .susceptibility import _FLOAT_FFT_LENGTH, EvaluationError, chi
+from .susceptibility import _FLOAT_FFT_LENGTH, _columns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -256,15 +261,27 @@ def _padded_length(t_steps: int) -> int:
 
 def _transfer(freq: np.ndarray, params: PropagationParams, drive: FieldDrive,
               system: LadderSystem) -> np.ndarray:
-    """exp(i w1 chi(w) L / 2c) on the FFT frequencies ``freq``."""
+    """exp(i w1 chi(w) L / 2c) on the FFT frequencies ``freq``: one complex
+    exp of (-K Im chi) + i (K Re chi), with K = kappa1^2 L / (c pref) and
+    chi from its real closed form (``susceptibility._columns``)."""
     import numpy as np
 
     # numpy's inverse FFT builds e^{+i W t}; the envelope component is e^{-i w t}
-    response = chi(-2.0 * math.pi * freq, system, drive)
-    # kappa1^2 chi / chi_prefactor = w1 chi / 2 for params built by from_system
-    response /= system.chi_prefactor
-    response *= 1j * params.kappa1_sq * params.L / CONST.c
-    return np.exp(response, out=response)
+    re, im, _ = _columns(-2.0 * math.pi * freq, system, drive, group=False)
+    gain = _gain(params, system)
+    h = np.empty(re.shape, dtype=complex)
+    np.multiply(im, -gain, out=h.real)
+    np.multiply(re, gain, out=h.imag)
+    return np.exp(h, out=h)
+
+
+def _gain(params: PropagationParams, system: LadderSystem) -> float:
+    """K = kappa1^2 L / (c pref), so K chi = w1 chi L / 2c for params built
+    by ``from_system``; a K past the float range raises OverflowError."""
+    gain = params.kappa1_sq * params.L / CONST.c / system.chi_prefactor
+    if not math.isfinite(gain):
+        raise OverflowError("the slab's phase leaves floating-point range")
+    return gain
 
 
 def _propagate(env0: np.ndarray, t: np.ndarray, params: PropagationParams,
@@ -412,18 +429,11 @@ def _propagate_list(env0: list[complex], t: list[float], params: PropagationPara
 
 def _transfer_list(omega: list[float], params: PropagationParams, drive: FieldDrive,
                    system: LadderSystem) -> list[complex]:
-    """exp(i w1 chi(w) L / 2c) at the offsets ``omega``, from chi's product
-    form (``susceptibility._product_form``) in Python complex numbers."""
-    gain = -1j * params.kappa1_sq * params.L / CONST.c   # chi / pref = -inner / P
-    d1, d2, a, b = drive.delta1, drive.delta2, system.gamma_ab, system.gamma_bc
-    w = abs(drive.Omega2) ** 2
+    """``_transfer`` at the offsets ``omega``, in Python floats, with its bits."""
+    re, im, _ = _columns(omega, system, drive, group=False)
+    gain = _gain(params, system)
     try:
-        if w == 0:   # the bare line: inner = 1
-            return [cmath.exp(gain / complex(x - d1, a)) for x in omega]
-        return [cmath.exp(gain * (inner := complex(x - d1 + d2, b))
-                          / (complex(x - d1, a) * inner - w)) for x in omega]
-    except ZeroDivisionError:
-        raise EvaluationError("susceptibility evaluated exactly on a pole") from None
+        return [cmath.exp(complex(-gain * i, gain * r)) for r, i in zip(re, im)]
     except ValueError:   # cmath.exp of an infinite phase
         raise OverflowError("the slab's phase leaves floating-point range") from None
 

@@ -10,15 +10,18 @@ where w is the probe spectral offset from its carrier.  With this sign
 convention Im chi > 0 means absorption.  The transparency window sits at
 two-photon resonance, w = delta1 - delta2.
 
-Derivatives are taken analytically (quotient rule on the rational
-response); the finite-difference group index the tests check them
-against is in tests/oracles.py.
+Every value of chi and n_g, at every caller, comes from one real closed
+form, ``_real_response``: over offsets (``_columns``: the spectrum,
+``chi``, ``group_index``, ``group_velocity`` and the pulse's transfer)
+or at the window center over |Omega2|^2 (``_center``: the window metrics
+and the control sweep).  Its derivative is analytic (the quotient rule
+on the rational response); the finite-difference group index and the
+complex product form the tests check it against are in tests/oracles.py.
 
-numpy is imported by the functions that use it, on first call: the
-closed forms at two-photon resonance (the window center, width and
-peaks, and a control sweep over a list) and the spectrum's real closed
-form over a list run in Python floats, so ``spectrum`` and a resonant
-``sweep`` load no numpy.
+numpy is imported by the functions that use it, on first call: the real
+closed form over a list and the window's closed forms at two-photon
+resonance (its width and peaks) run in Python floats, so ``spectrum``
+and ``sweep`` load no numpy at any delta2.
 """
 
 from __future__ import annotations
@@ -42,34 +45,6 @@ class OutOfRangeError(EvaluationError):
     """An ``EvaluationError`` for a value that leaves floating-point range,
     which a change of the inputs' size can mend; the CLI names the config
     keys to bring back into range.  An exact pole is not one."""
-
-
-def _product_form(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
-    """(chi, inner, P) at offsets ``omega`` broadcast against |Omega2|^2.
-
-    Written in product form: with P = one * inner - |Omega2|^2,
-    chi = -pref inner / P.  Nothing divides by the inner denominator, so
-    with gamma_bc = 0 chi reaches its two-photon limit, 0, with no
-    overflow however close to resonance.  Without control inner is taken
-    as 1, which leaves the bare line.
-    """
-    import numpy as np
-
-    one = omega - drive.delta1 + 1j * system.gamma_ab
-    inner = np.where(om2_sq == 0, 1.0,
-                     omega - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
-    p = one * inner - om2_sq
-    if np.any(p == 0):
-        raise EvaluationError("susceptibility evaluated exactly on a pole")
-    return -system.chi_prefactor * inner / p, inner, p
-
-
-def _response(omega, om2_sq, system: LadderSystem, drive: FieldDrive):
-    """(chi, d chi/d omega) from one product form (see ``_product_form``):
-    chi' = pref (inner^2 + |Omega2|^2) / P^2, whose two-photon limit at
-    gamma_bc = 0 is pref/|Omega2|^2."""
-    x, inner, p = _product_form(omega, om2_sq, system, drive)
-    return x, system.chi_prefactor * (inner * inner + om2_sq) / (p * p)
 
 
 def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
@@ -98,7 +73,7 @@ def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
     no fused multiply-add, so both carriers give the same bits on every
     CPU.  P = 0 raises :class:`EvaluationError` before any division.  The
     steps run in place, which on an array saves a fifth of the time; on a
-    float each rebinds.
+    float each rebinds.  With ``half_omega1`` None, n_g is skipped (None).
     """
     pr = x * y
     pr -= k0
@@ -126,6 +101,8 @@ def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
     im *= r
     im *= pref
     im *= inv
+    if half_omega1 is None:
+        return re, im, None
     pr2 -= pi2
     pr2 *= r
     ng = y * y
@@ -144,13 +121,27 @@ def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
     return re, im, ng
 
 
-def _columns(omega, system: LadderSystem, drive: FieldDrive):
-    """(Re chi, Im chi, n_g) by ``_real_response``: at a number, as floats;
-    over a list, point by point in Python floats, as three lists; over an
-    array, as one broadcast, as three arrays."""
-    w = abs(drive.Omega2) ** 2
+def _square(v: float) -> float:
+    """v * v, correctly rounded, where ``v ** 2`` takes the platform libm's
+    pow, which may round it apart; past the float range it raises
+    OverflowError, as ``**`` does."""
+    w = v * v
+    if w == math.inf:
+        raise OverflowError("|Omega2|^2 leaves floating-point range")
+    return w
+
+
+def _columns(omega, system: LadderSystem, drive: FieldDrive, group: bool = True):
+    """(Re chi, Im chi, n_g) by ``_real_response`` at the offsets ``omega``:
+    at a number, as floats; over a list, point by point in Python floats,
+    as three lists; over an array, as one broadcast, as three arrays, with
+    the same bits.  The spectrum, ``chi``, ``group_index``,
+    ``group_velocity`` and both carriers of the pulse's transfer take it;
+    without ``group`` n_g is not evaluated, and None stands in its place."""
+    w = _square(abs(drive.Omega2))
     a, b = system.gamma_ab, system.gamma_bc if w else 0.0
-    k0, pref, half_omega1 = a * b + w, system.chi_prefactor, 0.5 * drive.omega1
+    k0, pref = a * b + w, system.chi_prefactor
+    half_omega1 = 0.5 * drive.omega1 if group else None
     d1, d2 = drive.delta1, drive.delta2
     if not isinstance(omega, (list, float)):
         import numpy as np
@@ -168,34 +159,22 @@ def _columns(omega, system: LadderSystem, drive: FieldDrive):
     return tuple(map(list, zip(*rows))) if rows else ([], [], [])
 
 
-def _group_index(dchi, drive: FieldDrive):
-    """n_g = 1 + (omega1/2) Re chi' from the derivative chi' (a number or an array)."""
-    return 1.0 + 0.5 * drive.omega1 * dchi.real
-
-
 def chi(omega, system: LadderSystem, drive: FieldDrive):
-    """Complex susceptibility at probe offset ``omega`` (rad/s).
+    """Complex susceptibility at probe offset ``omega`` (rad/s), Re chi +
+    i Im chi from the real closed form ``compute_spectrum`` takes: a
+    complex at a number, an array otherwise.
 
-    Accepts a scalar or an array.  When gamma_bc = 0 the value exactly at
-    two-photon resonance is taken as its analytic limit (0 for a nonzero
-    control field).  An exact pole, reachable only with all dampings zero,
-    raises :class:`EvaluationError` rather than returning an infinity.
-    It evaluates chi alone, for callers such as the pulse kernel that need
-    no derivative.
+    When gamma_bc = 0 the value exactly at two-photon resonance is its
+    analytic limit (0 for a nonzero control field).  An exact pole,
+    reachable only with all dampings zero, raises
+    :class:`EvaluationError` rather than returning an infinity.
     """
+    re, im, _ = _columns(omega, system, drive)
+    if isinstance(re, float):
+        return complex(re, im)
     import numpy as np
 
-    x = _product_form(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)[0]
-    return complex(x) if x.ndim == 0 else x
-
-
-def chi_derivative(omega, system: LadderSystem, drive: FieldDrive):
-    """Analytic d chi / d omega at probe offset ``omega`` (units s), in the
-    complex product form (see ``_response``)."""
-    import numpy as np
-
-    dx = _response(np.asarray(omega, dtype=float), abs(drive.Omega2) ** 2, system, drive)[1]
-    return complex(dx) if dx.ndim == 0 else dx
+    return np.asarray(re) + 1j * np.asarray(im)
 
 
 def group_index(omega, system: LadderSystem, drive: FieldDrive):
@@ -385,33 +364,31 @@ def _derivative(coef: np.ndarray) -> np.ndarray:
     return coef[1:] * np.arange(1, len(coef))
 
 
-def _resonant_center(pref: float, system: LadderSystem, drive: FieldDrive,
-                     om2_sq: float) -> tuple[float, float]:
-    """(Im chi, n_g) at the window center for delta2 = 0 and Omega2 != 0.
+def _center(w, system: LadderSystem, drive: FieldDrive):
+    """(Im chi, n_g) at the window center, by ``_real_response`` at x =
+    -delta2 and y = 0, for W = |Omega2|^2 a float or, in one broadcast, an
+    array; W = 0 takes the bare line's y = 1 and b = 0.  A value that is
+    not finite raises :class:`OutOfRangeError`, on either carrier."""
+    a, gbc, pref, x = system.gamma_ab, system.gamma_bc, system.chi_prefactor, -drive.delta2
+    if isinstance(w, float):
+        y, b = (0.0, gbc) if w else (1.0, 0.0)
+        _, im, ng = _real_response(x, y, a, b, a * b + w, w, pref, 0.5 * drive.omega1, math)
+        bad = None if math.isfinite(im) and math.isfinite(ng) else w
+    else:
+        import numpy as np
 
-    There both resonance factors are imaginary, i gamma_ab and i gamma_bc,
-    so P = -gamma_ab gamma_bc - |Omega2|^2 is real: Im chi = -pref gamma_bc / P
-    and chi' = pref (|Omega2|^2 - gamma_bc^2) / P^2, in Python floats.
-    numpy divides a complex number by a real one by multiplying with its
-    reciprocal, and so does this, so the bits are those of the complex
-    route (``_response``); 0.0 - x gives its -0.0 for Im chi at
-    gamma_bc = 0.  Python floats overflow silently (and P^2 may underflow
-    to 0), so a P or a result that is not finite raises
-    :class:`EvaluationError`, where numpy's overflow would raise under the
-    CLI's ``errstate``.
-    """
-    gab, gbc = system.gamma_ab, system.gamma_bc
-    p = -gab * gbc - om2_sq
-    p_sq = p * p
-    center_abs = (0.0 - pref * gbc) * (1.0 / p)
-    ng_center = (1.0 + 0.5 * drive.omega1 * ((pref * (om2_sq - gbc * gbc)) * (1.0 / p_sq))
-                 if p_sq else math.inf)
-    if not (math.isfinite(p) and math.isfinite(center_abs) and math.isfinite(ng_center)):
+        bare = w == 0
+        y, b = (np.where(bare, 1.0, 0.0), np.where(bare, 0.0, gbc)) if bare.any() else (0.0, gbc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, im, ng = _real_response(x, y, a, b, a * b + w, w, pref, 0.5 * drive.omega1, np)
+        finite = np.isfinite(im) & np.isfinite(ng)
+        bad = None if finite.all() else float(w[finite.argmin()])
+    if bad is not None:   # the first W whose center leaves the range
         raise OutOfRangeError(
             f"overflow at the window center: chi prefactor = {pref:.6g} rad/s, gamma_ab = "
-            f"{gab:.6g}, gamma_bc = {gbc:.6g} and |Omega2| = {math.sqrt(om2_sq):.6g} rad/s "
+            f"{a:.6g}, gamma_bc = {gbc:.6g} and |Omega2| = {math.sqrt(bad):.6g} rad/s "
             "leave floating-point range")
-    return float(center_abs), float(ng_center)
+    return im, ng
 
 
 def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
@@ -427,37 +404,18 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     control off, or while the dip floor still sits above the half level,
     the window is reported absent (width 0).  An edge farther than
     max(10 gamma_ab, 4 |Omega2|) from the center, or missing, is capped at
-    that span.  gamma_ab = 0 raises :class:`EvaluationError`, and so does
-    a center value at delta2 = 0 that leaves floating-point range.
+    that span.  The center values are ``_center``'s.  gamma_ab = 0 raises
+    :class:`EvaluationError`, and so does a center value that leaves
+    floating-point range.
     """
     if system.gamma_ab == 0:
         raise EvaluationError("window metrics need gamma_ab > 0: at gamma_ab = 0 "
                               "the bare peak, and so the half level, is infinite")
-    pref = system.chi_prefactor
-    center = drive.delta1 - drive.delta2
-    half = 0.5 * pref / system.gamma_ab
-    om2_sq = float(abs(drive.Omega2) ** 2)
-    if drive.delta2 == 0 and om2_sq != 0:
-        center_abs, ng_center = _resonant_center(pref, system, drive, om2_sq)
-    else:
-        # _response written out in numpy scalars, because a one-point array
-        # call costs about eight times as much.  The values may differ from
-        # the array path's in the last bit.  With gamma_ab > 0 the center
-        # is no pole
-        import numpy as np
-
-        one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
-        inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
-                              if om2_sq != 0 else 1.0)
-        p = one * inner - om2_sq
-        center_abs = float((-pref * inner / p).imag)
-        ng_center = float(_group_index(
-            float((pref * (inner * inner + om2_sq) / (p * p)).real), drive))
-
+    center_abs, ng_center = _center(_square(float(abs(drive.Omega2))), system, drive)
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
     if drive.delta2 == 0:
         width = float(2.0 * min(_resonant_half_width(system, drive), span))
-    elif abs(drive.Omega2) == 0.0 or center_abs >= half:
+    elif abs(drive.Omega2) == 0.0 or center_abs >= 0.5 * system.chi_prefactor / system.gamma_ab:
         width = 0.0
     else:
         import numpy as np
@@ -468,7 +426,7 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
         right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
         left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
         width = float(right + left)
-    return WindowMetrics(center_abs=center_abs, width=width, ng_center=ng_center)
+    return WindowMetrics(center_abs=float(center_abs), width=width, ng_center=float(ng_center))
 
 
 def dressed_peaks(system: LadderSystem, drive: FieldDrive) -> tuple[float, float]:
@@ -539,14 +497,16 @@ class ControlSweep(NamedTuple):
 
 # The most values a list, or one CLI run, is evaluated in Python floats,
 # without numpy, whose import costs a cold launch 0.1-0.15 s.  On an Intel
-# Xeon with CPython 3.11 a sweep's closed form took 0.78 us per point against
-# 0.14 us for its broadcast (list conversions included), so numpy gains its
-# import back from about 2e5 points; the spectrum's real form takes about
-# 1.5 us per point against 0.3 us, and a cold `spectrum` gained it back from
-# about 7e4 values (+50 ms in floats at 1e5, +0.2 s at 2e5).  One limit
-# between the two crossovers keeps either command within about 0.06 s of
+# Xeon with CPython 3.11 the spectrum's real form takes about 1.5 us per
+# point against 0.3 us for its broadcast, and a cold `spectrum` gained the
+# import back from about 7e4 values (+50 ms in floats at 1e5, +0.2 s at
+# 2e5); a sweep point, the same form at the window center, takes about
+# 2.7 us against 0.05 us, and paired cold `sweep --format csv` launches
+# (7 alternations; medians of the float run minus the numpy run) gave
+# -66 ms at 3e4 points, +17 ms at 6e4 and +156 ms at 1e5.  One limit
+# between the two crossovers keeps either command within about 0.05 s of
 # the faster route.
-FLOAT_POINTS = 100_000
+FLOAT_POINTS = 50_000
 
 # The longest padded FFT (``propagation._padded_length``, a multiple of 4)
 # on which a list envelope is propagated in Python floats, without numpy:
@@ -561,68 +521,46 @@ FLOAT_POINTS = 100_000
 _FLOAT_FFT_LENGTH = 18_000
 
 
-def in_floats(points: int, delta2: float = 0.0, omega2_first: float = math.inf) -> bool:
+def in_floats(points: int) -> bool:
     """Whether a kernel evaluates a list of ``points`` values in Python
-    floats, without numpy; the CLI asks it too, with the values one run
-    evaluates, to choose between that route and numpy's errstate.
-
-    ``compute_spectrum`` does for at most ``FLOAT_POINTS`` offsets.
-    ``sweep_control`` does for as many Omega2 at ``delta2`` = 0, where each
-    value is the window center's real closed form (``_resonant_center``),
-    when no Omega2 has a square of 0: every point of its strictly
-    increasing list lies above ``omega2_first`` > 0, so every square is at
-    least its square.
-    """
-    return (points <= FLOAT_POINTS and delta2 == 0 and omega2_first > 0
-            and omega2_first * omega2_first > 0)
+    floats, without numpy: ``compute_spectrum`` a list of offsets and
+    ``sweep_control`` a list of Omega2, while ``points`` is at most
+    ``FLOAT_POINTS``.  The CLI asks it too, with the values one run
+    evaluates, to choose between that route and numpy's errstate."""
+    return points <= FLOAT_POINTS
 
 
 def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
                   threads: int = 1) -> ControlSweep:
     """Evaluate n_g and Im chi at the window center across an Omega2 grid.
 
-    A list on which ``in_floats`` holds is evaluated point by point
-    in Python floats, by the closed form of ``_resonant_center``, which
-    needs no numpy and has the bits of the complex response; there a value
-    that is not finite raises :class:`EvaluationError`, and an Omega2 whose
-    square overflows raises OverflowError, as squaring a Python float with
-    ``**`` does.  Every other grid is one broadcast of the complex response
-    (``_response``).  A list in gives lists out.  ``threads`` is accepted
+    Every value is the window center's real closed form (``_center``), at
+    any delta2, with the bare line where |Omega2|^2 is 0.  A list on which
+    ``in_floats`` holds is evaluated point by point in Python floats,
+    without numpy; there an Omega2 whose square overflows raises
+    OverflowError, as squaring a Python float with ``**`` does.  Every
+    other grid is one numpy broadcast, with the same bits.  A value that
+    is not finite raises :class:`OutOfRangeError` with one message on
+    either carrier.  A list in gives lists out.  ``threads`` is accepted
     and has no effect.
     """
     listed = isinstance(omega2_grid, list)
-    if listed and omega2_grid and in_floats(len(omega2_grid), drive.delta2, omega2_grid[0]):
+    if listed and omega2_grid and in_floats(len(omega2_grid)):
         om2 = [float(v) for v in omega2_grid]
         if not _increasing(om2):
             raise ValueError("omega2 grid must be strictly increasing")
-        om2_sq = [v * v for v in om2]
-        if math.inf in om2_sq:
-            raise OverflowError("|Omega2|^2 leaves floating-point range")
-        pref = system.chi_prefactor
-        columns = [_resonant_center(pref, system, drive, w) for w in om2_sq]
-        absorption, ng = [c[0] for c in columns], [c[1] for c in columns]
+        absorption, ng = map(list, zip(*[_center(_square(v), system, drive) for v in om2]))
         i = ng.index(max(ng))
-        return ControlSweep(om2, ng, absorption, om2[i], ng[i])
+    else:
+        import numpy as np
 
-    import numpy as np
-
-    om2 = np.asarray(omega2_grid, dtype=float)
-    if om2.size == 0:
-        raise ValueError("omega2 grid must be non-empty")
-    if om2.size > 1 and not np.all(np.diff(om2) > 0):
-        raise ValueError("omega2 grid must be strictly increasing")
-
-    center = drive.delta1 - drive.delta2
-    x, dx = _response(center, om2**2, system, drive)
-    ng = _group_index(dx, drive)
-    i = int(np.argmax(ng))
-    if listed:
-        return ControlSweep(om2.tolist(), ng.tolist(), x.imag.tolist(), float(om2[i]),
-                            float(ng[i]))
-    return ControlSweep(
-        omega2_grid=om2,
-        ng_center=ng,
-        chi_im_center=x.imag,
-        argmax_omega2=float(om2[i]),
-        ng_max=float(ng[i]),
-    )
+        om2 = np.asarray(omega2_grid, dtype=float)
+        if om2.size == 0:
+            raise ValueError("omega2 grid must be non-empty")
+        if not _increasing(om2):
+            raise ValueError("omega2 grid must be strictly increasing")
+        absorption, ng = _center(om2**2, system, drive)
+        i = int(np.argmax(ng))
+        if listed:
+            om2, ng, absorption = om2.tolist(), ng.tolist(), absorption.tolist()
+    return ControlSweep(om2, ng, absorption, float(om2[i]), float(ng[i]))

@@ -1,7 +1,12 @@
 """Independent reference routes the tests check the package against.
 
 None of these run in the package itself: each recomputes a quantity the
-package gets in closed form, by a different method.
+package gets in closed form, by a different method, or, as
+``plain_transfer`` and ``measure_trapezoid`` do, takes a route's steps
+out of place.  The complex product form of chi is here, the form the
+package evaluated before its real closed form; so are the public
+functions the package no longer exports because only the tests called
+them.
 """
 
 import cmath
@@ -11,75 +16,63 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 
-from exciton_eit import CONST, FieldDrive, LadderSystem, chi, group_velocity
-from exciton_eit.bloch import _expm, _rhs_vector
+from exciton_eit import CONST, FieldDrive, LadderSystem
+from exciton_eit.bloch import DensityMatrixState, _expm, _rhs_vector
+from exciton_eit.constants import _RADS_PER_MEV
 from exciton_eit.levels import _PANEL_SPAN, _ylm_sq
+from exciton_eit.susceptibility import _columns
+
+
+def response_complex(x, om2_sq, system: LadderSystem, drive: FieldDrive):
+    """(chi, chi') in numpy complex at x = omega - delta1, broadcast against
+    |Omega2|^2: the product form the package evaluated before its real
+    closed form.
+
+    With the inner factor x + delta2 + i gamma_bc (1 where |Omega2|^2 is 0)
+    and P = (x + i gamma_ab) inner - |Omega2|^2, chi = -pref inner / P and
+    chi' = pref (inner^2 + |Omega2|^2) / P^2.  Nothing divides by the inner
+    factor, so with gamma_bc = 0 both reach their two-photon limits.  A
+    pole raises ZeroDivisionError.
+    """
+    x = np.asarray(x, dtype=float)
+    inner = np.where(om2_sq == 0, 1.0, x + drive.delta2 + 1j * system.gamma_bc)
+    p = (x + 1j * system.gamma_ab) * inner - om2_sq
+    if np.any(p == 0):
+        raise ZeroDivisionError("susceptibility evaluated exactly on a pole")
+    pref = system.chi_prefactor
+    return -pref * inner / p, pref * (inner * inner + om2_sq) / (p * p)
+
+
+def chi_complex(omega, system: LadderSystem, drive: FieldDrive):
+    """chi at probe offsets ``omega`` by ``response_complex``: a complex at a
+    number, an array otherwise."""
+    x = response_complex(np.asarray(omega, dtype=float) - drive.delta1,
+                         abs(drive.Omega2) ** 2, system, drive)[0]
+    return complex(x) if x.ndim == 0 else x
+
+
+def chi_derivative(omega, system: LadderSystem, drive: FieldDrive):
+    """d chi / d omega (units s) at probe offsets ``omega`` by
+    ``response_complex``: a complex at a number, an array otherwise."""
+    dx = response_complex(np.asarray(omega, dtype=float) - drive.delta1,
+                          abs(drive.Omega2) ** 2, system, drive)[1]
+    return complex(dx) if dx.ndim == 0 else dx
 
 
 def group_index_fd(omega, system: LadderSystem, drive: FieldDrive, rel_step: float = 1e-6):
     """Finite-difference group index, for cross-checking the analytic path."""
     scale = max(system.gamma_ab, system.gamma_bc, abs(drive.Omega2), 1.0)
     h = rel_step * scale
-    dre = (np.real(chi(np.asarray(omega) + h, system, drive))
-           - np.real(chi(np.asarray(omega) - h, system, drive))) / (2.0 * h)
+    dre = (np.real(chi_complex(np.asarray(omega) + h, system, drive))
+           - np.real(chi_complex(np.asarray(omega) - h, system, drive))) / (2.0 * h)
     return 1.0 + 0.5 * drive.omega1 * dre
 
 
-def window_center_np(system: LadderSystem, drive: FieldDrive) -> tuple[float, float]:
-    """(Im chi, n_g) at the window center in numpy complex scalars.
-
-    The route ``window_metrics`` took at every delta2 before its float
-    closed form at delta2 = 0: the product form of chi and chi' evaluated
-    at the center, with numpy's complex division.
-    """
-    pref = system.chi_prefactor
-    center = drive.delta1 - drive.delta2
-    om2_sq = abs(drive.Omega2) ** 2
-    one = np.complex128(center - drive.delta1 + 1j * system.gamma_ab)
-    inner = np.complex128(center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc
-                          if om2_sq != 0 else 1.0)
-    p = one * inner - om2_sq
-    center_abs = float((-pref * inner / p).imag)
-    dchi = float((pref * (inner * inner + om2_sq) / (p * p)).real)
-    return center_abs, float(1.0 + 0.5 * drive.omega1 * dchi)
-
-
-def sweep_broadcast(system: LadderSystem, drive: FieldDrive, omega2_grid):
-    """(Im chi, n_g) at the window center over an array of Omega2, in numpy
-    complex arrays.
-
-    ``sweep_control``'s complex broadcast written out: one broadcast of the
-    product form of chi and chi', with the bare line (inner factor 1) where
-    |Omega2|^2 is 0.
-    """
-    pref = system.chi_prefactor
-    center = drive.delta1 - drive.delta2
-    om2_sq = np.asarray(omega2_grid, dtype=float) ** 2
-    one = center - drive.delta1 + 1j * system.gamma_ab
-    inner = np.where(om2_sq == 0, 1.0,
-                     center - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
-    p = one * inner - om2_sq
-    dchi = pref * (inner * inner + om2_sq) / (p * p)
-    return (-pref * inner / p).imag, 1.0 + 0.5 * drive.omega1 * dchi.real
-
-
 def spectrum_complex(system: LadderSystem, drive: FieldDrive, omega):
-    """(Re chi, Im chi, n_g) over an array of offsets, in numpy complex arrays.
-
-    The route ``compute_spectrum`` took before its real closed form: one
-    broadcast of the product form, chi = -pref inner / P and
-    chi' = pref (inner^2 + |Omega2|^2) / P^2, with the inner factor 1 where
-    |Omega2|^2 is 0, and a pole raising ZeroDivisionError.
-    """
-    om2_sq = abs(drive.Omega2) ** 2
-    w = np.asarray(omega, dtype=float)
-    one = w - drive.delta1 + 1j * system.gamma_ab
-    inner = np.where(om2_sq == 0, 1.0, w - drive.delta1 + drive.delta2 + 1j * system.gamma_bc)
-    p = one * inner - om2_sq
-    if np.any(p == 0):
-        raise ZeroDivisionError("susceptibility evaluated exactly on a pole")
-    x = -system.chi_prefactor * inner / p
-    dx = system.chi_prefactor * (inner * inner + om2_sq) / (p * p)
+    """(Re chi, Im chi, n_g) over an array of offsets by ``response_complex``:
+    the route ``compute_spectrum`` took before its real closed form."""
+    x, dx = response_complex(np.asarray(omega, dtype=float) - drive.delta1,
+                             abs(drive.Omega2) ** 2, system, drive)
     return x.real, x.imag, 1.0 + 0.5 * drive.omega1 * dx.real
 
 
@@ -166,8 +159,9 @@ def analytic_envelope(envelope_in, t_grid, z: float, drive: FieldDrive,
     t = np.asarray(t_grid, dtype=float)
     env = np.asarray(envelope_in, dtype=complex)
     center = drive.delta1 - drive.delta2
-    chi0 = chi(center, system, drive)
-    vg = group_velocity(center, system, drive)
+    chi0 = chi_complex(center, system, drive)
+    ng = 1.0 + 0.5 * drive.omega1 * chi_derivative(center, system, drive).real
+    vg = CONST.c / (ng + 0.5 * chi0.real)
     factor = np.exp(1j * drive.omega1 * chi0.real * z / (2.0 * CONST.c)
                     - drive.omega1 * chi0.imag * z / (2.0 * CONST.c))
     shifted_t = t - z / vg
@@ -207,7 +201,7 @@ def _complex_pass(env, params, drive, system, n_pad):
     complex FFT pass of length ``n_pad``.  An even length's Nyquist bin
     takes the mean of the transfer at +fs/2 and -fs/2."""
     def slab(omega):
-        return np.exp(1j * drive.omega1 * chi(omega, system, drive) * params.L
+        return np.exp(1j * drive.omega1 * chi_complex(omega, system, drive) * params.L
                       / (2.0 * CONST.c))
 
     omega = -2.0 * np.pi * np.fft.fftfreq(n_pad, params.dt)
@@ -241,9 +235,11 @@ def plain_transfer(freq, params, drive: FieldDrive, system: LadderSystem) -> np.
     """The slab transfer exp(i w1 chi(w) L / 2c) on the FFT frequencies
     ``freq``: ``propagation._transfer``'s operations in their order, each
     into a new array where the package works in place."""
-    omega = -2.0 * np.pi * np.asarray(freq)
-    response = chi(omega, system, drive) / system.chi_prefactor
-    return np.exp(1j * params.kappa1_sq * params.L / CONST.c * response)
+    re, im, _ = _columns(-2.0 * np.pi * np.asarray(freq), system, drive)
+    gain = params.kappa1_sq * params.L / CONST.c / system.chi_prefactor
+    phase = np.empty(len(re), dtype=complex)
+    phase.real, phase.imag = im * -gain, re * gain
+    return np.exp(phase)
 
 
 def measure_trapezoid(t, env_in, env_out):
@@ -435,18 +431,12 @@ def anisotropy_eta_panelwise(l: int, m: int, gamma: float) -> float:
 
 def plain_transfer_list(omega, params, drive: FieldDrive, system: LadderSystem) -> list:
     """``propagation._transfer_list``'s operations in their order, one
-    offset at a time, with chi's product form written out step by step."""
-    gain = -1j * params.kappa1_sq * params.L / CONST.c
-    om2_sq = abs(drive.Omega2) ** 2
+    offset at a time."""
+    gain = params.kappa1_sq * params.L / CONST.c / system.chi_prefactor
     out = []
-    for x in omega:
-        one = complex(x - drive.delta1, system.gamma_ab)
-        if om2_sq == 0:
-            out.append(cmath.exp(gain / one))
-            continue
-        inner = complex(x - drive.delta1 + drive.delta2, system.gamma_bc)
-        p = one * inner - om2_sq
-        out.append(cmath.exp(gain * inner / p))
+    for v in omega:
+        re, im, _ = _columns(v, system, drive)
+        out.append(cmath.exp(complex(-gain * im, gain * re)))
     return out
 
 
@@ -485,3 +475,25 @@ def measure_list_loops(t, env_in, env_out):
         measured_attenuation=abs(env_out[i_out]) / abs(env_in[i_in]) if env_in[i_in] else 0.0,
         measured_phase=math.pi if phase == -math.pi else phase,
     )
+
+
+# ---- public functions of the package that only the tests called ----
+
+def bloch_rhs(state: DensityMatrixState, drive: FieldDrive, system: LadderSystem,
+              decay_mode: str = "literal") -> DensityMatrixState:
+    """Time derivative of the six density-matrix components."""
+    return DensityMatrixState.from_vector(
+        _rhs_vector(state.to_vector(), drive, system, decay_mode))
+
+
+def rabi_frequency(dipole_moment: float, field_amplitude: float) -> float:
+    """Rabi rate d eps / hbar in rad/s, for a dipole moment d >= 0 in C m
+    and a field amplitude eps in V/m."""
+    if dipole_moment < 0:
+        raise ValueError("dipole moment must be non-negative")
+    return dipole_moment * field_amplitude / CONST.hbar
+
+
+def angular_frequency_to_energy(omega: float) -> float:
+    """The inverse of ``energy_to_angular_frequency``: rad/s to meV."""
+    return omega / _RADS_PER_MEV

@@ -10,12 +10,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from exciton_eit import (DensityMatrixState, EvaluationError, FieldDrive,
-                         LadderSystem, SingularSteadyStateError, bloch_rhs, chi,
+                         LadderSystem, SingularSteadyStateError, chi,
                          integrate_bloch, integrate_linearized,
                          steady_state_linearized)
 from exciton_eit import bloch
 from exciton_eit.bloch import _expm, _linear_matrix, _rhs_vector, _samples
-from oracles import bloch_samples_stepwise
+from oracles import bloch_rhs, bloch_samples_stepwise
 
 
 def default_system(**kw):

@@ -100,7 +100,12 @@ def test_reruns_are_byte_identical(tmp_path):
 # multiply-add), so these digests hold on any CPU, and on the list and the
 # array route alike.  Against the complex product form they replace, each
 # chi moved by at most 6.4e-16 of |chi| and each n_g by at most 6.2e-16 of
-# max |n_g - 1|.
+# max |n_g - 1|.  `sweep` and `propagate` were re-pinned when the window
+# center, the sweep and the pulse's transfer moved to that same form: in
+# `sweep.json` 107 of the 199 `chi_im_center` values moved, by at most
+# 4.3e-16 relative, and 29 of the `ng_center` values, by at most 6.5e-16;
+# in `pulse_summary.json` `attenuation` moved by -3.6e-16 and `delay_s` by
+# +3.8e-16 relative.
 DEFAULT_DIGESTS = {
     "spectrum": {
         "spectrum_om2_0Grads.csv": "8f06b4b517058f5f63df876bce3af2802fb9a0fdcb91c3161287c687b9a62833",
@@ -114,14 +119,14 @@ DEFAULT_DIGESTS = {
         "stdout": "b459efb0c5fe2c0d7919a24b5091de11d1c02457f1bdcee8cb1f8fa168e409b4",
     },
     "sweep": {
-        "sweep.csv": "43e702870fa80f5b32c27b94b66705ea3af0376d0acb99409b3bb372f035fa67",
-        "sweep.json": "547dac36fac989650ff5a975787eff990d55e52e094a79dfe5b2487a9f6303eb",
+        "sweep.csv": "afc8938700acb3c96b9729fdd685a80573881007b9244d261ae76ac8a9445cfb",
+        "sweep.json": "d29e56b9bc264ee5ce2b041b4b3feb7c0a493812d9cf675a1c1fae1028c10fb2",
         "stdout": "ad6a4aec9726f5a058bdcc8898e33d114ec2721df785d779e180c39b40a0a346",
     },
     "propagate": {
-        "pulse.csv": "e5bd772f67494d7892e8d16e8dbafad358f9e561394beb9d9beedc04d167173e",
-        "pulse_summary.json": "50942361b2976ba5fe6e35d44189427310b5dba9a2656a70adf7ed6571d30b84",
-        "stdout": "ca5edb7694e9ae5b895fc0080aa2a0792a0cb8e0ee0a9e6df412dd2e76a0ae83",
+        "pulse.csv": "3270e360e4dba601e84c5ec31eef028d63d6aad6d159b44f81a9ccc4275349bf",
+        "pulse_summary.json": "122187ba693f074b31cfa6a3d6026044530b3acb320f88d1a51e23e05ae296cc",
+        "stdout": "83924049d3f2d80924e0cf15f887ac76b1ff0558db1f219d79cf0150e9df7e68",
     },
     "levels": {
         "levels.csv": "9da207d57acde5d292a3baacfe2528ea7944aed6f76832d0a8a8be8a6349c3f4",
@@ -562,6 +567,20 @@ def test_float_sweep_overflow_names_the_keys_the_kernel_reads(tmp_path, capsys, 
     assert err.endswith(": bring omega_ab, gamma_ab, gamma_bc, N, dipole_ab_sq, delta1, "
                         f"delta2, {keys} back into range\n")
     assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("text", FLOAT_OVERFLOWS + [
+    "N = 1e300 m^-3\ndipole_ab_sq = 1e-10 C2m2\ndelta2 = 1 Grad/s\nomega2_min = 0 rad/s"])
+def test_sweep_overflow_is_one_line_on_either_carrier(text):
+    # 199 points run in Python floats and 200001 in one numpy broadcast,
+    # at any delta2 and with the bare line on the grid: a center out of
+    # range gives the same line on both, naming the first Omega2 it fails at
+    runs = [run_config("sweep", f"{text}\nomega2_points = {points}\n")
+            for points in (199, 200001)]
+    assert runs[0] == runs[1]
+    code, err = runs[0]
+    assert code == 3 and err.startswith("numerical failure: overflow at the window center")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("points", [2001, 25001])

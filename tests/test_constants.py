@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from exciton_eit import (CONST, FieldDrive, LadderSystem,
-                         angular_frequency_to_energy,
-                         energy_to_angular_frequency, rabi_frequency)
+from exciton_eit import CONST, FieldDrive, LadderSystem, energy_to_angular_frequency
+from oracles import angular_frequency_to_energy, rabi_frequency
 
 # (meV, rad/s) pairs from the working parameter set; each must agree with
 # E/hbar to 0.05%

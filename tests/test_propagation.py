@@ -19,7 +19,8 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          window_metrics)
 from exciton_eit.cli import _propagation_setup
 from exciton_eit.propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, _irfft, _measure,
-                                     _padded_length, _rfft, _transfer_list, in_floats)
+                                     _padded_length, _rfft, _transfer, _transfer_list,
+                                     in_floats)
 from oracles import (analytic_envelope, converged_output, grid_shares, rerun_delay_shift,
                      slab_transmission)
 
@@ -405,11 +406,11 @@ def test_only_the_resonant_drive_evaluates_half_the_grid(monkeypatch, delta1, de
     # where the two calls cover all N FFT bins, as a complex pass would
     seen = []
 
-    def counted(omega, system, drive):
+    def counted(omega, system, drive, **kwargs):
         seen.append(np.array(omega))
-        return chi(omega, system, drive)
+        return susceptibility._columns(omega, system, drive, **kwargs)
 
-    monkeypatch.setattr(propagation, "chi", counted)
+    monkeypatch.setattr(propagation, "_columns", counted)
     sys_ = default_system()
     drv = FieldDrive.from_detunings(sys_, Omega1=1e6, Omega2=4e10, delta1=delta1, delta2=delta2)
     params = PropagationParams.from_system(sys_, drv, SLAB, 1, 4800, SPAN)
@@ -534,14 +535,21 @@ def test_real_route_matches_the_complex_pass(case):
                                 and reference.measured_attenuation >= ATTENUATION_FLOOR)
 
 
-# The bounds of test_real_route_matches_the_complex_pass.  Over 600 such
-# draws the envelopes stayed within 3.4e-16 of the input peak.  Where the
-# oracle transmits at least 1e-12, the shares stayed within 4.6e-9, the
-# delay within 6.6e-9 and the attenuation within 3.2e-5 relative.  Nearer
-# the roundoff floor the observables read the input's roundoff through the
-# transparent wings, which the two passes round differently (shares up to
-# 0.09 apart below 1e-12), so there only ``converged`` is compared.
-# t_steps 10 pads to 24, t_steps 2400 to 4860.
+# The bounds of test_real_route_matches_the_complex_pass.  Over 1200
+# uniform draws of this space the envelopes stayed within 3.0e-16 of the
+# input peak.  Where the oracle transmits at least 1e-12, the shares stayed
+# within 1.8e-9, the delay within 3.1e-9 and the attenuation within 3.6e-5
+# relative.  Nearer the roundoff floor the observables read the input's
+# roundoff through the transparent wings, which the two passes round
+# differently: the shares up to 0.045 apart and the attenuations by a
+# factor 0.65 to 1.44 below 1e-12.  There ``converged`` is compared only
+# where the oracle's share exceeds LEAK_LIMIT by more than SHARE_GAP, a few
+# times that gap, so that both passes flag the grid; a share below
+# LEAK_LIMIT leaves ``converged`` to an attenuation that may round across
+# ATTENUATION_FLOOR.  t_steps 10 pads to 24, t_steps 2400 to 4860.
+SHARE_GAP = 0.2
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(delta1=st.just(0.0) | st.floats(-3e10, 3e10),
        delta2=st.just(0.0) | st.floats(-3e10, 3e10),
@@ -561,8 +569,10 @@ def test_route_matches_the_complex_pass_at_any_drive(delta1, delta2, phase, slab
                          slab_transmission(env, params, drive, system, n_pad=n_pad))
     band_share, spill_share = grid_shares(env, params, drive, system, n_pad)
     assert np.max(np.abs(record.envelope_out - reference.envelope_out)) <= 1e-15 * drive.Omega1
-    assert record.converged == (max(band_share, spill_share) <= LEAK_LIMIT
-                                and reference.measured_attenuation >= ATTENUATION_FLOOR)
+    share = max(band_share, spill_share)
+    if reference.measured_attenuation >= 1e-12 or share > LEAK_LIMIT + SHARE_GAP:
+        assert record.converged == (share <= LEAK_LIMIT
+                                    and reference.measured_attenuation >= ATTENUATION_FLOOR)
     if reference.measured_attenuation >= 1e-12:
         assert record.measured_delay == pytest.approx(reference.measured_delay,
                                                       rel=3e-7, abs=0.0)
@@ -705,6 +715,22 @@ def test_real_input_leaves_the_slab_real_on_lists(log_gamma_ab, bc_ratio, contro
                for z in record.envelope_out)
     assert set(map(cmath.phase, record.envelope_out)) <= {0.0, math.pi}
     assert record.measured_phase in (0.0, math.pi)
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_transfer_carriers_have_the_same_bits(case, detuned):
+    # both carriers take chi from one real closed form and build H as one
+    # complex exp of (-K Im chi) + i (K Re chi): numpy's exp on the array
+    # and cmath.exp point by point give the same bits on every bin, at
+    # either sign of the one-sided frequencies
+    _, params, drive, system = cli_pulse(**GRID_CASES[case])
+    if detuned:
+        drive = drive._replace(delta1=-2e9, delta2=-3e9)
+    freq = np.fft.rfftfreq(_padded_length(params.t_steps), params.dt)
+    for f in (freq, -freq):
+        listed = _transfer_list((-2.0 * math.pi * f).tolist(), params, drive, system)
+        assert np.array(listed).tobytes() == _transfer(f, params, drive, system).tobytes()
 
 
 @pytest.mark.parametrize("t_steps, n_pad, listed", [

@@ -12,10 +12,21 @@ are rejected for physical keys.  Unknown keys, malformed numbers and
 wrong-dimension units are parse errors naming the line and column.
 Missing keys fall back to the built-in defaults, which reproduce the
 working Cu2O parameter set exactly.
+
+A line's result depends on its text alone, so ``_parse_line`` is a pure
+function of it, memoised by ``functools.lru_cache`` over the last
+``_LINE_MEMO`` (256) distinct lines; ``parse_config`` adds what depends
+on the whole text: the line number, the duplicate check and
+``validate``.  A fault is remembered as (message, column), never as a
+``ConfigError``, so each raise carries the line it stands on.  The memo
+pays where line text repeats within one process, as in a parameter
+study that varies a few keys of one working point; a one-off parse is a
+miss on every line and costs what one pass over the text did.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -259,6 +270,10 @@ _LIST_KEYS = {key for key, (_, attr) in _KEYS.items()
               if isinstance(ScenarioConfig._field_defaults[attr], tuple)}
 
 
+# the most distinct line texts ``_parse_line`` remembers
+_LINE_MEMO = 256
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse configuration text; missing keys take the built-in defaults.
 
@@ -268,22 +283,17 @@ def parse_config(text: str) -> ScenarioConfig:
     values: dict[str, object] = {}
     located: dict[str, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
+        entry = _parse_line(raw)
+        if entry is None:
             continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value unit'", lineno, 1)
-        key_part, _, value_part = line.partition("=")
-        key = key_part.strip()
-        key_col = raw.index(key) + 1 if key and key in raw else 1
-        if key not in _KEYS:
-            raise ConfigError(f"unknown key '{key}'", lineno, key_col)
-        if key in located:
+        key, key_col, attr, value = entry
+        if key in located:   # only a known key is located
             raise ConfigError(f"duplicate key '{key}'", lineno, key_col)
+        if attr is None:     # the line's own fault
+            message, column = value
+            raise ConfigError(message, lineno, column)
         located[key] = (lineno, key_col)
-        dimension, attr = _KEYS[key]
-        value_col = raw.index("=") + 2
-        values[attr] = _parse_value(key, dimension, value_part, lineno, value_col)
+        values[attr] = value
     cfg = ScenarioConfig(**values)
     try:
         cfg.validate()
@@ -295,53 +305,76 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
-def _parse_value(key: str, dimension: str | None, value_part: str,
-                 lineno: int, value_col: int):
-    """The value of one entry, in canonical units."""
+@functools.lru_cache(maxsize=_LINE_MEMO)
+def _parse_line(raw: str):
+    """One line of config text, which alone decides the result: None for a
+    blank or comment line, else (key, key column, attribute, value in
+    canonical units), or, for a line at fault, (key, key column, None,
+    (message, column)), with key None where the line has no '='.  Every
+    part is immutable, so the memo hands each caller the same tuple."""
+    line = raw.split("#", 1)[0]
+    if not line.strip():
+        return None
+    if "=" not in line:
+        return None, 1, None, ("expected 'key = value unit'", 1)
+    key_part, _, value_part = line.partition("=")
+    key = key_part.strip()
+    key_col = raw.index(key) + 1 if key and key in raw else 1
+    if key not in _KEYS:
+        return key, key_col, None, (f"unknown key '{key}'", key_col)
+    dimension, attr = _KEYS[key]
+    try:
+        return key, key_col, attr, _parse_value(key, dimension, value_part, raw.index("=") + 2)
+    except ConfigError as exc:
+        return key, key_col, None, (exc.message, exc.column)
+
+
+def _parse_value(key: str, dimension: str | None, value_part: str, value_col: int):
+    """The value of one entry, in canonical units.  A fault raises a
+    ConfigError that holds its column but no line."""
     tokens = value_part.replace(",", " , ").split()
     tokens = [t for t in tokens if t != ","]
     if not tokens:
-        raise ConfigError(f"missing value for '{key}'", lineno, value_col)
+        raise ConfigError(f"missing value for '{key}'", column=value_col)
 
     if dimension is None:
         if len(tokens) != 1:
-            raise ConfigError(f"'{key}' takes a single integer", lineno, value_col)
+            raise ConfigError(f"'{key}' takes a single integer", column=value_col)
         try:
             count = int(tokens[0])
         except ValueError:
             raise ConfigError(f"malformed integer '{tokens[0]}' for '{key}'",
-                              lineno, _col_of(value_part, tokens, 0, value_col)) from None
+                              column=_col_of(value_part, tokens, 0, value_col)) from None
         return count
 
     if len(tokens) < 2:
         raise ConfigError(
-            f"'{key}' is a physical quantity and requires a unit suffix",
-            lineno, value_col)
+            f"'{key}' is a physical quantity and requires a unit suffix", column=value_col)
     unit = tokens[-1]
     numbers = tokens[:-1]
     if key not in _LIST_KEYS and len(numbers) != 1:
-        raise ConfigError(f"'{key}' takes a single value", lineno, value_col)
+        raise ConfigError(f"'{key}' takes a single value", column=value_col)
     if unit not in _UNITS:
         raise ConfigError(f"unknown unit '{unit}' for '{key}'",
-                          lineno, _col_of(value_part, tokens, len(numbers), value_col))
+                          column=_col_of(value_part, tokens, len(numbers), value_col))
     values = []
     for i, tok in enumerate(numbers):
         try:
             values.append(float(tok))
         except ValueError:
             raise ConfigError(f"malformed number '{tok}' for '{key}'",
-                              lineno, _col_of(value_part, tokens, i, value_col)) from None
+                              column=_col_of(value_part, tokens, i, value_col)) from None
     try:
         converted = [_convert(v, unit, dimension) for v in values]
     except KeyError:
         raise ConfigError(
             f"unit '{unit}' does not measure a {dimension} (key '{key}')",
-            lineno, _col_of(value_part, tokens, len(numbers), value_col)) from None
+            column=_col_of(value_part, tokens, len(numbers), value_col)) from None
     for i, value in enumerate(converted):
         if not math.isfinite(value):  # "nan", "inf", or overflow in float() or the unit
             raise ConfigError(f"malformed number '{numbers[i]}' for '{key}': "
                               "values must be finite",
-                              lineno, _col_of(value_part, tokens, i, value_col))
+                              column=_col_of(value_part, tokens, i, value_col))
     return tuple(converted) if key in _LIST_KEYS else converted[0]
 
 

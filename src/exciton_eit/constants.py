@@ -1,4 +1,5 @@
-"""Physical constants and the unit conversions shared by every other module.
+"""Physical constants, unit conversions and the float square shared by every
+other module.
 
 All frequencies inside the package are angular (rad/s).  Energies are kept
 in eV at the boundaries and converted with E/hbar on the way in, so kernels
@@ -7,6 +8,7 @@ never mix unit systems.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 
@@ -34,3 +36,12 @@ def ev_to_angular_frequency(energy_ev: float) -> float:
     """Convert an energy in eV to an angular frequency in rad/s."""
     return energy_ev * (1e3 * _RADS_PER_MEV)
 
+
+def _square(v: float) -> float:
+    """v * v, correctly rounded, where ``v ** 2`` takes the platform libm's
+    pow, which may round it apart; past the float range it raises
+    OverflowError, as ``**`` does."""
+    w = v * v
+    if w == math.inf:
+        raise OverflowError("a square leaves floating-point range")
+    return w

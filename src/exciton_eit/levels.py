@@ -17,7 +17,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .constants import CONST
+from .constants import CONST, _square
 
 
 # the largest l * (panel length in phi) given to one 64-node panel: within
@@ -80,7 +80,7 @@ def anisotropy_eta(l: int, m: int, gamma_aniso: float) -> float:
         raise ValueError("anisotropy ratio must be positive")
 
     try:
-        k = 1.0 - gamma_aniso**2
+        k = 1.0 - _square(gamma_aniso)
         root = math.sqrt(abs(k))
     except OverflowError:
         # gamma^2 leaves the float range, sqrt(-k) does not
@@ -110,7 +110,7 @@ def energy_nlm(n: int, l: int, m: int, gamma_aniso: float, rydberg_ev: float) ->
     if abs(m) > l:
         raise ValueError(f"magnetic index m={m} out of range for l={l}")
     eta = anisotropy_eta(l, m, gamma_aniso)
-    return -(eta**2) / n**2 * rydberg_ev
+    return -(eta * eta) / n**2 * rydberg_ev
 
 
 def stark_coupling(n: int) -> float:
@@ -133,9 +133,10 @@ class SecularRoots(NamedTuple):
 
     def residual(self, E_T1: complex, E_T2: complex, V: float) -> float:
         """Largest back-substitution residual of the defining quadratic."""
+        v2 = _square(V)
         return max(
-            abs((E_T1 - self.E_plus) * (E_T2 - self.E_plus) - V**2),
-            abs((E_T1 - self.E_minus) * (E_T2 - self.E_minus) - V**2),
+            abs((E_T1 - self.E_plus) * (E_T2 - self.E_plus) - v2),
+            abs((E_T1 - self.E_minus) * (E_T2 - self.E_minus) - v2),
         )
 
 
@@ -147,12 +148,12 @@ def solve_secular(E_T1: complex, E_T2: complex, V: float) -> SecularRoots:
     formula and ordered by real part (ties broken toward the larger
     imaginary part); callers pick the branch their mixed state follows.
     """
-    s = E_T1 + E_T2
-    disc = cmath.sqrt(complex((E_T1 - E_T2) ** 2 + 4.0 * V**2))
+    s, v2 = E_T1 + E_T2, _square(V)
+    disc = cmath.sqrt(complex((E_T1 - E_T2) ** 2 + 4.0 * v2))
     if (s.conjugate() * disc).real < 0:
         disc = -disc
     r1 = 0.5 * (s + disc)  # |r1| >= |r2| by construction
-    prod = E_T1 * E_T2 - V**2
+    prod = E_T1 * E_T2 - v2
     r2 = prod / r1 if r1 != 0 else 0.5 * (s - disc)
     lo, hi = sorted((complex(r1), complex(r2)), key=lambda z: (z.real, z.imag))
     return SecularRoots(E_plus=hi, E_minus=lo)
@@ -263,7 +264,7 @@ def level_table(params: LevelModelParams, n_max: int, l_max: int) -> list[LevelR
     # eta once per (l, m); each energy is energy_nlm's expression
     etas = [[anisotropy_eta(l, m, gamma) for m in range(l + 1)]
             for l in range(min(l_max, n_max - 1) + 1)]
-    rows = [LevelRow(n=n, l=l, m=m, eta=eta, energy=complex(-(eta**2) / n**2 * rydberg),
+    rows = [LevelRow(n=n, l=l, m=m, eta=eta, energy=complex(-(eta * eta) / n**2 * rydberg),
                      branch="bare")
             for n in range(1, n_max + 1)
             for l in range(0, min(l_max, n - 1) + 1)

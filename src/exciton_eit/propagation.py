@@ -152,14 +152,16 @@ def gaussian_envelope(t_grid, center: float, sigma: float,
     # both squares are scaled by the same power of two, which is exact, so
     # sigma^2 cannot underflow to 0 and normal-range results keep their bits
     scale = 2.0 ** -math.frexp(sigma)[1]
+    unit = sigma * scale
+    den = 2.0 * (unit * unit)
     if isinstance(t_grid, list):
-        amp, den = complex(amplitude), 2.0 * (sigma * scale) ** 2
+        amp = complex(amplitude)
         shifted = [(v - center) * scale for v in t_grid]
         return [amp * math.exp(-(u * u) / den) for u in shifted]
     import numpy as np
 
     t = (np.asarray(t_grid, dtype=float) - center) * scale
-    return amplitude * np.exp(-(t**2) / (2.0 * (sigma * scale) ** 2)).astype(complex)
+    return amplitude * np.exp(-(t**2) / den).astype(complex)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .constants import CONST
+from .constants import CONST, _square
 from .medium import FieldDrive, LadderSystem
 
 if TYPE_CHECKING:
@@ -119,16 +119,6 @@ def _real_response(x, y, a, b, k0, w, pref, half_omega1, xp):
     ng *= half_omega1
     ng += 1.0
     return re, im, ng
-
-
-def _square(v: float) -> float:
-    """v * v, correctly rounded, where ``v ** 2`` takes the platform libm's
-    pow, which may round it apart; past the float range it raises
-    OverflowError, as ``**`` does."""
-    w = v * v
-    if w == math.inf:
-        raise OverflowError("|Omega2|^2 leaves floating-point range")
-    return w
 
 
 def _columns(omega, system: LadderSystem, drive: FieldDrive, group: bool = True):
@@ -239,7 +229,7 @@ def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> Spe
     evaluated point by point in Python floats, without numpy, and gives
     lists; any other grid is one numpy broadcast and gives arrays, with the
     same bits.  On either, a value that is not finite raises
-    :class:`EvaluationError`.
+    :class:`OutOfRangeError`, with one message.
     """
     if isinstance(omega_grid, list) and in_floats(len(omega_grid)):
         w = [float(v) for v in omega_grid]
@@ -249,7 +239,8 @@ def compute_spectrum(system: LadderSystem, drive: FieldDrive, omega_grid) -> Spe
         import numpy as np
 
         w = np.asarray(omega_grid, dtype=float)
-        columns = _columns(w, system, drive)
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _columns(w, system, drive)
         finite = np.isfinite(columns).all()
     if not finite:
         raise OutOfRangeError(
@@ -283,7 +274,7 @@ def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
     s = max(system.gamma_ab, abs(drive.Omega2))
     a = (1j * system.gamma_ab - drive.delta2) / s
     b = 1j * system.gamma_bc / s
-    p0 = a * b - abs(drive.Omega2) ** 2 / s**2
+    p0 = a * b - _square(abs(drive.Omega2)) / _square(s)
     p1 = a + b
     c0, c1 = p0.conjugate(), p1.conjugate()
     numer = np.array([-(b * c0).imag, -(b * c1 + c0).imag, -(b + c1).imag])

@@ -6,7 +6,8 @@ package gets in closed form, by a different method, or, as
 out of place.  The complex product form of chi is here, the form the
 package evaluated before its real closed form; so are the public
 functions the package no longer exports because only the tests called
-them.
+them, and the one-pass config parser that the memoised line parser
+replaced.
 """
 
 import cmath
@@ -18,6 +19,8 @@ import numpy as np
 
 from exciton_eit import CONST, FieldDrive, LadderSystem
 from exciton_eit.bloch import DensityMatrixState, _expm, _rhs_vector
+from exciton_eit.config import (_KEYS, _LIST_KEYS, _UNITS, ConfigError, ScenarioConfig,
+                                 _col_of, _convert)
 from exciton_eit.constants import _RADS_PER_MEV
 from exciton_eit.levels import _PANEL_SPAN, _ylm_sq
 from exciton_eit.susceptibility import _columns
@@ -497,3 +500,91 @@ def rabi_frequency(dipole_moment: float, field_amplitude: float) -> float:
 def angular_frequency_to_energy(omega: float) -> float:
     """The inverse of ``energy_to_angular_frequency``: rad/s to meV."""
     return omega / _RADS_PER_MEV
+
+
+def parse_config_reference(text: str) -> ScenarioConfig:
+    """``parse_config`` as it was before lines were parsed once and
+    remembered: one pass over the text, every line parsed where it stands.
+    Missing keys take the built-in defaults.
+
+    A value that ``validate`` rejects is reported at the line and column
+    of its key (the later one, when a check reads two keys).
+    """
+    values: dict[str, object] = {}
+    located: dict[str, tuple[int, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise ConfigError("expected 'key = value unit'", lineno, 1)
+        key_part, _, value_part = line.partition("=")
+        key = key_part.strip()
+        key_col = raw.index(key) + 1 if key and key in raw else 1
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key '{key}'", lineno, key_col)
+        if key in located:
+            raise ConfigError(f"duplicate key '{key}'", lineno, key_col)
+        located[key] = (lineno, key_col)
+        dimension, attr = _KEYS[key]
+        value_col = raw.index("=") + 2
+        values[attr] = _parse_value_reference(key, dimension, value_part, lineno, value_col)
+    cfg = ScenarioConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        where = [located[key] for key in exc.keys if key in located]
+        if not where:
+            raise
+        raise ConfigError(exc.message, *max(where), keys=exc.keys) from None
+    return cfg
+
+
+def _parse_value_reference(key: str, dimension: str | None, value_part: str,
+                 lineno: int, value_col: int):
+    """The value of one entry, in canonical units."""
+    tokens = value_part.replace(",", " , ").split()
+    tokens = [t for t in tokens if t != ","]
+    if not tokens:
+        raise ConfigError(f"missing value for '{key}'", lineno, value_col)
+
+    if dimension is None:
+        if len(tokens) != 1:
+            raise ConfigError(f"'{key}' takes a single integer", lineno, value_col)
+        try:
+            count = int(tokens[0])
+        except ValueError:
+            raise ConfigError(f"malformed integer '{tokens[0]}' for '{key}'",
+                              lineno, _col_of(value_part, tokens, 0, value_col)) from None
+        return count
+
+    if len(tokens) < 2:
+        raise ConfigError(
+            f"'{key}' is a physical quantity and requires a unit suffix",
+            lineno, value_col)
+    unit = tokens[-1]
+    numbers = tokens[:-1]
+    if key not in _LIST_KEYS and len(numbers) != 1:
+        raise ConfigError(f"'{key}' takes a single value", lineno, value_col)
+    if unit not in _UNITS:
+        raise ConfigError(f"unknown unit '{unit}' for '{key}'",
+                          lineno, _col_of(value_part, tokens, len(numbers), value_col))
+    values = []
+    for i, tok in enumerate(numbers):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"malformed number '{tok}' for '{key}'",
+                              lineno, _col_of(value_part, tokens, i, value_col)) from None
+    try:
+        converted = [_convert(v, unit, dimension) for v in values]
+    except KeyError:
+        raise ConfigError(
+            f"unit '{unit}' does not measure a {dimension} (key '{key}')",
+            lineno, _col_of(value_part, tokens, len(numbers), value_col)) from None
+    for i, value in enumerate(converted):
+        if not math.isfinite(value):  # "nan", "inf", or overflow in float() or the unit
+            raise ConfigError(f"malformed number '{numbers[i]}' for '{key}': "
+                              "values must be finite",
+                              lineno, _col_of(value_part, tokens, i, value_col))
+    return tuple(converted) if key in _LIST_KEYS else converted[0]

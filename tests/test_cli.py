@@ -583,6 +583,19 @@ def test_sweep_overflow_is_one_line_on_either_carrier(text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", FLOAT_OVERFLOWS)
+def test_spectrum_overflow_is_one_line_on_either_route(text):
+    # four tables of 2001 points run in Python floats, of 25001 in one numpy
+    # broadcast under a local errstate: a value out of range gives the float
+    # route's line on both, not numpy's "overflow encountered in multiply"
+    runs = [run_config("spectrum", f"{text}\nomega_points = {points}\n")
+            for points in (2001, 25001)]
+    assert runs[0] == runs[1]
+    code, err = runs[0]
+    assert code == 3 and err.startswith("numerical failure: overflow in the spectrum at")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("points", [2001, 25001])
 def test_an_exact_pole_gives_one_message_on_either_route(points):
     # gamma_ab = gamma_bc = 0: the bare line's pole sits on the centre of

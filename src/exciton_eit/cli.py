@@ -74,29 +74,21 @@ def _write(args, params: dict, files: dict) -> None:
 _LADDER_KEYS = ("omega_ab", "gamma_ab", "gamma_bc", "N", "dipole_ab_sq", "delta1", "delta2")
 
 
-def _numerical(*keys: str, route=None):
-    """The runner with its numerical faults re-raised as an ArithmeticError
-    (exit 3).  Where ``route(cfg)`` holds, the kernel runs in Python
-    floats; otherwise under numpy's errstate, where an overflow, invalid
-    value or division by zero raises instead of warning, so no file holds
-    what the fault left.  A value out of range, numpy's fault or the float
-    route's ``OutOfRangeError``, gives the fault's message followed by
-    ``keys``, the config keys the command's kernel reads; any other
-    ``EvaluationError`` (an exact pole, say) gives its own message, the
-    same on either route."""
+def _numerical(*keys: str):
+    """The runner with a kernel's value out of range (``OutOfRangeError``,
+    which every kernel raises with one message on either carrier) re-raised
+    as an ArithmeticError (exit 3) that names ``keys``, the config keys the
+    command's kernel reads.  Any other ``EvaluationError`` (an exact pole,
+    say) gives its own message.  Each kernel keeps numpy's fault policy
+    itself, so no command sets numpy's error state."""
     def wrap(runner):
         @functools.wraps(runner)
         def strict(cfg: ScenarioConfig, args) -> int:
             from .susceptibility import OutOfRangeError
 
             try:
-                if route is not None and route(cfg):
-                    return runner(cfg, args)
-                import numpy as np
-
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    return runner(cfg, args)
-            except (FloatingPointError, OutOfRangeError) as exc:
+                return runner(cfg, args)
+            except OutOfRangeError as exc:
                 raise ArithmeticError(f"{exc}: bring {', '.join(keys)} back into range") from None
         return strict
     return wrap
@@ -152,38 +144,18 @@ def _grid(lo: float, hi: float, points: int, keys: tuple[str, ...], floats: bool
     return grid
 
 
-def _spectrum_in_floats(cfg: ScenarioConfig) -> bool:
-    """Whether `spectrum` runs in Python floats: asked for its values in
-    all, one grid per control field."""
-    from .susceptibility import in_floats
-
-    return in_floats(cfg.omega_points * len(cfg.spectrum_omega2))
-
-
-def _sweep_in_floats(cfg: ScenarioConfig) -> bool:
-    """Whether `sweep` runs in Python floats: asked for its points."""
-    from .susceptibility import in_floats
-
-    return in_floats(cfg.omega2_points)
-
-
-def _propagate_in_floats(cfg: ScenarioConfig) -> bool:
-    """Whether `propagate` runs in Python floats: at delta2 = 0, where the
-    window metrics are closed forms in floats (off it their quartic loads
-    numpy anyway), on a time grid whose padded FFT is within the limit."""
-    from .propagation import in_floats
-
-    return cfg.delta2 == 0 and in_floats(cfg.t_steps)
-
-
-@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2", route=_spectrum_in_floats)
+@_numerical(*_LADDER_KEYS, "omega_half_span", "spectrum_omega2")
 @_naming("spectrum_omega2")
 def run_spectrum(cfg: ScenarioConfig, args) -> int:
+    from .susceptibility import in_floats
+
     system = cfg.build_system()
     center = cfg.delta1 - cfg.delta2   # the two-photon resonance, for every Omega2
+    # in Python floats unless the values of all tables, one grid per
+    # control field, pass the limit
     grid = _grid(center - cfg.omega_half_span, center + cfg.omega_half_span,
                  cfg.omega_points, ("delta1", "delta2", "omega_half_span", "omega_points"),
-                 _spectrum_in_floats(cfg))
+                 in_floats(cfg.omega_points * len(cfg.spectrum_omega2)))
     tables = [(om2, _cli.compute_spectrum(system, cfg.build_drive(system, Omega2=om2), grid))
               for om2 in cfg.spectrum_omega2]
     omega = render({"omega_rad_s": grid})   # every table's grid, rendered once
@@ -197,12 +169,14 @@ def run_spectrum(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max", route=_sweep_in_floats)
+@_numerical(*_LADDER_KEYS, "omega2_min", "omega2_max")
 @_naming("omega2_min", "omega2_max")
 def run_sweep(cfg: ScenarioConfig, args) -> int:
+    from .susceptibility import in_floats
+
     system = cfg.build_system()
     grid = _grid(cfg.omega2_min, cfg.omega2_max, cfg.omega2_points,
-                 ("omega2_min", "omega2_max", "omega2_points"), _sweep_in_floats(cfg))
+                 ("omega2_min", "omega2_max", "omega2_points"), in_floats(cfg.omega2_points))
     sweep = _cli.sweep_control(system, cfg.build_drive(system), grid)
     columns = render({"omega2_rad_s": sweep.omega2_grid, "ng_center": sweep.ng_center,
                       "chi_im_center": sweep.chi_im_center})
@@ -252,11 +226,11 @@ def _propagation_setup(cfg: ScenarioConfig, system: LadderSystem, drive: FieldDr
 
 
 @_numerical(*_LADDER_KEYS, "Omega1", "Omega2", "slab_length", "t_steps", "t_span",
-            "pulse_sigma", route=_propagate_in_floats)
+            "pulse_sigma")
 @_naming("Omega2")
 def run_propagate(cfg: ScenarioConfig, args) -> int:
     from .propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, PropagationParams,
-                              gaussian_envelope)
+                              gaussian_envelope, in_floats)
     from .susceptibility import EvaluationError
 
     system = cfg.build_system()
@@ -264,23 +238,18 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
     sigma, center, span = _propagation_setup(cfg, system, drive)
     params_prop = PropagationParams.from_system(
         system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
-    floats = _propagate_in_floats(cfg)
-    if floats:   # on lists, so the pulse runs in Python floats
-        grid, faults = params_prop.t_list, contextlib.nullcontext()
-    else:
-        import numpy as np
-
-        # overflow is ignored in the pulse: a non-finite result raises below
-        grid, faults = params_prop.t_grid, np.errstate(over="ignore", invalid="ignore")
+    # on lists, so the pulse runs in Python floats, at delta2 = 0 (off it the
+    # window's quartic has loaded numpy) while the padded FFT is within the limit
+    floats = cfg.delta2 == 0 and in_floats(cfg.t_steps)
     try:
-        with faults:
-            env_in = gaussian_envelope(grid, center, sigma, amplitude=complex(drive.Omega1))
-            record = _cli.propagate_pulse(env_in, params_prop, drive, system)
+        env_in = gaussian_envelope(params_prop.t_list if floats else params_prop.t_grid,
+                                   center, sigma, amplitude=complex(drive.Omega1))
+        record = _cli.propagate_pulse(env_in, params_prop, drive, system)
         observables = (record.measured_delay, record.measured_attenuation,
                        record.measured_phase)
-    except (OverflowError, ZeroDivisionError):   # Python floats' range faults
+    except (OverflowError, ZeroDivisionError):   # in Python floats; numpy gives inf or nan
         observables = (math.nan,)
-    if not all(map(math.isfinite, observables)):
+    if not all(map(math.isfinite, (center, *observables))):   # 9 sigma may overflow
         raise EvaluationError(
             f"the pulse is not finite at slab_length = {fmt(cfg.slab_length)} m: the "
             "slab or its time grid leaves floating-point range; lower slab_length, "
@@ -315,6 +284,8 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
         **({"warning": warning} if warning else {}),
     }
     columns = {"t_s": record.t_grid}
+    if not floats:
+        import numpy as np
     for name, envelope in (("env_in", record.envelope_in), ("env_out", record.envelope_out)):
         columns[f"{name}_abs"], columns[f"{name}_arg"] = (
             (list(map(abs, envelope)), list(map(cmath.phase, envelope))) if floats

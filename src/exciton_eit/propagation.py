@@ -57,7 +57,7 @@ swamps the transmitted pulse, so a measured attenuation below
 ``ATTENUATION_FLOOR`` (about e^-32) marks the record unconverged too.
 
 The route has two carriers.  A list envelope whose padded length N is at
-most ``susceptibility._FLOAT_FFT_LENGTH`` (18000, reached at t_steps
+most ``_FLOAT_FFT_LENGTH`` (18000, reached at t_steps
 8999; 4860 at the default 2400 steps) runs it in Python floats, without
 numpy: the rfft and irfft are a self-sorting radix-4/2/3/5 FFT on lists
 of Python complex numbers, with the real input packed into one complex
@@ -72,12 +72,13 @@ one.  Only the FFT and the sums differ, so the outputs agree within
 roundoff, not bit for bit; a list run's bits depend only on IEEE basic
 operations and the platform libm's exp, cos and sin.  In Python floats a
 value out of range raises OverflowError or ZeroDivisionError, where
-numpy returns inf or nan.
+numpy returns inf or nan, whatever the caller's errstate.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ from typing import TYPE_CHECKING
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
-from .susceptibility import _FLOAT_FFT_LENGTH, _columns
+from .susceptibility import _columns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,6 +96,18 @@ if TYPE_CHECKING:
 ATTENUATION_FLOOR = 1e-14
 # above this share of energy beyond half Nyquist, or past the window, the grid leaks
 LEAK_LIMIT = 1e-2
+
+# The longest padded FFT (``_padded_length``, a multiple of 4) on which a
+# list envelope is propagated in Python floats, without numpy: 4860 at the
+# default 2400 steps, 18000 at 8999.  On an Intel Xeon with CPython 3.11,
+# paired cold `propagate` launches (13-15 alternations; medians of the
+# float run minus the numpy run), taken while N was 4x the grid, gave
+# -90 ms at N = 9720, -17 ms at 16200, -3 and +7 ms at 20250, +13 ms at
+# 24300 and +68 ms at 32400: with numpy's files in the page cache its
+# import costs a launch only about 0.06-0.1 s, which the float pulse
+# spends by about N = 1.9e4.  At 2x the grid (13 alternations) 18000 gave
+# -66 and -148 ms and 20480 +2 and 0 ms.
+_FLOAT_FFT_LENGTH = 18_000
 
 
 @dataclass(frozen=True)
@@ -127,7 +140,8 @@ class PropagationParams:
     def t_grid(self) -> np.ndarray:
         import numpy as np
 
-        return np.arange(self.t_steps + 1) * self.dt
+        with np.errstate(over="ignore", invalid="ignore"):   # out of range: inf or nan
+            return np.arange(self.t_steps + 1) * self.dt
 
     @property
     def t_list(self) -> list[float]:
@@ -160,8 +174,9 @@ def gaussian_envelope(t_grid, center: float, sigma: float,
         return [amp * math.exp(-(u * u) / den) for u in shifted]
     import numpy as np
 
-    t = (np.asarray(t_grid, dtype=float) - center) * scale
-    return amplitude * np.exp(-(t**2) / den).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (np.asarray(t_grid, dtype=float) - center) * scale
+        return amplitude * np.exp(-(t**2) / den).astype(complex)
 
 
 @dataclass
@@ -210,28 +225,30 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     per nonzero part of the output, so ``params.z_steps`` does not change
     the result.  A list on which ``in_floats`` holds runs that route in
     Python floats and gives a record of lists; any other envelope runs it
-    in numpy and gives arrays.  The record is flagged unconverged when its
-    ``band_share`` or ``spill_share``, both read off that one pass,
-    exceeds ``LEAK_LIMIT``, or when its measured attenuation is below
-    ``ATTENUATION_FLOOR``.
+    in numpy, where a value out of range is inf or nan, and gives arrays.
+    The record is flagged unconverged when its ``band_share`` or
+    ``spill_share``, both read off that one pass, exceeds ``LEAK_LIMIT``,
+    or when its measured attenuation is below ``ATTENUATION_FLOOR``.
     """
     if isinstance(envelope_in, list) and in_floats(params.t_steps):
         env0 = [complex(v) for v in envelope_in]
         measure, propagate, copy = _measure_list, _propagate_list, list
-        shape, t = (len(env0),), params.t_list
+        shape, t, faults = (len(env0),), params.t_list, contextlib.nullcontext()
     else:
         import numpy as np
 
         env0 = np.asarray(envelope_in, dtype=complex)
         measure, propagate, copy = _measure, _propagate, np.copy
         shape, t = env0.shape, params.t_grid
+        faults = np.errstate(over="ignore", invalid="ignore")
     if shape != (params.t_steps + 1,):
         raise ValueError("envelope length must match the time grid")
 
-    if params.kappa1_sq == 0.0:
-        record = measure(t, env0, copy(env0))
-    else:
-        record = propagate(env0, t, params, drive, system)
+    with faults:
+        if params.kappa1_sq == 0.0:
+            record = measure(t, env0, copy(env0))
+        else:
+            record = propagate(env0, t, params, drive, system)
     if (record.convergence_delta > LEAK_LIMIT
             or record.measured_attenuation < ATTENUATION_FLOOR):
         record.converged = False
@@ -241,7 +258,7 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
 def in_floats(t_steps: int) -> bool:
     """Whether ``propagate_pulse`` runs a list envelope on ``t_steps``
     steps in Python floats: while its padded FFT length N is at most
-    ``susceptibility._FLOAT_FFT_LENGTH``."""
+    ``_FLOAT_FFT_LENGTH``."""
     return _padded_length(t_steps) <= _FLOAT_FFT_LENGTH
 
 
@@ -331,9 +348,10 @@ def _total_and_band(re, im, n_pad: int) -> tuple[float, float]:
     import numpy as np
 
     def two_sided(s):
-        # every bin has a twin but the first (DC; or bin N/4, whose twin
-        # -N/4 is outside the band) and the Nyquist bin
-        return 2.0 * np.vdot(s, s).real - abs(s[0]) ** 2 - abs(s[-1]) ** 2
+        # every bin has a twin but the first (DC; or bin N/4, whose twin -N/4
+        # is outside the band) and the Nyquist bin, squared as on lists
+        first, last = abs(s[0]), abs(s[-1])
+        return 2.0 * np.vdot(s, s).real - first * first - last * last
 
     parts = [s for s in (re, im) if s is not None]
     band = sum(two_sided(s[n_pad // 4:]) for s in parts)

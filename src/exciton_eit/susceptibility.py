@@ -27,6 +27,7 @@ and ``sweep`` load no numpy at any delta2.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import CONST, _square
@@ -330,20 +331,24 @@ def _real_roots(coef: np.ndarray) -> np.ndarray:
     Trailing zero coefficients are trimmed; the roots are then the
     eigenvalues of the companion matrix that numpy's ``polyroots`` builds,
     rotated by 180 degrees, which makes the window edges about a third
-    more accurate.
+    more accurate.  A coefficient, or one over the leading coefficient,
+    that is not finite raises :class:`OutOfRangeError`; the caller ignores
+    numpy's overflow and invalid values.
     """
     import numpy as np
 
     n = len(coef) - 1
     while n > 0 and coef[n] == 0:
         n -= 1
-    if n == 0:
-        return np.empty(0)
-    if n == 1:
-        return np.array([-coef[0] / coef[1]])
+    column = coef[:n] / coef[n]
+    if not (np.isfinite(coef).all() and np.isfinite(column).all()):
+        raise OutOfRangeError("overflow off two-photon resonance: the coefficients of "
+                              "the window's polynomial leave floating-point range")
+    if n <= 1:
+        return -column
     mat = np.zeros((n, n))
     mat.reshape(-1)[n::n + 1] = 1.0
-    mat[:, -1] -= coef[:n] / coef[n]
+    mat[:, -1] -= column
     r = np.linalg.eigvals(mat[::-1, ::-1])
     return np.sort(r.real[r.imag == 0])
 
@@ -396,8 +401,8 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     the window is reported absent (width 0).  An edge farther than
     max(10 gamma_ab, 4 |Omega2|) from the center, or missing, is capped at
     that span.  The center values are ``_center``'s.  gamma_ab = 0 raises
-    :class:`EvaluationError`, and so does a center value that leaves
-    floating-point range.
+    :class:`EvaluationError`, and so does a center value or a quartic
+    coefficient that leaves floating-point range.
     """
     if system.gamma_ab == 0:
         raise EvaluationError("window metrics need gamma_ab > 0: at gamma_ab = 0 "
@@ -412,10 +417,11 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
         import numpy as np
 
         s, numer, den = _im_chi_fraction(system, drive)
-        edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
-                            - 0.5 * s / system.gamma_ab * den)
-        right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
-        left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
+        with np.errstate(over="ignore", invalid="ignore"):   # an edge past the span is capped
+            edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
+                                - 0.5 * s / system.gamma_ab * den)
+            right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
+            left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
         width = float(right + left)
     return WindowMetrics(center_abs=float(center_abs), width=width, ng_center=float(ng_center))
 
@@ -438,7 +444,9 @@ def locate_absorption_peaks(system: LadderSystem,
 
     The extrema of Im chi = (pref / s) N / D are the real roots of
     N' D - N D'; the maxima are those where that polynomial falls through
-    zero.  One entry when the doublet has merged into a single line.
+    zero.  One entry when the doublet has merged into a single line.  Off
+    two-photon resonance, a coefficient of that polynomial that leaves
+    floating-point range raises :class:`OutOfRangeError`.
 
     At delta2 = 0, in the terms of ``_resonant_ratios``, N' D - N D' is
     -2 sqrt(u) (q0 + q1 u + a u^2) with q0 = k (b^3 - w(a + 2b)) and
@@ -465,11 +473,12 @@ def locate_absorption_peaks(system: LadderSystem,
     import numpy as np
 
     s, numer, den = _im_chi_fraction(system, drive)
-    slope = (np.convolve(_derivative(numer), den)
-             - np.convolve(numer, _derivative(den)))
-    x = _real_roots(slope)
-    maxima = x[np.polyval(_derivative(slope)[::-1], x) < 0]   # Horner
-    return tuple(float(center + s * v) for v in maxima)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (np.convolve(_derivative(numer), den)
+                 - np.convolve(numer, _derivative(den)))
+        x = _real_roots(slope)
+        maxima = x[np.polyval(_derivative(slope)[::-1], x) < 0]   # Horner
+        return tuple(float(center + s * v) for v in maxima)
 
 
 class ControlSweep(NamedTuple):
@@ -499,25 +508,13 @@ class ControlSweep(NamedTuple):
 # the faster route.
 FLOAT_POINTS = 50_000
 
-# The longest padded FFT (``propagation._padded_length``, a multiple of 4)
-# on which a list envelope is propagated in Python floats, without numpy:
-# 4860 at the default 2400 steps, 18000 at 8999.  On the same Xeon, paired
-# cold `propagate` launches (13-15 alternations; medians of the float run
-# minus the numpy run), taken while N was 4x the grid, gave -90 ms at
-# N = 9720, -17 ms at 16200, -3 and +7 ms at 20250, +13 ms at 24300 and
-# +68 ms at 32400: with numpy's files in the page cache its import costs a
-# launch only about 0.06-0.1 s, which the float pulse spends by about
-# N = 1.9e4.  At 2x the grid (13 alternations) 18000 gave -66 and -148 ms
-# and 20480 +2 and 0 ms.
-_FLOAT_FFT_LENGTH = 18_000
-
 
 def in_floats(points: int) -> bool:
     """Whether a kernel evaluates a list of ``points`` values in Python
     floats, without numpy: ``compute_spectrum`` a list of offsets and
     ``sweep_control`` a list of Omega2, while ``points`` is at most
     ``FLOAT_POINTS``.  The CLI asks it too, with the values one run
-    evaluates, to choose between that route and numpy's errstate."""
+    evaluates, to build that run's grid as a list or as an array."""
     return points <= FLOAT_POINTS
 
 
@@ -528,12 +525,12 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
     Every value is the window center's real closed form (``_center``), at
     any delta2, with the bare line where |Omega2|^2 is 0.  A list on which
     ``in_floats`` holds is evaluated point by point in Python floats,
-    without numpy; there an Omega2 whose square overflows raises
-    OverflowError, as squaring a Python float with ``**`` does.  Every
-    other grid is one numpy broadcast, with the same bits.  A value that
-    is not finite raises :class:`OutOfRangeError` with one message on
-    either carrier.  A list in gives lists out.  ``threads`` is accepted
-    and has no effect.
+    without numpy.  Every other grid is one numpy broadcast, with the same
+    bits.  On either carrier an Omega2 whose square overflows raises
+    OverflowError, as ``constants._square`` does, and a value that is not
+    finite raises :class:`OutOfRangeError`, each at the first Omega2 of
+    the grid that fails and with one message.  A list in gives lists out.
+    ``threads`` is accepted and has no effect.
     """
     listed = isinstance(omega2_grid, list)
     if listed and omega2_grid and in_floats(len(omega2_grid)):
@@ -550,7 +547,13 @@ def sweep_control(system: LadderSystem, drive: FieldDrive, omega2_grid,
             raise ValueError("omega2 grid must be non-empty")
         if not _increasing(om2):
             raise ValueError("omega2 grid must be strictly increasing")
-        absorption, ng = _center(om2**2, system, drive)
+        # as the list route, the centers up to the first square out of range:
+        # om2 increases, and sqrt(max) is the largest float with a finite square
+        _square(float(om2[0]))
+        n = int(np.searchsorted(om2, math.sqrt(sys.float_info.max), side="right"))
+        absorption, ng = _center(om2[:n] * om2[:n], system, drive)
+        if n < om2.size:
+            _square(float(om2[n]))
         i = int(np.argmax(ng))
         if listed:
             om2, ng, absorption = om2.tolist(), ng.tolist(), absorption.tolist()

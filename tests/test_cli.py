@@ -178,7 +178,8 @@ def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     # by explicit loops; in numpy (the "detuned" case), the transfer formed
     # out of place on the one-sided frequencies and np.trapezoid.  Off
     # resonant drive the transfer is taken at both signs; t_steps 10 pads
-    # to 24.  Each run must call its route's oracles
+    # to 24.  Each run must call its route's oracles, so the "detuned" case
+    # alone runs in numpy
     text = PROPAGATE_CONFIGS[case]
     fast = propagate_outputs(text)
     called = set()
@@ -195,9 +196,7 @@ def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
         monkeypatch.setattr(propagation, name, counted(oracle))
     assert propagate_outputs(text) == fast
     assert fast[0] == 0 and sorted(fast[3]) == ["pulse.csv", "pulse_summary.json"]
-    floats = cli._propagate_in_floats(config.parse_config(text))
-    assert floats == (case != "detuned")
-    assert called == ({"plain_transfer_list", "measure_list_loops"} if floats
+    assert called == ({"plain_transfer_list", "measure_list_loops"} if case != "detuned"
                       else {"plain_transfer", "measure_trapezoid"})
 
 
@@ -497,7 +496,7 @@ def test_python_linspace_has_numpys_bits(lo, offset, points):
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep", "propagate"])
 def test_overflowing_kernel_is_a_numerical_failure(command):
-    # numpy's overflow is raised, not warned, and the run exits 3
+    # an overflow is raised, not warned, and the run exits 3
     code, err = run_config(command, "gamma_bc = 1.7e308 rad/s\n")
     assert code == 3
     assert err.startswith("numerical failure: overflow") and err.count("\n") == 1
@@ -570,7 +569,8 @@ def test_float_sweep_overflow_names_the_keys_the_kernel_reads(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("text", FLOAT_OVERFLOWS + [
-    "N = 1e300 m^-3\ndipole_ab_sq = 1e-10 C2m2\ndelta2 = 1 Grad/s\nomega2_min = 0 rad/s"])
+    "N = 1e300 m^-3\ndipole_ab_sq = 1e-10 C2m2\ndelta2 = 1 Grad/s\nomega2_min = 0 rad/s",
+    "gamma_bc = 1.7e308 rad/s\nomega2_max = 1e160 rad/s"])   # a center before a square
 def test_sweep_overflow_is_one_line_on_either_carrier(text):
     # 199 points run in Python floats and 200001 in one numpy broadcast,
     # at any delta2 and with the bare line on the grid: a center out of
@@ -581,6 +581,17 @@ def test_sweep_overflow_is_one_line_on_either_carrier(text):
     code, err = runs[0]
     assert code == 3 and err.startswith("numerical failure: overflow at the window center")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["omega2_max = 1e160 rad/s", "omega2_min = -1e160 rad/s"])
+def test_sweep_square_overflow_is_one_line_on_either_carrier(text):
+    # 199 points run in Python floats and 200001 in one numpy broadcast: an
+    # Omega2 whose square leaves the range gives the same line on both, not
+    # numpy's "overflow encountered in square"
+    runs = [run_config("sweep", f"{text}\nomega2_points = {points}\n")
+            for points in (199, 200001)]
+    assert runs == [(3, "numerical failure: a result leaves floating-point range: "
+                        "bring omega2_min, omega2_max back into range\n")] * 2
 
 
 @pytest.mark.parametrize("text", FLOAT_OVERFLOWS)
@@ -860,6 +871,10 @@ def config_lines(draw):
                 "gamma_aniso = 3 dimensionless"])   # was eta(70, 0) = 0.5048, not 0.5366
 @example(lines=["omega2_max = 1e160 rad/s"])        # Omega2^2 overflows in Python floats
 @example(lines=["omega2_min = -1.7e308 rad/s", "omega2_max = 1.7e308 rad/s"])  # the span does
+@example(lines=["delta2 = 1e300 rad/s", "gamma_bc = 0 rad/s"])   # was a LinAlgError traceback
+@example(lines=["pulse_sigma = 1.7976931348623157e308 s", "t_span = 1e-300 s"])  # center inf
+# the window's quartic meets inf, and t_steps 9000 runs the pulse in numpy
+@example(lines=["delta2 = 1e-300 rad/s", "gamma_ab = 1e-300 rad/s", "t_steps = 9000"])
 def test_any_config_exits_cleanly(lines):
     # every command exits 0, 2 or 3; a RuntimeWarning is an error here; a
     # failure is one line that is not a bare errno tuple, and a success

@@ -19,7 +19,8 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          window_metrics)
 from exciton_eit.cli import _propagation_setup
 from exciton_eit.propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, _irfft, _measure,
-                                     _padded_length, _rfft, _transfer, _transfer_list,
+                                     _padded_length, _rfft, _total_and_band,
+                                     _total_and_band_list, _transfer, _transfer_list,
                                      in_floats)
 from oracles import (analytic_envelope, converged_output, grid_shares, rerun_delay_shift,
                      slab_transmission)
@@ -739,11 +740,20 @@ def test_transfer_carriers_have_the_same_bits(case, detuned):
     (2400, 4860, True),
 ])
 def test_lists_past_the_limit_take_numpy(t_steps, n_pad, listed):
-    assert susceptibility._FLOAT_FFT_LENGTH == 18000
+    assert propagation._FLOAT_FFT_LENGTH == 18000
     assert _padded_length(t_steps) == n_pad and in_floats(t_steps) == listed
     env, params, drive, system = cli_pulse(t_steps=t_steps)
     record = propagate_pulse(env.tolist(), params, drive, system)
     assert isinstance(record.envelope_out, list) == listed and record.converged
+
+
+def test_edge_bins_square_as_products():
+    # numpy's scalar ** 2 takes libm's pow, which rounds 5.1e10 ** 2 up to
+    # 2.6010000000000003e21: the DC and Nyquist bins are squared as
+    # products, as on lists, so a spectrum all in DC holds |X0|^2 exactly
+    spectrum = np.array([5.1e10, 0.0, 0.0, 0.0, 0.0], dtype=complex)
+    assert _total_and_band(spectrum, None, 8) == (5.1e10 * 5.1e10, 0.0)
+    assert _total_and_band_list(spectrum.tolist(), None, 8) == (5.1e10 * 5.1e10, 0.0)
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["array", "list"])

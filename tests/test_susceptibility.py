@@ -1,6 +1,7 @@
 """Spectral response: closed form, dispersion, window metrics, sweeps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          locate_absorption_peaks, sweep_control,
                          window_metrics)
 from exciton_eit import susceptibility
-from exciton_eit.susceptibility import SpectrumTable, _real_roots
+from exciton_eit.susceptibility import OutOfRangeError, SpectrumTable, _real_roots
 from oracles import (chi_complex, chi_derivative, group_index_fd, response_complex,
                      response_mp, spectrum_complex, window_and_peaks_mp)
 
@@ -459,6 +460,26 @@ def test_real_roots_against_polyroots(coef, roots):
     np.testing.assert_array_equal(_real_roots(coef), oracle_real_roots(coef))
 
 
+@pytest.mark.parametrize("coef", [[1.0, np.inf], [np.nan, 1.0, 0.0], [np.inf, 0.0],
+                                  [1e300, 1e-300]])
+def test_real_roots_past_the_float_range_raise(coef):
+    # a coefficient, or one over the leading coefficient, that is not finite
+    with np.errstate(over="ignore"), pytest.raises(OutOfRangeError):
+        _real_roots(np.array(coef))
+
+
+def test_quartic_past_the_float_range_raises():
+    # off two-photon resonance the window's edges and the peaks are roots of
+    # polynomials whose coefficients leave the float range at delta2 =
+    # 1e300 rad/s with gamma_bc = 0: with no errstate set here, each kernel
+    # raises OutOfRangeError, where the companion solve met inf
+    sys_ = medium(4.5573e10, 0.0)
+    drv = drive_for(sys_, delta2=1e300)
+    for kernel in (window_metrics, locate_absorption_peaks):
+        with pytest.raises(OutOfRangeError, match="^overflow off two-photon resonance"):
+            kernel(sys_, drv)
+
+
 class TestDressedPeaks:
     def test_requires_control_resonance(self):
         sys_ = default_system()
@@ -643,14 +664,48 @@ def test_long_list_sweep_takes_the_broadcast(monkeypatch):
 
 
 def test_control_square_past_the_float_range_raises():
-    # a Python float square overflows silently; the list route raises as
-    # ** does, and the array route, the numpy broadcast, leaves numpy's
-    # overflow to the caller's errstate
+    # a Python float square overflows silently; on either carrier, with no
+    # errstate set here, an Omega2 whose square leaves the range raises
+    # OverflowError, as constants._square does
     sys_ = default_system()
-    with pytest.raises(OverflowError):
-        sweep_control(sys_, drive_for(sys_), [1e9, 1e160])
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        sweep_control(sys_, drive_for(sys_), np.array([1e9, 1e160]))
+    for grid in ([1e9, 1e160], [-1e160, 1e9]):
+        for carried in (grid, np.array(grid)):
+            with pytest.raises(OverflowError, match="square"):
+                sweep_control(sys_, drive_for(sys_), carried)
+
+
+# the largest float whose square is finite
+ROOT_MAX = math.sqrt(sys.float_info.max)
+
+
+def sweep_fault(system, drive, grid):
+    """(type, message) of the fault ``sweep_control`` raises on ``grid``, or None."""
+    try:
+        sweep_control(system, drive, grid)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("gamma_bc", [7.596e9, 1.7e308], ids=["finite", "center overflows"])
+@pytest.mark.parametrize("grid", [
+    [1e9, 1e160],
+    [-1e160, 1e9],
+    [1e9, ROOT_MAX],                                  # the largest finite square
+    [1e9, ROOT_MAX, math.nextafter(ROOT_MAX, math.inf)],
+    [-math.nextafter(ROOT_MAX, math.inf), 1e9],
+])
+def test_sweep_faults_where_the_list_route_does(gamma_bc, grid):
+    # the list route squares each Omega2 and then takes its center, point by
+    # point: the broadcast raises the fault of the first point that fails,
+    # a square or a center out of range, with the same message
+    sys_ = default_system(gamma_bc=gamma_bc)
+    drv = drive_for(sys_)
+    listed = sweep_fault(sys_, drv, grid)
+    assert sweep_fault(sys_, drv, np.array(grid)) == listed
+    assert listed is not None or grid[-1] == ROOT_MAX
+    if gamma_bc == 1.7e308:
+        assert listed[0] is (OutOfRangeError if grid[0] == 1e9 else OverflowError)
 
 
 def conditioning(system, drive, x):

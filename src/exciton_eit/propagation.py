@@ -56,34 +56,36 @@ input (about e^-34 of its peak) passes the transparent wings of chi and
 swamps the transmitted pulse, so a measured attenuation below
 ``ATTENUATION_FLOOR`` (about e^-32) marks the record unconverged too.
 
-The route has two carriers.  A list envelope whose padded length N is at
-most ``_FLOAT_FFT_LENGTH`` (18000, reached at t_steps
-8999; 4860 at the default 2400 steps) runs it in Python floats, without
-numpy: the rfft and irfft are a self-sorting radix-4/2/3/5 FFT on lists
-of Python complex numbers, with the real input packed into one complex
-pass of length N/2, and the transfer, the filter split, the shares and
-the measurements take the array route's steps in its order.
-Any other envelope runs in numpy, where numpy is imported on first use.
-The transfer H = exp(i w1 chi L / 2c) is one complex exp of (-K Im chi) +
-i (K Re chi), K = kappa1^2 L / (c pref), with chi from susceptibility's
-real closed form, on either carrier; cmath.exp point by point and numpy's
+The route is written once and runs on a carrier, a table of primitives
+(``_Carrier``): ``_LISTS`` for a list envelope whose padded length N is
+at most ``_FLOAT_FFT_LENGTH`` (18000, reached at t_steps 8999; 4860 at
+the default 2400 steps), in Python floats without numpy, and
+``_arrays()``, which imports numpy on first use, for any other envelope.
+Only the primitives differ: the rfft and irfft (on lists a self-sorting
+radix-4/2/3/5 FFT of Python complex numbers, the real input packed into
+one complex pass of length N/2), the transfer's complex exp, the energy
+and trapezoid sums (math.fsum, exactly rounded, on lists), the peak pick
+and the phase.  The transfer H = exp(i w1 chi L / 2c) is one complex exp
+of (-K Im chi) + i (K Re chi), K = kappa1^2 L / (c pref), with chi from
+susceptibility's real closed form; cmath.exp point by point and numpy's
 exp on the array give the same bits, so the two carriers' transfers are
-one.  Only the FFT and the sums differ, so the outputs agree within
+one.  The FFTs and the sums round apart, so the outputs agree within
 roundoff, not bit for bit; a list run's bits depend only on IEEE basic
-operations and the platform libm's exp, cos and sin.  In Python floats a
-value out of range raises OverflowError or ZeroDivisionError, where
-numpy returns inf or nan, whatever the caller's errstate.
+operations and the platform libm's exp, cos, sin and atan2.  In Python
+floats a value out of range raises OverflowError or ZeroDivisionError,
+where numpy returns inf or nan, whatever the caller's errstate.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import copy
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import TYPE_CHECKING
+from operator import add, attrgetter, methodcaller, mul, neg
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .constants import CONST
 from .medium import FieldDrive, LadderSystem
@@ -231,24 +233,21 @@ def propagate_pulse(envelope_in, params: PropagationParams, drive: FieldDrive,
     or when its measured attenuation is below ``ATTENUATION_FLOOR``.
     """
     if isinstance(envelope_in, list) and in_floats(params.t_steps):
-        env0 = [complex(v) for v in envelope_in]
-        measure, propagate, copy = _measure_list, _propagate_list, list
-        shape, t, faults = (len(env0),), params.t_list, contextlib.nullcontext()
+        carrier, env0, t = _LISTS, [complex(v) for v in envelope_in], params.t_list
+        shape, faults = (len(env0),), contextlib.nullcontext()
     else:
         import numpy as np
 
-        env0 = np.asarray(envelope_in, dtype=complex)
-        measure, propagate, copy = _measure, _propagate, np.copy
-        shape, t = env0.shape, params.t_grid
-        faults = np.errstate(over="ignore", invalid="ignore")
+        carrier, env0, t = _arrays(), np.asarray(envelope_in, dtype=complex), params.t_grid
+        shape, faults = env0.shape, np.errstate(over="ignore", invalid="ignore")
     if shape != (params.t_steps + 1,):
         raise ValueError("envelope length must match the time grid")
 
     with faults:
         if params.kappa1_sq == 0.0:
-            record = measure(t, env0, copy(env0))
+            record = _measure(t, env0, copy.copy(env0), carrier)
         else:
-            record = propagate(env0, t, params, drive, system)
+            record = _propagate(env0, t, params, drive, system, carrier)
     if (record.convergence_delta > LEAK_LIMIT
             or record.measured_attenuation < ATTENUATION_FLOOR):
         record.converged = False
@@ -278,20 +277,60 @@ def _padded_length(t_steps: int) -> int:
         m += 1
 
 
-def _transfer(freq: np.ndarray, params: PropagationParams, drive: FieldDrive,
-              system: LadderSystem) -> np.ndarray:
+def _propagate(env0, t, params: PropagationParams, drive: FieldDrive,
+               system: LadderSystem, c: _Carrier) -> PulseRecord:
+    """The one FFT route of the module docstring on the carrier ``c``,
+    without the terms of a part that is all zero or, at resonant drive,
+    of h_o."""
+    n_pad = _padded_length(params.t_steps)
+    # np.fft.rfftfreq's k * (1 / (N dt)) for the bins k of the one-sided spectrum
+    freq = c.apply(functools.partial(mul, 1.0 / (n_pad * params.dt)), c.arange(n_pad // 2 + 1))
+    even = _transfer(freq, params, drive, system, c)
+    odd = None
+    if drive.delta1 != 0.0 or drive.delta2 != 0.0:
+        twin = _transfer(c.apply(neg, freq), params, drive, system, c)
+        even[-1] = twin[-1] = (even[-1] + twin[-1]) / 2.0   # the Nyquist bin's mean
+        twin = c.apply(_conjugate, twin)
+        even, odd = (c.apply(lambda e, h: (e + h) / 2.0, even, twin),
+                     c.apply(lambda e, h: (e - h) / 2j, even, twin))
+    re, im = (c.rfft(part, n_pad) if c.any(part) else None
+              for part in (c.apply(_real, env0), c.apply(_imag, env0)))
+    out_spectra = []   # of h_e x_r - h_o x_i and of h_o x_r + h_e x_i
+    for terms in ((re, even), (im, None if odd is None else c.apply(neg, odd))), \
+            ((re, odd), (im, even)):
+        products = [c.apply(mul, s, h) for s, h in terms if s is not None and h is not None]
+        out_spectra.append(c.apply(add, *products) if len(products) == 2
+                           else products[0] if products else None)
+    n = len(env0)
+    heads = []
+    padded_energy = spill_energy = 0.0
+    for spectrum in out_spectra:
+        if spectrum is None:
+            heads.append(c.zeros(n))
+            continue
+        padded = c.irfft(spectrum, n_pad)
+        head, tail = padded[:n], padded[n:]
+        spill = c.energy(tail)
+        padded_energy += c.energy(head) + spill
+        spill_energy += spill
+        heads.append(head)
+    record = _measure(t, env0, c.join(*heads), c)
+    record.band_share = max(_ratio(band, total) for total, band in
+                            (_total_and_band(re, im, n_pad, c),
+                             _total_and_band(*out_spectra, n_pad, c)))
+    record.spill_share = _ratio(spill_energy, padded_energy)
+    return record
+
+
+def _transfer(freq, params: PropagationParams, drive: FieldDrive, system: LadderSystem,
+              c: _Carrier):
     """exp(i w1 chi(w) L / 2c) on the FFT frequencies ``freq``: one complex
     exp of (-K Im chi) + i (K Re chi), with K = kappa1^2 L / (c pref) and
     chi from its real closed form (``susceptibility._columns``)."""
-    import numpy as np
-
     # numpy's inverse FFT builds e^{+i W t}; the envelope component is e^{-i w t}
-    re, im, _ = _columns(-2.0 * math.pi * freq, system, drive, group=False)
-    gain = _gain(params, system)
-    h = np.empty(re.shape, dtype=complex)
-    np.multiply(im, -gain, out=h.real)
-    np.multiply(re, gain, out=h.imag)
-    return np.exp(h, out=h)
+    omega = c.apply(functools.partial(mul, -2.0 * math.pi), freq)
+    re, im, _ = _columns(omega, system, drive, group=False)
+    return c.exp(re, im, _gain(params, system))
 
 
 def _gain(params: PropagationParams, system: LadderSystem) -> float:
@@ -303,55 +342,14 @@ def _gain(params: PropagationParams, system: LadderSystem) -> float:
     return gain
 
 
-def _propagate(env0: np.ndarray, t: np.ndarray, params: PropagationParams,
-               drive: FieldDrive, system: LadderSystem) -> PulseRecord:
-    """The one FFT route of the module docstring, without the terms of a
-    part that is all zero or, at resonant drive, of h_o."""
-    import numpy as np
-
-    n_pad = _padded_length(params.t_steps)
-    freq = np.fft.rfftfreq(n_pad, params.dt)
-    even = _transfer(freq, params, drive, system)
-    odd = None
-    if drive.delta1 != 0.0 or drive.delta2 != 0.0:
-        twin = _transfer(-freq, params, drive, system)
-        even[-1] = twin[-1] = (even[-1] + twin[-1]) / 2.0   # the Nyquist bin's mean
-        twin = np.conjugate(twin, out=twin)
-        even, odd = (even + twin) / 2.0, (even - twin) / 2j
-    re, im = (np.fft.rfft(part, n_pad) if part.any() else None
-              for part in (env0.real, env0.imag))
-    out_spectra = []   # of h_e x_r - h_o x_i and of h_o x_r + h_e x_i
-    for terms in ((re, even), (im, None if odd is None else -odd)), ((re, odd), (im, even)):
-        products = [s * h for s, h in terms if s is not None and h is not None]
-        out_spectra.append(sum(products[1:], products[0]) if products else None)
-    n = len(env0)
-    env_out = np.zeros(n, dtype=complex)
-    padded_energy = spill_energy = 0.0
-    for spectrum, out in zip(out_spectra, (env_out.real, env_out.imag)):
-        if spectrum is not None:
-            padded = np.fft.irfft(spectrum, n_pad)
-            out[:] = padded[:n]
-            padded_energy += padded @ padded
-            spill_energy += padded[n:] @ padded[n:]
-    record = _measure(t, env0, env_out)
-    record.band_share = max(_ratio(band, total) for total, band in
-                            (_total_and_band(re, im, n_pad),
-                             _total_and_band(*out_spectra, n_pad)))
-    record.spill_share = _ratio(spill_energy, padded_energy)
-    return record
-
-
-def _total_and_band(re, im, n_pad: int) -> tuple[float, float]:
+def _total_and_band(re, im, n_pad: int, c: _Carrier) -> tuple[float, float]:
     """The energy of the two-sided spectrum of x_r + i x_i, whole and in
     the bins [N/4, 3N/4), from its parts' one-sided spectra (None
     for a part that is all zero)."""
-    import numpy as np
-
     def two_sided(s):
         # every bin has a twin but the first (DC; or bin N/4, whose twin -N/4
-        # is outside the band) and the Nyquist bin, squared as on lists
-        first, last = abs(s[0]), abs(s[-1])
-        return 2.0 * np.vdot(s, s).real - first * first - last * last
+        # is outside the band) and the Nyquist bin
+        return 2.0 * c.spectral_energy(s) - c.spectral_energy(s[:1]) - c.spectral_energy(s[-1:])
 
     parts = [s for s in (re, im) if s is not None]
     band = sum(two_sided(s[n_pad // 4:]) for s in parts)
@@ -364,29 +362,22 @@ def _ratio(part: float, whole: float) -> float:
     return float(part / whole) if whole else 0.0
 
 
-def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRecord:
-    import numpy as np
-
-    dt = np.diff(t)
-
-    def trapezoid(y):
-        # np.trapezoid(y, t)'s own expression, with the steps taken once
-        return (dt * (y[1:] + y[:-1]) / 2.0).sum()
+def _measure(t, env_in, env_out, c: _Carrier) -> PulseRecord:
+    """The record of the pulse ``env_in`` -> ``env_out`` on the grid ``t``."""
+    trapezoid = c.trapezoid(t)
 
     def centroid(magnitude):
-        w = magnitude**2
+        w = c.apply(mul, magnitude, magnitude)
         total = trapezoid(w)
         if total == 0:
             return 0.0
-        return float(trapezoid(w * t) / total)
+        return float(trapezoid(c.apply(mul, w, t)) / total)
 
-    mag_in = np.abs(env_in)
-    mag_out = np.abs(env_out)
-    i_in = int(np.argmax(mag_in))
-    i_out = int(np.argmax(mag_out))
-    # the peaks off the arrays, as pulse.csv prints them
+    mag_in, mag_out = c.apply(abs, env_in), c.apply(abs, env_out)
+    i_in, i_out = c.peak(mag_in), c.peak(mag_out)
+    # the peaks off the magnitudes, as pulse.csv prints them
     peak_in, peak_out = mag_in[i_in], mag_out[i_out]
-    phase = float(np.angle(env_out[i_out] * np.conj(env_in[i_in])))
+    phase = c.angle(env_out[i_out] * env_in[i_in].conjugate())
     return PulseRecord(
         t_grid=t,
         envelope_in=env_in,
@@ -394,108 +385,7 @@ def _measure(t: np.ndarray, env_in: np.ndarray, env_out: np.ndarray) -> PulseRec
         measured_delay=centroid(mag_out) - centroid(mag_in),
         measured_attenuation=float(peak_out / peak_in) if peak_in else 0.0,
         # a real output's peaks have exact zero imaginary parts, whose sign
-        # can make np.angle read -pi; the phase is wrapped to (-pi, pi]
-        measured_phase=math.pi if phase == -math.pi else phase,
-    )
-
-
-# ---- the list route: the same steps in Python floats ----
-
-def _propagate_list(env0: list[complex], t: list[float], params: PropagationParams,
-                    drive: FieldDrive, system: LadderSystem) -> PulseRecord:
-    """``_propagate`` on lists: each step in Python floats, in the order
-    and with the rules of the array route."""
-    n_pad = _padded_length(params.t_steps)
-    val = 1.0 / (n_pad * params.dt)
-    # rfftfreq's k * val, scaled as _transfer scales it
-    omega = [-2.0 * math.pi * (k * val) for k in range(n_pad // 2 + 1)]
-    even = _transfer_list(omega, params, drive, system)
-    odd = None
-    if drive.delta1 != 0.0 or drive.delta2 != 0.0:
-        twin = _transfer_list([-w for w in omega], params, drive, system)
-        even[-1] = twin[-1] = (even[-1] + twin[-1]) / 2.0   # the Nyquist bin's mean
-        twin = [h.conjugate() for h in twin]
-        even, odd = ([(e + h) / 2.0 for e, h in zip(even, twin)],
-                     [(e - h) / 2j for e, h in zip(even, twin)])
-    parts = [z.real for z in env0], [z.imag for z in env0]
-    re, im = (_rfft(part, n_pad) if any(part) else None for part in parts)
-    out_spectra = []   # of h_e x_r - h_o x_i and of h_o x_r + h_e x_i
-    for terms in ((re, even), (im, None if odd is None else [-h for h in odd])), \
-            ((re, odd), (im, even)):
-        products = [list(map(mul, s, h)) for s, h in terms if s is not None and h is not None]
-        out_spectra.append([u + v for u, v in zip(*products)] if len(products) == 2
-                           else products[0] if products else None)
-    n = len(env0)
-    zeros = [0.0] * n
-    out = []
-    padded_energy = spill_energy = 0.0
-    for spectrum in out_spectra:
-        if spectrum is None:
-            out.append(zeros)
-            continue
-        padded = _irfft(spectrum, n_pad)
-        head, tail = padded[:n], padded[n:]
-        spill = math.fsum(map(mul, tail, tail))
-        padded_energy += math.fsum(map(mul, head, head)) + spill
-        spill_energy += spill
-        out.append(head)
-    record = _measure_list(t, env0, list(map(complex, *out)))
-    record.band_share = max(_ratio(band, total) for total, band in
-                            (_total_and_band_list(re, im, n_pad),
-                             _total_and_band_list(*out_spectra, n_pad)))
-    record.spill_share = _ratio(spill_energy, padded_energy)
-    return record
-
-
-def _transfer_list(omega: list[float], params: PropagationParams, drive: FieldDrive,
-                   system: LadderSystem) -> list[complex]:
-    """``_transfer`` at the offsets ``omega``, in Python floats, with its bits."""
-    re, im, _ = _columns(omega, system, drive, group=False)
-    gain = _gain(params, system)
-    try:
-        return [cmath.exp(complex(-gain * i, gain * r)) for r, i in zip(re, im)]
-    except ValueError:   # cmath.exp of an infinite phase
-        raise OverflowError("the slab's phase leaves floating-point range") from None
-
-
-def _total_and_band_list(re, im, n_pad: int) -> tuple[float, float]:
-    """``_total_and_band`` on one-sided spectra that are lists."""
-    def two_sided(s):
-        squares = [z.real * z.real + z.imag * z.imag for z in s]
-        return 2.0 * math.fsum(squares) - squares[0] - squares[-1]
-
-    parts = [s for s in (re, im) if s is not None]
-    band = sum(two_sided(s[n_pad // 4:]) for s in parts)
-    if len(parts) == 2:   # the cross term of bin N/4
-        band += 2.0 * (re[n_pad // 4] * im[n_pad // 4].conjugate()).imag
-    return sum(two_sided(s) for s in parts), band
-
-
-def _measure_list(t: list[float], env_in: list[complex],
-                  env_out: list[complex]) -> PulseRecord:
-    """``_measure`` on lists, its trapezoid sums exactly rounded."""
-    dt = [b - a for a, b in zip(t, t[1:])]
-
-    def trapezoid(y):
-        return math.fsum([d * (u + v) / 2.0 for d, u, v in zip(dt, y[1:], y)])
-
-    def centroid(magnitude):
-        w = list(map(mul, magnitude, magnitude))
-        total = trapezoid(w)
-        if total == 0:
-            return 0.0
-        return trapezoid(list(map(mul, w, t))) / total
-
-    mag_in, mag_out = list(map(abs, env_in)), list(map(abs, env_out))
-    peak_in, peak_out = max(mag_in), max(mag_out)
-    z = env_out[mag_out.index(peak_out)] * env_in[mag_in.index(peak_in)].conjugate()
-    phase = math.atan2(z.imag, z.real)
-    return PulseRecord(
-        t_grid=t,
-        envelope_in=env_in,
-        envelope_out=env_out,
-        measured_delay=centroid(mag_out) - centroid(mag_in),
-        measured_attenuation=peak_out / peak_in if peak_in else 0.0,
+        # can make the angle read -pi; the phase is wrapped to (-pi, pi]
         measured_phase=math.pi if phase == -math.pi else phase,
     )
 
@@ -652,3 +542,94 @@ def _irfft(spectrum: list[complex], n: int) -> list[float]:
     out[1::2] = [-v.imag / half for v in z]
     return out
 
+
+# ---- the two carriers: the primitives the route takes ----
+
+class _Carrier(NamedTuple):
+    """The primitives of the pulse route on one carrier.  Sequences are
+    lists of Python floats and complex numbers on ``_LISTS`` and numpy
+    arrays on ``_arrays()``."""
+
+    apply: Callable            # apply(fn, *xs): fn elementwise over equal lengths
+    any: Callable              # whether a real sequence has a nonzero element
+    arange: Callable           # the integers 0 ... n - 1
+    rfft: Callable             # np.fft.rfft(x, n) of a real sequence
+    irfft: Callable            # np.fft.irfft(spectrum, n)
+    exp: Callable              # exp(re, im, K): the transfer exp((-K im) + i (K re))
+    energy: Callable           # the sum of x_k^2 of a real sequence
+    spectral_energy: Callable  # the sum of |s_k|^2 of a complex sequence
+    trapezoid: Callable        # trapezoid(t): y -> the trapezoid rule of y on t
+    peak: Callable             # the index of a sequence's first largest value
+    angle: Callable            # the phase of one complex value, in [-pi, pi]
+    zeros: Callable            # n real zeros
+    join: Callable             # join(re, im): the complex sequence of two parts
+
+
+_real, _imag, _conjugate = attrgetter("real"), attrgetter("imag"), methodcaller("conjugate")
+
+
+def _list_exp(re: list[float], im: list[float], gain: float) -> list[complex]:
+    try:
+        return [cmath.exp(complex(-gain * i, gain * r)) for r, i in zip(re, im)]
+    except ValueError:   # cmath.exp of an infinite phase
+        raise OverflowError("the slab's phase leaves floating-point range") from None
+
+
+def _list_trapezoid(t: list[float]):
+    dt = [b - a for a, b in zip(t, t[1:])]
+    # np.trapezoid(y, t)'s terms, their sum exactly rounded
+    return lambda y: math.fsum([d * (u + v) / 2.0 for d, u, v in zip(dt, y[1:], y)])
+
+
+_LISTS = _Carrier(
+    apply=lambda fn, *xs: list(map(fn, *xs)),
+    any=any,
+    arange=range, rfft=_rfft, irfft=_irfft,
+    exp=_list_exp,
+    energy=lambda x: math.fsum(map(mul, x, x)),
+    spectral_energy=lambda s: math.fsum([z.real * z.real + z.imag * z.imag for z in s]),
+    trapezoid=_list_trapezoid,
+    peak=lambda x: x.index(max(x)),
+    angle=lambda z: math.atan2(z.imag, z.real),
+    zeros=lambda n: [0.0] * n,
+    join=lambda re, im: list(map(complex, re, im)),
+)
+
+
+@functools.cache
+def _arrays() -> _Carrier:
+    """The numpy carrier, built where the route first needs it."""
+    import numpy as np
+
+    def exp(re, im, gain):
+        h = np.empty(re.shape, dtype=complex)
+        np.multiply(im, -gain, out=h.real)
+        np.multiply(re, gain, out=h.imag)
+        return np.exp(h, out=h)
+
+    def trapezoid(t):
+        # np.trapezoid(y, t)'s own expression, summed in one buffer
+        dt, buf = np.diff(t), np.empty(len(t) - 1)
+        return lambda y: np.divide(np.multiply(dt, np.add(y[1:], y[:-1], out=buf), out=buf),
+                                   2.0, out=buf).sum()
+
+    def join(re, im):
+        z = np.empty(len(re), dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    return _Carrier(
+        apply=lambda fn, *xs: fn(*xs),
+        any=lambda x: x.any(),
+        arange=np.arange,
+        # np.fft's pair is looked up per call, so that a patched np.fft takes effect
+        rfft=lambda x, n: np.fft.rfft(x, n), irfft=lambda s, n: np.fft.irfft(s, n),
+        exp=exp,
+        energy=lambda x: x @ x,
+        spectral_energy=lambda s: np.vdot(s, s).real,
+        trapezoid=trapezoid,
+        peak=lambda x: int(np.argmax(x)),
+        angle=lambda z: float(np.angle(z)),
+        zeros=np.zeros,
+        join=join,
+    )

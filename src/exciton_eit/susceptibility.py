@@ -456,9 +456,12 @@ def locate_absorption_peaks(system: LadderSystem,
     if q0 < 0 the maxima are the pair at the positive root
     u = -2 q0 / (q1 + sqrt(q1^2 - 4 a q0)), where the slope falls through
     zero because q1 + 2au > 0.  If q0 = q1 = a = 0 (gamma_ab = 0 and
-    gamma_bc |Omega2| = 0) Im chi vanishes off its poles and there is none.
+    gamma_bc |Omega2| = 0) Im chi vanishes off its poles and there is none,
+    as off two-photon resonance with gamma_ab = |Omega2| = 0.
     """
     center = drive.delta1 - drive.delta2
+    if drive.delta2 != 0 and max(system.gamma_ab, abs(drive.Omega2)) == 0.0:
+        return ()   # the scale s of _im_chi_fraction is 0
     if drive.delta2 == 0:
         s, a, b, w = _resonant_ratios(system, drive)
         k = a * b + w

@@ -154,7 +154,11 @@ PROPAGATE_CONFIGS = {
     "15 um": "slab_length = 15 um\nOmega2 = 60 Grad/s\n",
     "detuned": "delta1 = -2 Grad/s\ndelta2 = -3 Grad/s\n",
     "detuned t_steps 10": "delta1 = 5 Grad/s\nt_steps = 10\n",
+    "resonant t_steps 9000": "t_steps = 9000\n",
 }
+# the cases that run in numpy: off two-photon resonance, or with a padded
+# length past propagation.in_floats' limit (t_steps 9000 pads to 18432)
+ARRAY_CASES = {"detuned", "resonant t_steps 9000"}
 
 
 def propagate_outputs(text):
@@ -173,31 +177,35 @@ def propagate_outputs(text):
 @pytest.mark.parametrize("case", PROPAGATE_CONFIGS)
 def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     # `propagate`'s bytes are held to out-of-place forms of the steps its
-    # route takes, on whatever machine the test runs: in Python floats (at
-    # delta2 = 0), the transfer one offset at a time and the observables
-    # by explicit loops; in numpy (the "detuned" case), the transfer formed
-    # out of place on the one-sided frequencies and np.trapezoid.  Off
-    # resonant drive the transfer is taken at both signs; t_steps 10 pads
-    # to 24.  Each run must call its route's oracles, so the "detuned" case
-    # alone runs in numpy
+    # route takes, on whatever machine the test runs: on the list carrier
+    # (at delta2 = 0, within in_floats' limit), the transfer one offset at a
+    # time and the observables by explicit loops; on the numpy carrier, the
+    # transfer formed out of place on the one-sided frequencies and
+    # np.trapezoid.  Off resonant drive the transfer is taken at both
+    # signs; t_steps 10 pads to 24.  Each run must call the oracles of the
+    # carrier it takes, with that carrier
     text = PROPAGATE_CONFIGS[case]
     fast = propagate_outputs(text)
+    listed = case not in ARRAY_CASES
+    if listed:   # the list oracle takes the offsets -2 pi f
+        oracles = {"_transfer": lambda freq, *args: plain_transfer_list(
+                       [-2.0 * math.pi * f for f in freq], *args),
+                   "_measure": measure_list_loops}
+    else:
+        oracles = {"_transfer": plain_transfer, "_measure": measure_trapezoid}
     called = set()
 
-    def counted(oracle):
-        def run(*args):
-            called.add(oracle.__name__)
-            return oracle(*args)
+    def counted(name, oracle):
+        def run(*args):   # the step's arguments, the carrier last
+            called.add((name, args[-1] is propagation._LISTS))
+            return oracle(*args[:-1])
         return run
 
-    for name, oracle in (("_transfer", plain_transfer), ("_measure", measure_trapezoid),
-                         ("_transfer_list", plain_transfer_list),
-                         ("_measure_list", measure_list_loops)):
-        monkeypatch.setattr(propagation, name, counted(oracle))
+    for name, oracle in oracles.items():
+        monkeypatch.setattr(propagation, name, counted(name, oracle))
     assert propagate_outputs(text) == fast
     assert fast[0] == 0 and sorted(fast[3]) == ["pulse.csv", "pulse_summary.json"]
-    assert called == ({"plain_transfer_list", "measure_list_loops"} if case != "detuned"
-                      else {"plain_transfer", "measure_trapezoid"})
+    assert called == {("_transfer", listed), ("_measure", listed)}
 
 
 def pulse_run(tmp_path, text=""):

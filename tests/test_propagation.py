@@ -18,10 +18,9 @@ from exciton_eit import (CONST, EvaluationError, FieldDrive, LadderSystem,
                          group_velocity, propagate_pulse, propagation, susceptibility,
                          window_metrics)
 from exciton_eit.cli import _propagation_setup
-from exciton_eit.propagation import (ATTENUATION_FLOOR, LEAK_LIMIT, _irfft, _measure,
-                                     _padded_length, _rfft, _total_and_band,
-                                     _total_and_band_list, _transfer, _transfer_list,
-                                     in_floats)
+from exciton_eit.propagation import (_LISTS, ATTENUATION_FLOOR, LEAK_LIMIT, _arrays,
+                                     _irfft, _measure, _padded_length, _rfft,
+                                     _total_and_band, _transfer, in_floats)
 from oracles import (analytic_envelope, converged_output, grid_shares, rerun_delay_shift,
                      slab_transmission)
 
@@ -203,8 +202,9 @@ class TestSpectralSolution:
         # the phase stays in (-pi, pi]
         t = np.arange(3.0)
         env = np.array([1.0, 2.0, 1.0])
-        assert _measure(t, (-env).astype(complex), env.astype(complex)).measured_phase == np.pi
-        assert _measure(t, env.astype(complex), (-env).astype(complex)).measured_phase == np.pi
+        for env_in, env_out in ((-env, env), (env, -env)):
+            record = _measure(t, env_in.astype(complex), env_out.astype(complex), _arrays())
+            assert record.measured_phase == np.pi
 
     @pytest.mark.parametrize("carrier_phase", [3.0, -3.0, np.pi / 2])
     def test_resonant_output_turns_with_the_input_phase(self, carrier_phase):
@@ -303,7 +303,8 @@ def test_padding_agrees_with_the_converged_pass(case, listed):
                                         delta1=2e10 if case == "detuned" else 0.0)
         params, env = narrowband_setup(sys_, drv)
     record = propagate_pulse(env.tolist() if listed else env, params, drv, sys_)
-    exact = _measure(params.t_grid, env, converged_output(env, params, drv, sys_)[:len(env)])
+    exact = _measure(params.t_grid, env, converged_output(env, params, drv, sys_)[:len(env)],
+                     _arrays())
     assert (np.max(np.abs(np.asarray(record.envelope_out) - exact.envelope_out))
             <= ENVELOPE_BOUNDS[case] * np.max(np.abs(env)))
     assert abs(record.measured_attenuation - exact.measured_attenuation) <= 1e-12
@@ -524,7 +525,7 @@ def test_real_route_matches_the_complex_pass(case):
     record = propagate_pulse(env, params, drive, system)
     n_pad = _padded_length(params.t_steps)
     reference = _measure(params.t_grid, env,
-                         slab_transmission(env, params, drive, system, n_pad=n_pad))
+                         slab_transmission(env, params, drive, system, n_pad=n_pad), _arrays())
     band_share, spill_share = grid_shares(env, params, drive, system, n_pad)
     assert np.max(np.abs(record.envelope_out - reference.envelope_out)) <= 1e-15 * drive.Omega1
     assert record.measured_delay == pytest.approx(reference.measured_delay, rel=3e-7, abs=0.0)
@@ -567,7 +568,7 @@ def test_route_matches_the_complex_pass_at_any_drive(delta1, delta2, phase, slab
     record = propagate_pulse(env, params, drive, system)
     n_pad = _padded_length(t_steps)
     reference = _measure(params.t_grid, env,
-                         slab_transmission(env, params, drive, system, n_pad=n_pad))
+                         slab_transmission(env, params, drive, system, n_pad=n_pad), _arrays())
     band_share, spill_share = grid_shares(env, params, drive, system, n_pad)
     assert np.max(np.abs(record.envelope_out - reference.envelope_out)) <= 1e-15 * drive.Omega1
     share = max(band_share, spill_share)
@@ -730,8 +731,9 @@ def test_transfer_carriers_have_the_same_bits(case, detuned):
         drive = drive._replace(delta1=-2e9, delta2=-3e9)
     freq = np.fft.rfftfreq(_padded_length(params.t_steps), params.dt)
     for f in (freq, -freq):
-        listed = _transfer_list((-2.0 * math.pi * f).tolist(), params, drive, system)
-        assert np.array(listed).tobytes() == _transfer(f, params, drive, system).tobytes()
+        listed = _transfer(f.tolist(), params, drive, system, _LISTS)
+        assert (np.array(listed).tobytes()
+                == _transfer(f, params, drive, system, _arrays()).tobytes())
 
 
 @pytest.mark.parametrize("t_steps, n_pad, listed", [
@@ -750,10 +752,10 @@ def test_lists_past_the_limit_take_numpy(t_steps, n_pad, listed):
 def test_edge_bins_square_as_products():
     # numpy's scalar ** 2 takes libm's pow, which rounds 5.1e10 ** 2 up to
     # 2.6010000000000003e21: the DC and Nyquist bins are squared as
-    # products, as on lists, so a spectrum all in DC holds |X0|^2 exactly
+    # products on either carrier, so a spectrum all in DC holds |X0|^2 exactly
     spectrum = np.array([5.1e10, 0.0, 0.0, 0.0, 0.0], dtype=complex)
-    assert _total_and_band(spectrum, None, 8) == (5.1e10 * 5.1e10, 0.0)
-    assert _total_and_band_list(spectrum.tolist(), None, 8) == (5.1e10 * 5.1e10, 0.0)
+    assert _total_and_band(spectrum, None, 8, _arrays()) == (5.1e10 * 5.1e10, 0.0)
+    assert _total_and_band(spectrum.tolist(), None, 8, _LISTS) == (5.1e10 * 5.1e10, 0.0)
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["array", "list"])
@@ -779,7 +781,7 @@ def test_an_infinite_phase_is_an_overflow_on_lists():
     drv = drive_for(sys_, Omega2=0.0)
     params = PropagationParams(kappa1_sq=1e300, L=1e5, z_steps=1, t_steps=8, dt=1.0)
     with pytest.raises(OverflowError, match="phase"):
-        _transfer_list([1e-13], params, drv, sys_)
+        _transfer([-1e-13 / (2.0 * math.pi)], params, drv, sys_, _LISTS)
 
 
 def fresh_import_prints(expression):

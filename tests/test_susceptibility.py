@@ -480,6 +480,15 @@ def test_quartic_past_the_float_range_raises():
             kernel(sys_, drv)
 
 
+def test_no_peaks_off_two_photon_resonance_without_damping_or_control():
+    # with gamma_ab = 0 and no control Im chi vanishes off its pole, and the
+    # scale s = max(gamma_ab, |Omega2|) of the delta2 != 0 polynomials is 0:
+    # no peaks, as at delta2 = 0
+    sys_ = medium(0.0, 7.6e9)
+    assert locate_absorption_peaks(sys_, drive_for(sys_, Omega2=0.0, delta2=1e9)) == ()
+    assert locate_absorption_peaks(sys_, drive_for(sys_, Omega2=0.0)) == ()
+
+
 class TestDressedPeaks:
     def test_requires_control_resonance(self):
         sys_ = default_system()

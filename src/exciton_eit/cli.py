@@ -238,9 +238,9 @@ def run_propagate(cfg: ScenarioConfig, args) -> int:
     sigma, center, span = _propagation_setup(cfg, system, drive)
     params_prop = PropagationParams.from_system(
         system, drive, cfg.slab_length, cfg.z_steps, cfg.t_steps, span)
-    # on lists, so the pulse runs in Python floats, at delta2 = 0 (off it the
-    # window's quartic has loaded numpy) while the padded FFT is within the limit
-    floats = cfg.delta2 == 0 and in_floats(cfg.t_steps)
+    # on lists, so the pulse runs in Python floats, at any drive while the
+    # padded FFT is within the limit: the window metrics load no numpy
+    floats = in_floats(cfg.t_steps)
     try:
         env_in = gaussian_envelope(params_prop.t_list if floats else params_prop.t_grid,
                                    center, sigma, amplitude=complex(drive.Omega1))

@@ -19,9 +19,8 @@ on the rational response); the finite-difference group index and the
 complex product form the tests check it against are in tests/oracles.py.
 
 numpy is imported by the functions that use it, on first call: the real
-closed form over a list and the window's closed forms at two-photon
-resonance (its width and peaks) run in Python floats, so ``spectrum``
-and ``sweep`` load no numpy at any delta2.
+closed form over a list and the window's width and peaks at any delta2
+run in Python floats, so ``spectrum`` and ``sweep`` load no numpy.
 """
 
 from __future__ import annotations
@@ -258,40 +257,11 @@ class WindowMetrics(NamedTuple):
     ng_center: float        # group index at the center
 
 
-def _im_chi_fraction(system: LadderSystem, drive: FieldDrive):
-    """(s, N, D) with Im chi(center + s x) = (pref / s) N(x) / D(x).
-
-    With the resonance factors divided by s, a + x and b + x with
-    a = (i gamma_ab - delta2)/s and b = i gamma_bc/s, and
-    P = (a + x)(b + x) - |Omega2|^2/s^2, N = -Im((b + x) conj P) and
-    D = |P|^2 are real polynomials in x (ascending coefficients) of degree
-    2 and 4, written out term by term; s = max(gamma_ab, |Omega2|) keeps
-    their coefficients of order one.  At delta2 = 0 a and b are imaginary,
-    so the odd coefficients are exactly 0 and both polynomials are
-    quadratics in x^2; the kernels then use ``_resonant_ratios`` instead.
-    """
-    import numpy as np
-
-    s = max(system.gamma_ab, abs(drive.Omega2))
-    a = (1j * system.gamma_ab - drive.delta2) / s
-    b = 1j * system.gamma_bc / s
-    p0 = a * b - _square(abs(drive.Omega2)) / _square(s)
-    p1 = a + b
-    c0, c1 = p0.conjugate(), p1.conjugate()
-    numer = np.array([-(b * c0).imag, -(b * c1 + c0).imag, -(b + c1).imag])
-    den = np.array([(p0 * c0).real, (p0 * c1 + p1 * c0).real,
-                    (p0 + p1 * c1 + c0).real, (p1 + c1).real, 1.0])
-    return s, numer, den
-
-
-def _resonant_ratios(system: LadderSystem, drive: FieldDrive):
-    """(s, a, b, w) for the closed forms at delta2 = 0, where Im chi is even.
-
-    a = gamma_ab/s, b = gamma_bc/s and w = |Omega2|^2/s^2, with s the
-    power of two at or below max(gamma_ab, |Omega2|): the division is then
-    exact and the ratios lie in [0, 2) but for b.  In u = (x/s)^2, with
-    k = ab + w, Im chi(center + x) = (pref/s) (bk + a u) / ((u - k)^2 + (a + b)^2 u).
-    """
+def _ratios(system: LadderSystem, drive: FieldDrive):
+    """(s, a, b, w) = (s, gamma_ab/s, gamma_bc/s, (|Omega2|/s)^2), s the
+    power of two at or below max(gamma_ab, |Omega2|), so each division is
+    exact and no s^2 is formed.  At delta2 = 0, in u = (x/s)^2, k = ab + w,
+    Im chi(center + x) = (pref/s) (bk + a u) / ((u - k)^2 + (a + b)^2 u)."""
     om2 = float(abs(drive.Omega2))
     s = math.ldexp(0.5, math.frexp(max(system.gamma_ab, om2))[1])
     r = om2 / s
@@ -302,17 +272,16 @@ def _resonant_half_width(system: LadderSystem, drive: FieldDrive) -> float:
     """Center-to-edge distance of the window at delta2 = 0 (0 if closed,
     inf if Im chi never climbs back to the half level).
 
-    With the ratios of ``_resonant_ratios``, the half level pref/(2 gamma_ab)
-    is crossed where u^2 - e1 u - e0 = 0, with e0 = (ab + w)(ab - w) and
-    e1 = a^2 - b^2 + 2w.  The sign of e0 is the center test: the window is
-    open iff e0 < 0, the dip floor below the half level.  Then the roots
-    have one sign, and the edge is the smaller, e0 / (-u_far), with
-    u_far = (e1 + sqrt(disc))/2 from the stable quadratic formula, so one
+    With the ratios of ``_ratios``, the half level pref/(2 gamma_ab) is
+    crossed where u^2 - e1 u - e0 = 0, with e0 = (ab + w)(ab - w) and
+    e1 = a^2 - b^2 + 2w.  The window is open iff e0 < 0, the dip floor
+    below the half level.  Then the roots have one sign, and the edge is
+    the smaller, e0 / (-u_far), with u_far = (e1 + sqrt(disc))/2, so one
     number decides both the test and the edge.  The discriminant
     e1^2 + 4 e0 is written as (a^2 + b^2)^2 + 4w(a^2 - b^2), which does not
     cancel for gamma_bc << |Omega2|.
     """
-    s, a, b, w = _resonant_ratios(system, drive)
+    s, a, b, w = _ratios(system, drive)
     ab = a * b
     e0 = (ab + w) * (ab - w)
     if e0 >= 0.0:
@@ -325,39 +294,88 @@ def _resonant_half_width(system: LadderSystem, drive: FieldDrive) -> float:
     return s * math.sqrt(-e0 / (0.5 * (e1 + math.sqrt(disc))))
 
 
-def _real_roots(coef: np.ndarray) -> np.ndarray:
-    """Sorted real roots of a real polynomial (ascending coefficients).
+def _detuned_polynomials(system: LadderSystem, drive: FieldDrive):
+    """(s, crossing, slope): ascending coefficients in x = (omega -
+    center)/s, with the ratios of ``_ratios`` and d = delta2/s.
 
-    Trailing zero coefficients are trimmed; the roots are then the
-    eigenvalues of the companion matrix that numpy's ``polyroots`` builds,
-    rotated by 180 degrees, which makes the window edges about a third
-    more accurate.  A coefficient, or one over the leading coefficient,
-    that is not finite raises :class:`OutOfRangeError`; the caller ignores
-    numpy's overflow and invalid values.
+    Im chi(center + s x) = (pref/s) N/D, N = a x^2 + bk with k = ab + w,
+    D = |(x - d + ia)(x + ib) - w|^2 (the inner factor is 1 at w = 0, as
+    in ``_columns``).  The crossing 2aN - D vanishes on the half level; its
+    constant term, (k ab - (db)^2) - k w, has e0's sign or is 0 at d = 0,
+    and a (db)^2 below the rounding of k ab leaves it so.  The slope
+    (N D' - N' D)/2 rises through zero at each maximum.  A coefficient
+    out of range raises :class:`OutOfRangeError`."""
+    s, a, b, w = _ratios(system, drive)
+    d = float(drive.delta2) / s
+    if not w:   # the bare line: N = a and D = (x - d)^2 + a^2
+        crossing, slope = [(a - d) * (a + d), 2.0 * d, -1.0], [-a * d, a]
+    else:
+        ab, v, db, k = a * b, w - b * b, d * b, a * b + w
+        crossing = [k * ab - db * db - k * w, -2.0 * d * v,
+                    (a - b) * (a + b) - d * d + 2.0 * w, 2.0 * d, -1.0]
+        slope = [k * db * v, k * (b * b * b - w * (a + 2.0 * b)) + db * w * d,
+                 -d * (a * v + 3 * b * k), 2.0 * b * k, -a * d, a]
+    _finite(crossing + slope)
+    return s, crossing, slope
+
+
+def _finite(coef: list[float]) -> None:
+    if not all(map(math.isfinite, coef)):
+        raise OutOfRangeError("overflow off two-photon resonance: the coefficients of "
+                              "the window's polynomials leave floating-point range")
+
+
+def _horner(coef: list[float], x: float) -> float:
+    v = 0.0
+    for c in reversed(coef):
+        v = v * x + c
+    return v
+
+
+def _real_roots(coef: list[float]) -> list[float]:
+    """Sorted real roots of a real polynomial (ascending coefficients) in
+    Python floats; trailing zeros are trimmed, leading ones give 0 once.
+
+    Degrees 1 and 2 are solved in closed form.  Above, the real roots of
+    the derivative cut Cauchy's interval |x| < 1 + max |c_i/c_n| into
+    pieces where the polynomial is monotone: each piece whose ends differ
+    in sign holds a root, bisected to adjacent floats, and so does a
+    derivative root where the polynomial is 0.  So a near-double root is
+    two roots or none, never a complex pair.  A coefficient, one over the
+    leading one or a discriminant that is not finite raises
+    :class:`OutOfRangeError`.
     """
-    import numpy as np
-
     n = len(coef) - 1
     while n > 0 and coef[n] == 0:
         n -= 1
-    column = coef[:n] / coef[n]
-    if not (np.isfinite(coef).all() and np.isfinite(column).all()):
-        raise OutOfRangeError("overflow off two-photon resonance: the coefficients of "
-                              "the window's polynomial leave floating-point range")
-    if n <= 1:
-        return -column
-    mat = np.zeros((n, n))
-    mat.reshape(-1)[n::n + 1] = 1.0
-    mat[:, -1] -= column
-    r = np.linalg.eigvals(mat[::-1, ::-1])
-    return np.sort(r.real[r.imag == 0])
-
-
-def _derivative(coef: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative of a polynomial (ascending)."""
-    import numpy as np
-
-    return coef[1:] * np.arange(1, len(coef))
+    column = [c / coef[n] for c in coef[:n]]
+    _finite(coef + column)
+    zeros, coef = [], coef[:n + 1]
+    while n > 0 and coef[0] == 0:
+        zeros, coef, column, n = [0.0], coef[1:], column[1:], n - 1
+    roots = [-column[0]] if n == 1 else []
+    if n == 2:
+        h = 0.5 * column[1]
+        disc = h * h - column[0]
+        _finite([disc])
+        if disc >= 0:
+            q = -(h + math.copysign(math.sqrt(disc), h))
+            roots = [q, column[0] / q] if disc else [q]
+    elif n > 2:
+        bound = 1.0 + max(map(abs, column))
+        crit = [x for x in _real_roots([i * c for i, c in enumerate(coef)][1:])
+                if -bound < x < bound]
+        ends = [-bound, *crit, bound]
+        vals = [_horner(coef, x) for x in ends]
+        roots = [x for x, v in zip(crit, vals[1:]) if v == 0]
+        for lo, hi, flo, fhi in zip(ends, ends[1:], vals, vals[1:]):
+            if min(flo, fhi) < 0 < max(flo, fhi):
+                mid = 0.5 * lo + 0.5 * hi
+                while lo < mid < hi and (v := _horner(coef, mid)) != 0:
+                    lo, hi = (mid, hi) if (v < 0) == (flo < 0) else (lo, mid)
+                    mid = 0.5 * lo + 0.5 * hi
+                roots.append(mid)
+    return sorted(zeros + roots)
 
 
 def _center(w, system: LadderSystem, drive: FieldDrive):
@@ -393,36 +411,29 @@ def window_metrics(system: LadderSystem, drive: FieldDrive) -> WindowMetrics:
     The window edges are where Im chi crosses half of the bare (control
     off) Lorentzian peak N|d|^2/(hbar eps0 gamma_ab).  At delta2 = 0 the
     window is symmetric and its edges are the closed-form roots of a
-    quadratic in x^2 (``_resonant_half_width``).  Otherwise the crossings
-    are the real roots of a quartic (see ``_im_chi_fraction``), and each
-    edge is the one nearest the center on its side; a root at the center
-    itself (the dip floor on the half level) closes the window.  With the
-    control off, or while the dip floor still sits above the half level,
-    the window is reported absent (width 0).  An edge farther than
-    max(10 gamma_ab, 4 |Omega2|) from the center, or missing, is capped at
-    that span.  The center values are ``_center``'s.  gamma_ab = 0 raises
-    :class:`EvaluationError`, and so does a center value or a quartic
-    coefficient that leaves floating-point range.
+    quadratic in x^2 (``_resonant_half_width``); otherwise each is the root
+    of the crossing quartic (``_detuned_polynomials``) nearest the center
+    on its side.  With the control off, or the dip floor on or above the
+    half level (by the sign of e0, or of the quartic's constant term), the
+    window is absent (width 0).  An edge farther than max(10 gamma_ab,
+    4 |Omega2|) from the center, or missing, is capped at that span.  The
+    center values are ``_center``'s.  gamma_ab = 0 raises
+    :class:`EvaluationError`, as does a value out of range.
     """
     if system.gamma_ab == 0:
         raise EvaluationError("window metrics need gamma_ab > 0: at gamma_ab = 0 "
                               "the bare peak, and so the half level, is infinite")
     center_abs, ng_center = _center(_square(float(abs(drive.Omega2))), system, drive)
     span = max(10.0 * system.gamma_ab, 4.0 * abs(drive.Omega2))
+    width = 0.0
     if drive.delta2 == 0:
         width = float(2.0 * min(_resonant_half_width(system, drive), span))
-    elif abs(drive.Omega2) == 0.0 or center_abs >= 0.5 * system.chi_prefactor / system.gamma_ab:
-        width = 0.0
-    else:
-        import numpy as np
-
-        s, numer, den = _im_chi_fraction(system, drive)
-        with np.errstate(over="ignore", invalid="ignore"):   # an edge past the span is capped
-            edges = _real_roots(np.concatenate((numer, [0.0, 0.0]))
-                                - 0.5 * s / system.gamma_ab * den)
-            right = min(s * np.min(edges[edges >= 0], initial=np.inf), span)
-            left = min(-s * np.max(edges[edges <= 0], initial=-np.inf), span)
-        width = float(right + left)
+    elif abs(drive.Omega2) != 0.0:
+        s, crossing, _ = _detuned_polynomials(system, drive)
+        if crossing[0] < 0:   # the dip floor below the half level
+            edges = _real_roots(crossing)
+            width = (min([s * x for x in edges if x > 0] + [span])
+                     + min([-s * x for x in edges if x < 0] + [span]))
     return WindowMetrics(center_abs=float(center_abs), width=width, ng_center=float(ng_center))
 
 
@@ -442,28 +453,23 @@ def locate_absorption_peaks(system: LadderSystem,
                             drive: FieldDrive) -> tuple[float, ...]:
     """Offsets of the maxima of Im chi, sorted ascending.
 
-    The extrema of Im chi = (pref / s) N / D are the real roots of
-    N' D - N D'; the maxima are those where that polynomial falls through
-    zero.  One entry when the doublet has merged into a single line.  Off
-    two-photon resonance, a coefficient of that polynomial that leaves
-    floating-point range raises :class:`OutOfRangeError`.
+    Off two-photon resonance they are the real roots where the slope of
+    ``_detuned_polynomials`` rises through zero, one once the doublet has
+    merged; a coefficient out of range raises :class:`OutOfRangeError`.
 
-    At delta2 = 0, in the terms of ``_resonant_ratios``, N' D - N D' is
+    At delta2 = 0, in the terms of ``_ratios``, N' D - N D' is
     -2 sqrt(u) (q0 + q1 u + a u^2) with q0 = k (b^3 - w(a + 2b)) and
     q1 = 2bk, so q1, a >= 0.  The center is the one maximum if q0 > 0, and
     also if q0 = 0 with q1 > 0 or a > 0 (the bare line at Omega2 =
     gamma_bc = 0, say), since the slope is then -2 sqrt(u) (q1 u + a u^2);
     if q0 < 0 the maxima are the pair at the positive root
-    u = -2 q0 / (q1 + sqrt(q1^2 - 4 a q0)), where the slope falls through
-    zero because q1 + 2au > 0.  If q0 = q1 = a = 0 (gamma_ab = 0 and
-    gamma_bc |Omega2| = 0) Im chi vanishes off its poles and there is none,
-    as off two-photon resonance with gamma_ab = |Omega2| = 0.
+    u = -2 q0 / (q1 + sqrt(q1^2 - 4 a q0)), where q1 + 2au > 0.  If
+    q0 = q1 = a = 0 (gamma_ab = 0 and gamma_bc |Omega2| = 0) Im chi
+    vanishes off its poles and there is none, at any delta2.
     """
     center = drive.delta1 - drive.delta2
-    if drive.delta2 != 0 and max(system.gamma_ab, abs(drive.Omega2)) == 0.0:
-        return ()   # the scale s of _im_chi_fraction is 0
     if drive.delta2 == 0:
-        s, a, b, w = _resonant_ratios(system, drive)
+        s, a, b, w = _ratios(system, drive)
         k = a * b + w
         q0 = k * (b * b * b - w * (a + 2.0 * b))
         q1 = 2.0 * b * k
@@ -473,15 +479,9 @@ def locate_absorption_peaks(system: LadderSystem,
             return (float(center),)
         x = s * math.sqrt(-2.0 * q0 / (q1 + math.sqrt(q1 * q1 - 4.0 * a * q0)))
         return (float(center - x), float(center + x))
-    import numpy as np
-
-    s, numer, den = _im_chi_fraction(system, drive)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = (np.convolve(_derivative(numer), den)
-                 - np.convolve(numer, _derivative(den)))
-        x = _real_roots(slope)
-        maxima = x[np.polyval(_derivative(slope)[::-1], x) < 0]   # Horner
-        return tuple(float(center + s * v) for v in maxima)
+    s, _, slope = _detuned_polynomials(system, drive)
+    rate = [i * c for i, c in enumerate(slope)][1:]
+    return tuple(float(center + s * x) for x in _real_roots(slope) if _horner(rate, x) > 0)
 
 
 class ControlSweep(NamedTuple):

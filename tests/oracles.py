@@ -322,11 +322,11 @@ def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive):
     factor i gamma_bc + x is 1 at Omega2 = 0, as in the package's product
     form (otherwise N and D share x^2 at gamma_bc = 0).  The width is
     the span between the real roots of N - D/(2 gamma_ab) nearest the
-    center on each side (0 if the center sits at or above the half level,
-    each side capped at max(10 gamma_ab, 4 |Omega2|)); the maxima are the
-    real roots of N'D - ND' where it falls through zero, as offsets from
-    the center.  An independent route to the package's window and peak
-    kernels.
+    center on each side (0 if the center sits at or above the half level
+    or the control is off, each side capped at max(10 gamma_ab,
+    4 |Omega2|)); the maxima are the real roots of N'D - ND' where it falls
+    through zero, as offsets from the center.  An independent route to the
+    package's window and peak kernels.
     """
     with mpmath.workdps(50):
         # in units of s, so that the coefficients are of order one
@@ -343,7 +343,7 @@ def window_and_peaks_mp(system: LadderSystem, drive: FieldDrive):
 
         span = max(10 * g, 4 * om2)
         crossing = [n - d / (2 * g) for n, d in zip(num, den)]
-        if crossing[0] >= 0:
+        if crossing[0] >= 0 or om2 == 0:
             width = mpmath.mpf(0)
         else:
             edges = _mp_real_roots(crossing)

@@ -155,10 +155,11 @@ PROPAGATE_CONFIGS = {
     "detuned": "delta1 = -2 Grad/s\ndelta2 = -3 Grad/s\n",
     "detuned t_steps 10": "delta1 = 5 Grad/s\nt_steps = 10\n",
     "resonant t_steps 9000": "t_steps = 9000\n",
+    "detuned t_steps 9000": "delta1 = -2 Grad/s\ndelta2 = -3 Grad/s\nt_steps = 9000\n",
 }
-# the cases that run in numpy: off two-photon resonance, or with a padded
-# length past propagation.in_floats' limit (t_steps 9000 pads to 18432)
-ARRAY_CASES = {"detuned", "resonant t_steps 9000"}
+# the cases that run in numpy, at any drive: those whose padded length is
+# past propagation.in_floats' limit (t_steps 9000 pads to 18432)
+ARRAY_CASES = {"resonant t_steps 9000", "detuned t_steps 9000"}
 
 
 def propagate_outputs(text):
@@ -178,7 +179,7 @@ def propagate_outputs(text):
 def test_propagate_bytes_match_the_full_grid_transfer(monkeypatch, case):
     # `propagate`'s bytes are held to out-of-place forms of the steps its
     # route takes, on whatever machine the test runs: on the list carrier
-    # (at delta2 = 0, within in_floats' limit), the transfer one offset at a
+    # (within in_floats' limit, at any drive), the transfer one offset at a
     # time and the observables by explicit loops; on the numpy carrier, the
     # transfer formed out of place on the one-sided frequencies and
     # np.trapezoid.  Off resonant drive the transfer is taken at both
@@ -634,6 +635,16 @@ def test_numpy_overflow_names_the_keys_the_kernel_reads(command):
     assert "gamma_bc" in err
 
 
+def test_subnormal_scale_off_two_photon_resonance_names_the_keys():
+    # s = max(gamma_ab, |Omega2|) = 5e-324 rad/s: delta2/s leaves the float
+    # range, and the one line names the keys to change
+    code, err = run_config("propagate", "gamma_ab = 5e-324 rad/s\ngamma_bc = 1e-300 rad/s\n"
+                                        "Omega2 = 5e-324 rad/s\ndelta2 = 4.5e10 rad/s\n")
+    assert code == 3 and err.count("\n") == 1
+    assert err.startswith("numerical failure: overflow off two-photon resonance: ")
+    assert "delta2" in err and err.endswith(" back into range\n")
+
+
 @pytest.mark.parametrize("gamma_aniso", ["1e300", "1.7976931348623157e308"])
 def test_levels_past_the_squared_anisotropy_overflow(gamma_aniso):
     # gamma_aniso^2 overflows from about 1.34e154, but eta stays finite
@@ -881,17 +892,22 @@ def config_lines(draw):
 @example(lines=["omega2_min = -1.7e308 rad/s", "omega2_max = 1.7e308 rad/s"])  # the span does
 @example(lines=["delta2 = 1e300 rad/s", "gamma_bc = 0 rad/s"])   # was a LinAlgError traceback
 @example(lines=["pulse_sigma = 1.7976931348623157e308 s", "t_span = 1e-300 s"])  # center inf
-# the window's quartic meets inf, and t_steps 9000 runs the pulse in numpy
+# 1/gamma_ab overflowed the window's quartic, and t_steps 9000 runs the
+# pulse in numpy
 @example(lines=["delta2 = 1e-300 rad/s", "gamma_ab = 1e-300 rad/s", "t_steps = 9000"])
+# a subnormal scale max(gamma_ab, |Omega2|): was "float division by zero"
+@example(lines=["gamma_ab = 5e-324 rad/s", "gamma_bc = 1e-300 rad/s", "Omega2 = 5e-324 rad/s",
+                "delta2 = 4.5e10 rad/s"])
 def test_any_config_exits_cleanly(lines):
     # every command exits 0, 2 or 3; a RuntimeWarning is an error here; a
-    # failure is one line that is not a bare errno tuple, and a success
-    # writes only finite numbers
+    # failure is one line that is neither a bare errno tuple nor Python's
+    # bare "division by zero", and a success writes only finite numbers
     text = "\n".join(lines) + "\n"
     for command in ("validate", "levels", "sweep", "spectrum", "propagate"):
         found = []
         code, err = run_config(command, text, lambda out: found.extend(non_finite_numbers(out)))
         assert code in (0, 2, 3), (command, err)
         assert "Traceback" not in err and not err.startswith("numerical failure: (")
+        assert "division by zero" not in err, (command, err)
         assert code == 0 or err.count("\n") == 1, (command, err)
         assert code != 0 or not found, (command, found)

@@ -1,7 +1,8 @@
 """What a fresh process loads: the package root loads none of its modules,
 each command loads the modules the README's "Cold start" table lists,
-and `validate`, `levels` at equal masses (gamma_aniso = 1), `spectrum`,
-`sweep`, and `propagate` at two-photon resonance run without numpy.
+and `validate`, `levels` at equal masses (gamma_aniso = 1), and
+`spectrum`, `sweep` and `propagate` at default sizes run without numpy,
+at any drive, as the window kernels do.
 Each check starts its own interpreter, with no bytecode written, as the
 benchmark's cold launches do."""
 
@@ -104,9 +105,10 @@ VALIDATE = ["cli", "config", "constants", "medium", "output"]
     # loaded after the window metrics, at two-photon resonance in floats
     ("propagate", "t_steps = 9000", sorted(VALIDATE + ["propagation", "susceptibility"]),
      True, [None, "warn"]),
-    # so it does off two-photon resonance, where the window's quartic loads it
+    # off two-photon resonance the window's polynomials are rooted in floats,
+    # and the pulse runs in floats too
     ("propagate", "delta2 = 1 Grad/s", sorted(VALIDATE + ["propagation", "susceptibility"]),
-     True, [None, "warn"]),
+     False, [None]),
 ])
 def test_cold_command_census(tmp_path, command, text, modules, numpy, seen):
     # a fresh process prints numpy's RuntimeWarnings to stderr, where the
@@ -120,6 +122,17 @@ def test_cold_command_census(tmp_path, command, text, modules, numpy, seen):
     assert (proc.returncode, proc.stderr) == (0, "")
     dataclasses = command == "propagate"   # for `propagation`'s records alone
     assert proc.stdout.strip().splitlines()[-1] == f"0 {modules} {numpy} {seen} {dataclasses}"
+
+
+def test_detuned_window_and_peaks_load_no_numpy():
+    # off two-photon resonance both kernels root their polynomials in floats
+    assert fresh("import sys; from exciton_eit.config import ScenarioConfig; "
+                 "from exciton_eit.susceptibility import window_metrics, "
+                 "locate_absorption_peaks; "
+                 "cfg = ScenarioConfig(delta2=1e9); s = cfg.build_system(); "
+                 "d = cfg.build_drive(s); w = window_metrics(s, d); "
+                 "p = locate_absorption_peaks(s, d); "
+                 "print(w.width > 0, len(p), 'numpy' in sys.modules)") == "True 2 False"
 
 
 def test_every_former_root_name_resolves():
